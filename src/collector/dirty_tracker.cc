@@ -22,7 +22,7 @@ std::uint32_t log2_of(std::uint32_t pow2) {
 }  // namespace
 
 DirtyTracker::DirtyTracker(std::uint32_t chunk_bytes)
-    : chunk_bytes_(round_chunk(chunk_bytes == 0 ? 4096 : chunk_bytes)),
+    : chunk_bytes_(round_chunk(chunk_bytes)),
       chunk_shift_(log2_of(chunk_bytes_)) {}
 
 void DirtyTracker::track(const rdma::MemoryRegion* region) {
@@ -109,33 +109,9 @@ double DirtyTracker::dirty_ratio() const {
 std::vector<DirtyTracker::Range> DirtyTracker::dirty_ranges(
     const rdma::MemoryRegion* region) const {
   std::vector<Range> ranges;
-  if (!region || region->length() == 0) return ranges;
-  const Tracked* tracked = find_region(region);
-  if (saturated_ || !tracked) {
-    ranges.emplace_back(0, region->length());
-    return ranges;
-  }
-  if (tracked->dirty_chunks == 0) return ranges;
-  const std::uint64_t length = region->length();
-  std::uint64_t run_start = 0;
-  bool in_run = false;
-  for (std::uint64_t chunk = 0; chunk < tracked->num_chunks; ++chunk) {
-    const bool dirty =
-        (tracked->bits[chunk >> 6] >> (chunk & 63)) & 1;
-    if (dirty && !in_run) {
-      run_start = chunk;
-      in_run = true;
-    } else if (!dirty && in_run) {
-      const std::uint64_t begin = run_start << chunk_shift_;
-      ranges.emplace_back(begin,
-                          std::min(chunk << chunk_shift_, length) - begin);
-      in_run = false;
-    }
-  }
-  if (in_run) {
-    const std::uint64_t begin = run_start << chunk_shift_;
-    ranges.emplace_back(begin, length - begin);
-  }
+  for_each_dirty_range(region, [&](std::uint64_t offset, std::uint64_t len) {
+    ranges.emplace_back(offset, len);
+  });
   return ranges;
 }
 

@@ -24,6 +24,7 @@
 // must never be read while the shard is ingesting.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -43,7 +44,10 @@ class DirtyTracker {
   // Byte range within one region: {offset, length}.
   using Range = std::pair<std::uint64_t, std::uint64_t>;
 
-  explicit DirtyTracker(std::uint32_t chunk_bytes = 4096);
+  // 64 B default: one cache line, the granularity ingest writes at (an
+  // 8 B slot, a 32 B postcard chunk, a 64 B append batch), so a refresh
+  // copies what was written rather than the 4 KiB page around it.
+  explicit DirtyTracker(std::uint32_t chunk_bytes = 64);
 
   // Registers a region for tracking. Null regions are ignored. Call
   // before any mark (the shard tracks its store regions at setup).
@@ -71,10 +75,16 @@ class DirtyTracker {
   // dirty_bytes / tracked_bytes (0 when nothing is tracked).
   double dirty_ratio() const;
 
-  // Coalesced dirty byte ranges of `region`, clamped to its length.
-  // A saturated tracker — or an untracked region — reports one range
-  // covering the whole region, so consumers degrade to a full copy
-  // rather than ever missing a write.
+  // Calls fn(offset, length) for each coalesced dirty byte range of
+  // `region`, in ascending order, clamped to its length. A saturated
+  // tracker — or an untracked region — reports one range covering the
+  // whole region, so consumers degrade to a full copy rather than ever
+  // missing a write. Allocation-free: the snapshot refresher patches
+  // from it inside the quiesce window.
+  template <typename Fn>
+  void for_each_dirty_range(const rdma::MemoryRegion* region, Fn&& fn) const;
+
+  // The same ranges, collected.
   std::vector<Range> dirty_ranges(const rdma::MemoryRegion* region) const;
 
   const DirtyTrackerStats& stats() const { return stats_; }
@@ -97,5 +107,62 @@ class DirtyTracker {
   std::vector<Tracked> tracked_;
   DirtyTrackerStats stats_;
 };
+
+template <typename Fn>
+void DirtyTracker::for_each_dirty_range(const rdma::MemoryRegion* region,
+                                        Fn&& fn) const {
+  if (!region || region->length() == 0) return;
+  const std::uint64_t length = region->length();
+  const Tracked* tracked = find_region(region);
+  if (saturated_ || !tracked) {
+    fn(std::uint64_t{0}, length);
+    return;
+  }
+  if (tracked->dirty_chunks == 0) return;
+
+  // Run walk, one 64-bit word at a time: clean words are skipped, full
+  // words extend the open run, and inside a mixed word each run edge is
+  // one count-trailing-zeros on the word (or its complement, while a
+  // run is open). Bits past num_chunks are never set, so a run open at
+  // the last word ends there and is clamped to the region length.
+  bool in_run = false;
+  std::uint64_t run_start = 0;
+  const auto close_run = [&](std::uint64_t end_chunk) {
+    const std::uint64_t begin = run_start << chunk_shift_;
+    fn(begin, std::min(end_chunk << chunk_shift_, length) - begin);
+    in_run = false;
+  };
+  for (std::uint64_t w = 0; w < tracked->bits.size(); ++w) {
+    const std::uint64_t word = tracked->bits[w];
+    const std::uint64_t base = w << 6;
+    if (word == 0) {
+      if (in_run) close_run(base);
+      continue;
+    }
+    if (word == ~std::uint64_t{0}) {
+      if (!in_run) {
+        run_start = base;
+        in_run = true;
+      }
+      continue;
+    }
+    std::uint64_t unseen = ~std::uint64_t{0};  // bit positions still ahead
+    for (;;) {
+      // An open run ends at the next clear bit; a closed one starts at
+      // the next set bit.
+      const std::uint64_t edges = (in_run ? ~word : word) & unseen;
+      if (edges == 0) break;
+      const unsigned bit = static_cast<unsigned>(__builtin_ctzll(edges));
+      if (in_run) {
+        close_run(base + bit);
+      } else {
+        run_start = base + bit;
+        in_run = true;
+      }
+      unseen = ~std::uint64_t{0} << bit;
+    }
+  }
+  if (in_run) close_run(tracked->num_chunks);
+}
 
 }  // namespace dta::collector

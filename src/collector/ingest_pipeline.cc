@@ -219,16 +219,21 @@ void IngestPipeline::worker_loop(std::uint32_t shard) {
                              std::memory_order_acq_rel);
   }
   IngestItem item;
-  // Pops and ingests everything queued; returns whether anything ran.
+  // Pops and ingests what was queued when the pass began; returns
+  // whether anything ran. The bound keeps a producer that refills the
+  // queue as fast as it drains from starving flush and quiesce
+  // requests. It loses nothing a request waits for: those reports were
+  // pushed before the request's counter was bumped, so a pass started
+  // after observing the request counts them in its size().
   const auto drain = [&lane, target, &item] {
-    bool any = false;
-    while (lane.queue.try_pop(item)) {
+    std::size_t budget = lane.queue.size();
+    const bool any = budget != 0;
+    for (; budget != 0 && lane.queue.try_pop(item); --budget) {
       if (const auto* parsed = std::get_if<proto::ParsedDta>(&item)) {
         target->ingest(*parsed);
       } else {
         target->ingest_block(std::get<OpBlock>(item));
       }
-      any = true;
     }
     return any;
   };

@@ -71,7 +71,7 @@ struct CollectorRuntimeConfig {
   // cached snapshot within the budget without any refresh or quiesce
   // (disabled by default: zero budget means exact freshness).
   bool incremental_snapshots = true;
-  std::uint32_t snapshot_chunk_bytes = 4096;
+  std::uint32_t snapshot_chunk_bytes = 64;
   double snapshot_full_copy_ratio = 0.5;
   SnapshotStalenessBudget staleness_budget;
 

@@ -51,7 +51,7 @@ struct ShardConfig {
   int numa_node = -1;
   // Dirty-chunk granularity for incremental snapshot refresh (rounded
   // up to a power of two, min 64 B).
-  std::uint32_t snapshot_chunk_bytes = 4096;
+  std::uint32_t snapshot_chunk_bytes = 64;
   // Execute WRITE / FETCH_ADD verbs directly on the shard's queue pair
   // (QueuePair::execute_*) instead of crafting + re-parsing a RoCE
   // frame per verb. The translator and responder share an address

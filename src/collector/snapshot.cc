@@ -106,11 +106,11 @@ std::uint64_t StoreSnapshot::refresh_from(const RdmaService& service,
       copied += length;
       return;
     }
-    for (const auto& range : dirty.dirty_ranges(live)) {
-      std::memcpy(dst->data() + range.first, live->data() + range.first,
-                  range.second);
-      copied += range.second;
-    }
+    dirty.for_each_dirty_range(
+        live, [&](std::uint64_t offset, std::uint64_t length) {
+          std::memcpy(dst->data() + offset, live->data() + offset, length);
+          copied += length;
+        });
   };
   patch(kw_mem_.get(), service.keywrite_region());
   patch(pc_mem_.get(), service.postcarding_region());

@@ -57,7 +57,11 @@ void AppendEngine::ingest(const proto::AppendReport& report, bool immediate,
     st.batch.insert(st.batch.end(), entry.begin(), entry.end());
     st.batch.resize((st.batched + 1) * geometry_.entry_bytes, 0);
     ++st.batched;
-    if (st.batched == batch_size_) {
+    // Also emit at the ring end: after a flush emitted a short batch the
+    // head is no longer batch-aligned, and a full batch from there would
+    // cross into the next list.
+    if (st.batched == batch_size_ ||
+        st.head_entry + st.batched == geometry_.entries_per_list) {
       emit_batch(report.list_id, st, immediate, out);
     }
   }

@@ -53,8 +53,10 @@ class AppendEngine {
   void ingest(const proto::AppendReport& report, bool immediate,
               std::vector<RdmaOp>& out);
 
-  // Flushes partially filled batches (end-of-run drain; emits short
-  // writes, which the ring tolerates).
+  // Flushes partially filled batches (end-of-run drain and every
+  // snapshot quiesce; emits short writes, which the ring tolerates —
+  // the batch that then reaches the ring end is emitted short too, so
+  // no write crosses into the next list).
   void flush_all(std::vector<RdmaOp>& out);
 
   std::uint64_t head(std::uint32_t list) const {

@@ -14,7 +14,9 @@ PostcardingGeometry PostcardingGeometry::from_advert(
 
 PostcardCache::PostcardCache(PostcardingGeometry geometry,
                              std::uint32_t cache_slots)
-    : geometry_(geometry), rows_(cache_slots) {}
+    : geometry_(geometry),
+      rows_(cache_slots),
+      occupied_((static_cast<std::size_t>(cache_slots) + 63) / 64, 0) {}
 
 std::uint32_t PostcardCache::row_index(const proto::TelemetryKey& key) const {
   // The cache index hash must differ from the chunk-index hashes so that
@@ -24,7 +26,9 @@ std::uint32_t PostcardCache::row_index(const proto::TelemetryKey& key) const {
   return h % static_cast<std::uint32_t>(rows_.size());
 }
 
-void PostcardCache::emit(Row& row, bool full, std::vector<RdmaOp>& out) {
+void PostcardCache::emit(std::uint32_t index, bool full,
+                         std::vector<RdmaOp>& out) {
+  Row& row = rows_[index];
   // Build the chunk payload: present hops carry checksum(x,i) XOR g(v);
   // hops beyond path_len carry the encoded blank so every complete report
   // writes all B hops (§4); hops that never arrived (early emission) stay
@@ -67,6 +71,7 @@ void PostcardCache::emit(Row& row, bool full, std::vector<RdmaOp>& out) {
     ++stats_.early_emissions;
   }
   row = Row{};
+  occupied_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
 }
 
 void PostcardCache::ingest(const proto::PostcardReport& report,
@@ -74,15 +79,18 @@ void PostcardCache::ingest(const proto::PostcardReport& report,
   ++stats_.postcards_in;
   if (report.hop >= geometry_.hops) return;  // out of range: drop
 
-  Row& row = rows_[row_index(report.key)];
+  const std::uint32_t index = row_index(report.key);
+  Row& row = rows_[index];
+  std::uint64_t& occupied = occupied_[index >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (index & 63);
 
   // Collision: a different flow occupies the row — evict it first.
-  if (row.valid && !(row.key == report.key)) {
-    emit(row, /*full=*/false, out);
+  if ((occupied & bit) && !(row.key == report.key)) {
+    emit(index, /*full=*/false, out);
   }
 
-  if (!row.valid) {
-    row.valid = true;
+  if (!(occupied & bit)) {
+    occupied |= bit;
     row.key = report.key;
     row.redundancy = report.redundancy;
   }
@@ -98,17 +106,24 @@ void PostcardCache::ingest(const proto::PostcardReport& report,
   // Full when the row counter reaches the (egress-provided) path length.
   const std::uint8_t target = row.path_len == 0 ? geometry_.hops : row.path_len;
   if (row.count >= target) {
-    emit(row, /*full=*/true, out);
+    emit(index, /*full=*/true, out);
   }
 }
 
 void PostcardCache::flush_all(std::vector<RdmaOp>& out) {
-  for (Row& row : rows_) {
-    if (!row.valid) continue;
-    const std::uint8_t target =
-        row.path_len == 0 ? geometry_.hops : row.path_len;
-    emit(row, row.count >= target, out);
-    ++stats_.final_flushes;
+  // Ascending row order, exactly like a scan of every row: two resident
+  // rows can map to the same store chunk, so the emit order decides
+  // which write lands last.
+  for (std::size_t w = 0; w < occupied_.size(); ++w) {
+    for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+      const auto index = static_cast<std::uint32_t>(
+          (w << 6) + static_cast<unsigned>(__builtin_ctzll(bits)));
+      const Row& row = rows_[index];
+      const std::uint8_t target =
+          row.path_len == 0 ? geometry_.hops : row.path_len;
+      emit(index, row.count >= target, out);
+      ++stats_.final_flushes;
+    }
   }
 }
 

@@ -62,7 +62,8 @@ class PostcardCache {
   // Ingests one postcard; appends any triggered RDMA WRITEs to `out`.
   void ingest(const proto::PostcardReport& report, std::vector<RdmaOp>& out);
 
-  // Flushes every resident row (end-of-run; also useful for tests).
+  // Flushes every resident row, in ascending row order. Every snapshot
+  // quiesce calls this, so it costs O(resident rows), not O(cache_slots).
   void flush_all(std::vector<RdmaOp>& out);
 
   const PostcardCacheStats& stats() const { return stats_; }
@@ -72,7 +73,6 @@ class PostcardCache {
 
  private:
   struct Row {
-    bool valid = false;
     proto::TelemetryKey key;
     std::uint8_t path_len = 0;
     std::uint8_t count = 0;
@@ -82,10 +82,14 @@ class PostcardCache {
   };
 
   std::uint32_t row_index(const proto::TelemetryKey& key) const;
-  void emit(Row& row, bool full, std::vector<RdmaOp>& out);
+  void emit(std::uint32_t index, bool full, std::vector<RdmaOp>& out);
 
   PostcardingGeometry geometry_;
   std::vector<Row> rows_;
+  // One bit per row, set while the row holds a resident flow (a row's
+  // contents mean nothing while its bit is clear): flush_all walks the
+  // set bits instead of scanning every row.
+  std::vector<std::uint64_t> occupied_;
   PostcardCacheStats stats_;
 };
 

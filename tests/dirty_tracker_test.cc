@@ -4,10 +4,13 @@
 // mark exactly the slots the engines wrote).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "collector/dirty_tracker.h"
 #include "collector/runtime.h"
+#include "common/rng.h"
 #include "dta/report_builders.h"
 #include "rdma/memory_region.h"
 
@@ -66,10 +69,92 @@ TEST(DirtyTracker, MarksAndCoalescesChunks) {
 }
 
 TEST(DirtyTracker, ChunkSizeRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(DirtyTracker(0).chunk_bytes(), 4096u);
+  EXPECT_EQ(DirtyTracker().chunk_bytes(), 64u);  // one cache line
+  EXPECT_EQ(DirtyTracker(0).chunk_bytes(), 64u);
   EXPECT_EQ(DirtyTracker(1).chunk_bytes(), 64u);
   EXPECT_EQ(DirtyTracker(65).chunk_bytes(), 128u);
   EXPECT_EQ(DirtyTracker(4096).chunk_bytes(), 4096u);
+}
+
+// Per-bit reference for the run walk: one pass over every chunk,
+// coalescing adjacent dirty chunks, the last run clamped to `length`.
+std::vector<DirtyTracker::Range> reference_ranges(
+    const std::vector<bool>& dirty, std::uint64_t chunk_bytes,
+    std::uint64_t length) {
+  std::vector<DirtyTracker::Range> ranges;
+  for (std::uint64_t chunk = 0; chunk < dirty.size(); ++chunk) {
+    if (!dirty[chunk]) continue;
+    const std::uint64_t begin = chunk * chunk_bytes;
+    const std::uint64_t end = std::min((chunk + 1) * chunk_bytes, length);
+    if (!ranges.empty() &&
+        ranges.back().first + ranges.back().second == begin) {
+      ranges.back().second += end - begin;
+    } else {
+      ranges.emplace_back(begin, end - begin);
+    }
+  }
+  return ranges;
+}
+
+TEST(DirtyTracker, RunWalkMatchesPerBitReference) {
+  // 64 B chunks over two regions: 1000 chunks with a 17 B last chunk (a
+  // partial last word and a partial last chunk), and exactly 16 words,
+  // where a run can stay open past the last word.
+  constexpr std::uint64_t kChunk = 64;
+  common::Rng rng(common::test_seed(0xD1B7));
+  for (const std::uint64_t length : {999 * kChunk + 17, 1024 * kChunk}) {
+    const std::uint64_t chunks = (length + kChunk - 1) / kChunk;
+    const std::uint64_t words = chunks / 64;
+    rdma::ProtectionDomain pd;
+    rdma::MemoryRegion* region =
+        pd.register_region(length, rdma::kRemoteWrite);
+
+    for (int round = 0; round < 200; ++round) {
+      DirtyTracker tracker(kChunk);
+      tracker.track(region);
+      std::vector<bool> dirty(chunks, false);
+      const auto mark_chunks = [&](std::uint64_t first, std::uint64_t count) {
+        count = std::min(count, chunks - first);
+        if (count == 0) return;
+        for (std::uint64_t c = first; c < first + count; ++c) dirty[c] = true;
+        tracker.mark(region->base_va() + first * kChunk,
+                     std::min(count * kChunk, length - first * kChunk));
+      };
+      switch (round % 4) {
+        case 0:  // sparse single chunks
+          for (int i = 0; i < 20; ++i) mark_chunks(rng.next_below(chunks), 1);
+          break;
+        case 1:  // runs of random length, many crossing word boundaries
+          for (int i = 0; i < 12; ++i) {
+            mark_chunks(rng.next_below(chunks), 1 + rng.next_below(150));
+          }
+          break;
+        case 2:  // whole words (all-ones fast path), neighbours, the tail
+          for (int i = 0; i < 4; ++i) {
+            mark_chunks(64 * rng.next_below(words),
+                        64 * (1 + rng.next_below(2)));
+          }
+          mark_chunks(64 * rng.next_below(words) + 63, 2);
+          mark_chunks(chunks - 1 - rng.next_below(3), 3);
+          break;
+        case 3:  // dense random bits
+          for (std::uint64_t c = 0; c < chunks; ++c) {
+            if (rng.next_below(2) == 0) mark_chunks(c, 1);
+          }
+          break;
+      }
+      ASSERT_EQ(tracker.dirty_ranges(region),
+                reference_ranges(dirty, kChunk, length))
+          << "length " << length << " round " << round;
+    }
+
+    // Everything dirty: one range, clamped to the region length.
+    DirtyTracker full(kChunk);
+    full.track(region);
+    full.mark(region->base_va(), length);
+    const std::vector<DirtyTracker::Range> whole = {{0, length}};
+    ASSERT_EQ(full.dirty_ranges(region), whole) << "length " << length;
+  }
 }
 
 TEST(DirtyTracker, SaturationDegradesToFullCopy) {

@@ -421,14 +421,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GenerationSweep,
 
 class IncrementalSnapshotSweep : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(IncrementalSnapshotSweep, ByteIdenticalToFullCopy) {
-  const unsigned seed = GetParam();
-
+void run_incremental_sweep(unsigned seed, std::uint32_t chunk_bytes) {
   collector::CollectorRuntimeConfig config;
   config.num_shards = 1;
   config.thread_mode = collector::ThreadMode::kInline;  // deterministic
   config.op_batch_size = 4;
-  config.snapshot_chunk_bytes = 256;  // small chunks: many patch ranges
+  config.snapshot_chunk_bytes = chunk_bytes;
   collector::KeyWriteSetup kw;
   kw.num_slots = 1 << 12;
   kw.value_bytes = 4;
@@ -545,6 +543,19 @@ TEST_P(IncrementalSnapshotSweep, ByteIdenticalToFullCopy) {
     EXPECT_GE(stats.cow_clones, 1u)
         << "pinned snapshots never forced a copy-on-write clone";
   }
+}
+
+TEST_P(IncrementalSnapshotSweep, ByteIdenticalToFullCopy) {
+  run_incremental_sweep(GetParam(), 256);  // small chunks: many ranges
+}
+
+TEST_P(IncrementalSnapshotSweep, ByteIdenticalToFullCopyAtDefaultChunk) {
+  // The shipped granularity: one cache line per dirty bit, so the run
+  // walk sees many single-chunk runs and runs that cross words.
+  const std::uint32_t chunk_bytes =
+      collector::CollectorRuntimeConfig{}.snapshot_chunk_bytes;
+  ASSERT_EQ(chunk_bytes, 64u);
+  run_incremental_sweep(GetParam(), chunk_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSnapshotSweep,

@@ -233,6 +233,72 @@ TEST(SnapshotCache, ConcurrentQueriesSeeFreshUntornSnapshots) {
   runtime.stop();
 }
 
+TEST(SnapshotCache, ExactReadsReturnUnderSaturatingProducer) {
+  // A producer that keeps the shard's queue full must not starve
+  // exact-freshness reads: each worker drain pass stops at the depth it
+  // started with, so a quiesce waits a pass or two, not for an empty
+  // queue. The producer only moves pre-built reports into the queue, so
+  // when it has a core of its own it outruns the eight-replica worker
+  // and the queue stays full until it runs dry; a starved read would
+  // return only after that. Every read must return while the producer
+  // still has reports left, and cover every report submitted before it.
+  static constexpr std::uint64_t kKeys = 64;
+  static constexpr std::uint8_t kRedundancy = 8;
+  static constexpr std::uint64_t kReports = 1 << 16;
+  static constexpr std::uint32_t kDepth = 256;  // one report per slot
+  CollectorRuntimeConfig config = cache_config(ThreadMode::kThreaded);
+  config.queue_capacity = kDepth;
+  CollectorRuntime runtime(config);
+  std::vector<proto::ParsedDta> pending;
+  pending.reserve(kReports);
+  for (std::uint64_t id = 0; id < kReports; ++id) {
+    pending.push_back(small_report(id % kKeys, static_cast<std::uint32_t>(id),
+                                   kRedundancy));
+  }
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> done{false};
+  std::atomic<bool> ran_dry{false};
+  std::thread producer([&runtime, &pending, &done, &ran_dry, deadline] {
+    for (std::uint64_t id = 0; id < kReports; ++id) {
+      if (done.load(std::memory_order_acquire)) return;
+      if (id % 256 == 0 && std::chrono::steady_clock::now() > deadline) {
+        return;
+      }
+      runtime.submit(std::move(pending[id]));
+    }
+    ran_dry.store(true, std::memory_order_release);
+  });
+
+  // Read only once the producer has filled the queue twice over.
+  while (runtime.pipeline().submitted(0) < 2 * kDepth &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  for (int read = 0; read < 20; ++read) {
+    const std::uint64_t submitted = runtime.pipeline().submitted(0);
+    const auto snap = runtime.snapshot_shard(0);
+    // Report ids 0..submitted-1 are covered; the newest one's key must
+    // hold its value or a later one.
+    const std::uint64_t newest = submitted - 1;
+    const auto result =
+        snap->keywrite_query(key_of(newest % kKeys), kRedundancy);
+    EXPECT_EQ(result.status, QueryStatus::kHit) << "read " << read;
+    if (result.status == QueryStatus::kHit) {
+      EXPECT_GE(common::load_u32(result.value.data()),
+                static_cast<std::uint32_t>(newest))
+          << "read " << read << " misses a report submitted before it";
+    }
+  }
+  EXPECT_FALSE(ran_dry.load(std::memory_order_acquire))
+      << "exact reads returned only once the producer stopped: starved";
+  EXPECT_LT(std::chrono::steady_clock::now(), deadline);
+  done.store(true, std::memory_order_release);
+  producer.join();
+  runtime.stop();
+}
+
 TEST(SnapshotCache, StopRacingSnapshotAcquisitionIsSafe) {
   // stop() may land while another thread is inside snapshot_shard: the
   // worker must not exit with an unanswered quiesce (hang) or run its

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
+#include "common/rng.h"
 #include "translator/append_engine.h"
 #include "translator/crc_unit.h"
 #include "translator/keyincrement_engine.h"
@@ -307,6 +312,130 @@ TEST_F(PostcardCacheTest, DuplicateHopDoesNotDoubleCount) {
   EXPECT_TRUE(ops.empty());  // count must be 2, not 3
 }
 
+// Oracle for flush_all: the cache's row semantics with the flush done
+// the plain way, by scanning every row in index order.
+class ScanPostcardCache {
+ public:
+  ScanPostcardCache(PostcardingGeometry geometry, std::uint32_t slots)
+      : geometry_(geometry), rows_(slots) {}
+
+  void ingest(const proto::PostcardReport& r, std::vector<RdmaOp>& out) {
+    if (r.hop >= geometry_.hops) return;
+    Row& row = rows_[common::checksum_crc().compute(r.key.span()) %
+                     rows_.size()];
+    if (row.valid && !(row.key == r.key)) emit(row, false, out);
+    if (!row.valid) {
+      row.valid = true;
+      row.key = r.key;
+      row.redundancy = r.redundancy;
+    }
+    if (r.path_len != 0) row.path_len = r.path_len;
+    if (!(row.present & (1u << r.hop))) {
+      row.present |= 1u << r.hop;
+      ++row.count;
+    }
+    row.encoded[r.hop] = hop_checksum(r.key, r.hop) ^ value_code(r.value);
+    if (row.count >= target(row)) emit(row, true, out);
+  }
+
+  void flush_all(std::vector<RdmaOp>& out) {
+    for (Row& row : rows_) {
+      if (row.valid) emit(row, row.count >= target(row), out);
+    }
+  }
+
+ private:
+  struct Row {
+    bool valid = false;
+    proto::TelemetryKey key;
+    std::uint8_t path_len = 0, count = 0, redundancy = 1;
+    std::uint32_t present = 0;
+    std::array<std::uint32_t, 8> encoded{};
+  };
+
+  std::uint8_t target(const Row& row) const {
+    return row.path_len == 0 ? geometry_.hops : row.path_len;
+  }
+
+  void emit(Row& row, bool full, std::vector<RdmaOp>& out) {
+    Bytes payload(geometry_.chunk_bytes(), 0);
+    for (std::uint8_t i = 0; i < geometry_.hops; ++i) {
+      std::uint32_t enc = 0;
+      if (row.present & (1u << i)) {
+        enc = row.encoded[i];
+      } else if (full && i >= target(row)) {
+        enc = hop_checksum(row.key, i) ^ value_code(kBlankValue);
+      } else {
+        continue;
+      }
+      common::store_u32(payload.data() + i * 4, enc);
+    }
+    for (unsigned replica = 0; replica < row.redundancy; ++replica) {
+      RdmaOp op;
+      op.remote_va = geometry_.base_va +
+                     chunk_index(replica, row.key, geometry_.num_chunks) *
+                         geometry_.chunk_bytes();
+      op.rkey = geometry_.rkey;
+      op.payload = payload;
+      out.push_back(std::move(op));
+    }
+    row = Row{};
+  }
+
+  PostcardingGeometry geometry_;
+  std::vector<Row> rows_;
+};
+
+void expect_same_ops(const std::vector<RdmaOp>& got,
+                     const std::vector<RdmaOp>& want, int step) {
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << "step " << step << " op " << i;
+    EXPECT_EQ(got[i].remote_va, want[i].remote_va)
+        << "step " << step << " op " << i;
+    EXPECT_EQ(got[i].rkey, want[i].rkey) << "step " << step << " op " << i;
+    EXPECT_EQ(got[i].payload, want[i].payload)
+        << "step " << step << " op " << i;
+    EXPECT_EQ(got[i].immediate, want[i].immediate)
+        << "step " << step << " op " << i;
+  }
+}
+
+TEST_F(PostcardCacheTest, FlushMatchesFullRowScan) {
+  // Seeded mixes of postcards, completions and collisions: small caches
+  // (one a non-multiple of 64 rows) keep many rows resident and colliding,
+  // and a few chunks make resident rows share store chunks, so the flush
+  // order is observable.
+  geometry_.num_chunks = 16;
+  common::Rng rng(common::test_seed(0x9C));
+  for (const std::uint32_t slots : {1u, 64u, 130u, 1024u}) {
+    PostcardCache cache(geometry_, slots);
+    ScanPostcardCache reference(geometry_, slots);
+    std::vector<RdmaOp> got, want;
+    for (int step = 0; step < 3000; ++step) {
+      if (rng.next_below(50) == 0) {
+        cache.flush_all(got);
+        reference.flush_all(want);
+      } else {
+        const auto flow = static_cast<std::uint32_t>(rng.next_below(400));
+        const auto path_len = static_cast<std::uint8_t>(rng.next_below(6));
+        auto c = card(flow, static_cast<std::uint8_t>(rng.next_below(6)),
+                      rng.next_u32(), path_len);
+        c.redundancy = static_cast<std::uint8_t>(1 + rng.next_below(2));
+        cache.ingest(c, got);
+        reference.ingest(c, want);
+      }
+      expect_same_ops(got, want, step);
+      if (::testing::Test::HasFailure()) return;
+      got.clear();
+      want.clear();
+    }
+    cache.flush_all(got);
+    reference.flush_all(want);
+    expect_same_ops(got, want, -1);
+  }
+}
+
 // ------------------------------------------------------------ Append engine
 
 class AppendEngineTest : public ::testing::Test {
@@ -423,6 +552,47 @@ TEST_F(AppendEngineTest, FlushEmitsPartialBatch) {
   engine.flush_all(ops);
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].payload.size(), 20u);
+}
+
+TEST_F(AppendEngineTest, PartialFlushNeverWritesPastRingEnd) {
+  // A flush leaves the head mid-batch (5 of 16); the batch that later
+  // reaches the ring end must stop there instead of spilling into list
+  // 1. Every op is applied to a model of the whole append region.
+  AppendEngine engine(geometry_, 16);
+  const std::uint64_t list_bytes = geometry_.list_bytes();
+  Bytes memory(list_bytes * geometry_.num_lists, 0);
+  std::vector<RdmaOp> ops;
+  const auto apply = [&] {
+    for (const RdmaOp& op : ops) {
+      const std::uint64_t offset = op.remote_va - geometry_.base_va;
+      ASSERT_LE(offset + op.payload.size(), list_bytes)
+          << "write crosses the end of list 0's ring";
+      std::copy(op.payload.begin(), op.payload.end(),
+                memory.begin() + static_cast<std::ptrdiff_t>(offset));
+    }
+    ops.clear();
+  };
+
+  constexpr std::uint32_t kEntries = 5 + 64 + 10;  // flush, wrap, continue
+  for (std::uint32_t i = 0; i < kEntries; ++i) {
+    engine.ingest(entry(0, 1000 + i), false, ops);
+    if (i == 4) {
+      engine.flush_all(ops);
+      EXPECT_EQ(engine.head(0), 5u);
+    }
+  }
+  engine.flush_all(ops);
+  apply();
+  EXPECT_EQ(engine.head(0), kEntries % 64);
+
+  // Ring position p holds the newest entry written there.
+  for (std::uint32_t i = kEntries - 64; i < kEntries; ++i) {
+    EXPECT_EQ(common::load_u32(memory.data() + (i % 64) * 4), 1000 + i)
+        << "ring slot " << i % 64;
+  }
+  // The neighbouring lists were never touched.
+  EXPECT_TRUE(std::all_of(memory.begin() + static_cast<std::ptrdiff_t>(list_bytes),
+                          memory.end(), [](std::uint8_t b) { return b == 0; }));
 }
 
 TEST_F(AppendEngineTest, NoBatchingEmitsPerEntry) {
