@@ -12,9 +12,7 @@
 // message units add) next to the software rate.
 //
 // Flags:
-//   --smoke           scaled-down report counts for CI smoke runs (does
-//                     not write BENCH_fig10.json — the bench gate reads
-//                     full-length runs only)
+//   --smoke           scaled-down report counts for CI smoke runs
 //   --replay <path>   first replay a committed .dtatrace through the
 //                     fig10 store geometry and fail on any rejection
 #include <cstring>
@@ -108,82 +106,6 @@ ShardedMeasurement run_sharded(std::uint32_t shards, std::uint32_t batch,
           : static_cast<double>(stats.ingest.ops_batched) /
                 static_cast<double>(stats.ingest.batch_flushes);
   return m;
-}
-
-// Hot-path ablation: the same report stream through the sharded
-// runtime with the fast paths toggled. wire = per-report submit with
-// RoCE craft + NIC parse per verb; direct = per-report submit with the
-// crafterless verb-execution path; batched = submit_batch (one
-// interleaved CRC routing pass, SoA op blocks) on top of direct.
-struct HotPathAblation {
-  double wire_rate = 0.0;
-  double direct_rate = 0.0;
-  double batched_rate = 0.0;
-};
-
-HotPathAblation run_hot_path_ablation(std::uint32_t report_count) {
-  auto run = [&](bool direct, bool batched) {
-    collector::CollectorRuntimeConfig config;
-    config.num_shards = 2;
-    config.op_batch_size = 16;
-    config.thread_mode = collector::ThreadMode::kInline;
-    config.direct_execution = direct;
-    collector::KeyWriteSetup kw;
-    kw.num_slots = 1 << 20;
-    kw.value_bytes = 4;
-    config.keywrite = kw;
-    collector::CollectorRuntime runtime(config);
-
-    std::vector<proto::ParsedDta> prebuilt;
-    prebuilt.reserve(report_count);
-    for (std::uint32_t i = 0; i < report_count; ++i) {
-      prebuilt.push_back(reports::keywrite_u32(benchutil::mixed_key(i), i));
-    }
-
-    constexpr std::uint32_t kChunk = 1024;
-    benchutil::WallTimer timer;
-    if (batched) {
-      for (std::uint32_t at = 0; at < report_count; at += kChunk) {
-        const std::uint32_t n = std::min(kChunk, report_count - at);
-        std::vector<proto::ParsedDta> chunk(prebuilt.begin() + at,
-                                            prebuilt.begin() + at + n);
-        runtime.submit_batch(std::move(chunk));
-      }
-    } else {
-      for (const auto& p : prebuilt) runtime.submit(p);
-    }
-    runtime.flush();
-    const double rate = report_count / timer.seconds();
-    runtime.stop();
-    return rate;
-  };
-
-  HotPathAblation out;
-  out.wire_rate = run(false, false);
-  out.direct_rate = run(true, false);
-  out.batched_rate = run(true, true);
-  return out;
-}
-
-// Machine-readable output: the ablation ratios are the CI regression
-// gate (ratios, not absolute rates, so the gate is portable across
-// runner hardware); the single-shard rates ride along as data.
-void write_bench_json(const HotPathAblation& ablation) {
-  FILE* json = std::fopen("BENCH_fig10.json", "w");
-  if (!json) return;
-  std::fprintf(json,
-               "{\n  \"ablation\": {\"wire_rate\": %.1f, "
-               "\"direct_rate\": %.1f, \"batched_rate\": %.1f},\n",
-               ablation.wire_rate, ablation.direct_rate,
-               ablation.batched_rate);
-  std::fprintf(json,
-               "  \"gate\": {\n"
-               "    \"direct_ingest_speedup\": %.3f,\n"
-               "    \"batched_ingest_speedup\": %.3f\n  }\n}\n",
-               ablation.direct_rate / ablation.wire_rate,
-               ablation.batched_rate / ablation.wire_rate);
-  std::fclose(json);
-  std::printf("\nwrote BENCH_fig10.json\n");
 }
 
 // Replays a committed .dtatrace (see gen_golden_trace) through the
@@ -296,18 +218,5 @@ int main(int argc, char** argv) {
               "capacity scales linearly with shards (the paper's "
               "collector-scaling claim); ops/doorbell shows the per-op "
               "delivery overhead amortized by batching.\n");
-
-  const auto ablation = run_hot_path_ablation(200000 / scale);
-  std::printf("\nHot-path ablation (2 shards, N=2, 4B payloads, software "
-              "reports/s):\n");
-  std::printf("  wire (craft + parse per verb)   %12s\n",
-              benchutil::eng(ablation.wire_rate).c_str());
-  std::printf("  direct verb execution           %12s  (%5.2fx)\n",
-              benchutil::eng(ablation.direct_rate).c_str(),
-              ablation.direct_rate / ablation.wire_rate);
-  std::printf("  + batched submit (SoA blocks)   %12s  (%5.2fx)\n",
-              benchutil::eng(ablation.batched_rate).c_str(),
-              ablation.batched_rate / ablation.wire_rate);
-  if (!smoke) write_bench_json(ablation);
   return 0;
 }

@@ -42,7 +42,7 @@ IngestPipeline::IngestPipeline(std::vector<CollectorShard*> shards,
       threaded_ = std::thread::hardware_concurrency() > 1;
       break;
   }
-  first_touch_ = threaded_ && config.pin_workers && config.numa_first_touch;
+  first_touch_ = threaded_ && config.pin_workers;
   lanes_.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     lanes_.push_back(std::make_unique<ShardLane>(config.queue_capacity));
@@ -71,8 +71,7 @@ void IngestPipeline::submit(std::uint32_t shard, proto::ParsedDta parsed) {
     // queue; ingest on the caller thread rather than losing the report.
     shards_[shard]->ingest(parsed);
   } else {
-    IngestItem item(std::move(parsed));
-    while (!lane.queue.try_push(std::move(item))) {
+    while (!lane.queue.try_push(std::move(parsed))) {
       ++stats_.backpressure_waits;
       std::this_thread::yield();
     }
@@ -82,25 +81,6 @@ void IngestPipeline::submit(std::uint32_t shard, proto::ParsedDta parsed) {
   // must never claim a report a concurrent quiesce drain could not yet
   // have observed.
   lane.submitted.fetch_add(1, std::memory_order_release);
-}
-
-void IngestPipeline::submit_block(std::uint32_t shard, OpBlock block) {
-  const std::uint64_t count = block.size();
-  if (count == 0) return;
-  stats_.submitted += count;
-  ShardLane& lane = *lanes_[shard];
-  if (!threaded_ || stopped_.load(std::memory_order_acquire)) {
-    shards_[shard]->ingest_block(block);
-  } else {
-    IngestItem item(std::move(block));
-    while (!lane.queue.try_push(std::move(item))) {
-      ++stats_.backpressure_waits;
-      std::this_thread::yield();
-    }
-  }
-  // Same covers_seq rule as submit(): the whole block is reachable by a
-  // quiesce drain before the counter claims any of its reports.
-  lane.submitted.fetch_add(count, std::memory_order_release);
 }
 
 std::uint64_t IngestPipeline::submitted(std::uint32_t shard) const {
@@ -218,22 +198,18 @@ void IngestPipeline::worker_loop(std::uint32_t shard) {
     first_touched_.fetch_add(target->first_touch_regions(),
                              std::memory_order_acq_rel);
   }
-  IngestItem item;
+  proto::ParsedDta parsed;
   // Pops and ingests what was queued when the pass began; returns
   // whether anything ran. The bound keeps a producer that refills the
   // queue as fast as it drains from starving flush and quiesce
   // requests. It loses nothing a request waits for: those reports were
   // pushed before the request's counter was bumped, so a pass started
   // after observing the request counts them in its size().
-  const auto drain = [&lane, target, &item] {
+  const auto drain = [&lane, target, &parsed] {
     std::size_t budget = lane.queue.size();
     const bool any = budget != 0;
-    for (; budget != 0 && lane.queue.try_pop(item); --budget) {
-      if (const auto* parsed = std::get_if<proto::ParsedDta>(&item)) {
-        target->ingest(*parsed);
-      } else {
-        target->ingest_block(std::get<OpBlock>(item));
-      }
+    for (; budget != 0 && lane.queue.try_pop(parsed); --budget) {
+      target->ingest(parsed);
     }
     return any;
   };

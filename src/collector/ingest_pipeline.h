@@ -35,10 +35,8 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
-#include <variant>
 #include <vector>
 
-#include "collector/op_block.h"
 #include "collector/shard.h"
 #include "common/lifetime_annotations.h"
 #include "common/spsc_queue.h"
@@ -56,13 +54,11 @@ struct IngestPipelineConfig {
   std::uint32_t queue_capacity = 4096;  // per shard, entries
   ThreadMode thread_mode = ThreadMode::kAuto;
   // CPU affinity for shard workers. When pin_workers is set, worker i is
-  // pinned to worker_cores[i] (or core i when the list is shorter).
-  // No-op when unset or on platforms without thread affinity.
+  // pinned to worker_cores[i] (or core i when the list is shorter) and
+  // runs the NUMA first-touch pass (threaded mode only). No-op when
+  // unset or on platforms without thread affinity.
   bool pin_workers = false;
   std::vector<int> worker_cores;
-  // NUMA first-touch pass from each pinned worker over its shard's
-  // store regions (only meaningful with pin_workers in threaded mode).
-  bool numa_first_touch = true;
 };
 
 // Core assignment for worker `i` under pin_workers: the explicit list
@@ -93,15 +89,6 @@ class IngestPipeline {
   // shard's queue is full — reports are never silently dropped here; the
   // wire-side rate limiter is where DTA sheds load.
   void submit(std::uint32_t shard, proto::ParsedDta parsed);
-
-  // Hands a whole pre-bucketed block to shard `shard` in ONE queue slot
-  // (the batched-ingest fast path: one push, one pop, one contiguous
-  // translate run per primitive — see OpBlock). Equivalent to
-  // submitting each report individually; the submitted() counter
-  // advances by block.size() once the block is enqueued, preserving
-  // the same covers_seq guarantee as submit(). Empty blocks are
-  // ignored. Same single-producer contract as submit().
-  void submit_block(std::uint32_t shard, OpBlock block);
 
   // Barrier: every submitted report is processed and every shard's
   // translator-side aggregation state is flushed before this returns.
@@ -144,14 +131,9 @@ class IngestPipeline {
   }
 
  private:
-  // Queue element: a single report (the latency path) or a whole SoA
-  // block (the throughput path, one slot per batch). The variant keeps
-  // per-report submits free of OpBlock's vector baggage.
-  using IngestItem = std::variant<proto::ParsedDta, OpBlock>;
-
   struct ShardLane {
     explicit ShardLane(std::uint32_t capacity) : queue(capacity) {}
-    common::SpscQueue<IngestItem> queue;
+    common::SpscQueue<proto::ParsedDta> queue;
     std::thread worker;
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> flushes_requested{0};

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/crc.h"
-
 namespace dta::collector {
 
 namespace {
@@ -29,8 +27,6 @@ CollectorRuntime::CollectorRuntime(CollectorRuntimeConfig config)
     sc.append_batch_size = config_.append_batch_size;
     sc.postcard_cache_slots = config_.postcard_cache_slots;
     sc.snapshot_chunk_bytes = config_.snapshot_chunk_bytes;
-    sc.direct_execution = config_.direct_execution;
-    sc.hugepage_store_memory = config_.hugepage_store_memory;
     if (config_.keywrite) {
       KeyWriteSetup kw = *config_.keywrite;
       kw.num_slots = slice(kw.num_slots, n, 1024);
@@ -65,11 +61,7 @@ CollectorRuntime::CollectorRuntime(CollectorRuntimeConfig config)
     shards_.push_back(std::make_unique<CollectorShard>(i, sc));
   }
 
-  IndexPublisher::Config index_config;
-  index_config.publish_batch = config_.index_publish_batch;
-  index_config.target_leaf_entries = config_.index_leaf_entries;
-  index_publisher_ =
-      std::make_unique<IndexPublisher>(shards_.size(), index_config);
+  index_publisher_ = std::make_unique<IndexPublisher>(shards_.size());
   for (auto& shard : shards_) shard->set_index_sink(index_publisher_.get());
 
   std::vector<CollectorShard*> shard_ptrs;
@@ -79,10 +71,8 @@ CollectorRuntime::CollectorRuntime(CollectorRuntimeConfig config)
   pc.thread_mode = config_.thread_mode;
   pc.pin_workers = config_.pin_workers;
   pc.worker_cores = config_.worker_cores;
-  pc.numa_first_touch = config_.numa_first_touch;
   pipeline_ = std::make_unique<IngestPipeline>(std::move(shard_ptrs), pc);
   SnapshotCacheConfig cache_config;
-  cache_config.incremental = config_.incremental_snapshots;
   cache_config.full_copy_dirty_ratio = config_.snapshot_full_copy_ratio;
   snapshot_cache_ =
       std::make_unique<SnapshotCache>(shards_.size(), cache_config);
@@ -117,55 +107,6 @@ void CollectorRuntime::submit(proto::ParsedDta parsed) {
     ap->list_id = local_list_id(ap->list_id, num_shards());
   }
   pipeline_->submit(shard, std::move(parsed));
-}
-
-void CollectorRuntime::submit_batch(std::vector<proto::ParsedDta> reports) {
-  if (reports.empty()) return;
-  const std::uint32_t n = num_shards();
-
-  // One interleaved CRC pass routes every keyed report; Append reports
-  // and keyless NACKs are routed arithmetically in the same sweep.
-  std::vector<common::ByteSpan> keys;
-  std::vector<std::size_t> key_report;  // keys[j] belongs to reports[key_report[j]]
-  keys.reserve(reports.size());
-  key_report.reserve(reports.size());
-  std::vector<std::uint32_t> shard_of(reports.size(), 0);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    proto::ParsedDta& parsed = reports[i];
-    const proto::TelemetryKey* key = nullptr;
-    if (const auto* kw = std::get_if<proto::KeyWriteReport>(&parsed.report)) {
-      key = &kw->key;
-    } else if (const auto* ki =
-                   std::get_if<proto::KeyIncrementReport>(&parsed.report)) {
-      key = &ki->key;
-    } else if (const auto* pc =
-                   std::get_if<proto::PostcardReport>(&parsed.report)) {
-      key = &pc->key;
-    } else if (auto* ap = std::get_if<proto::AppendReport>(&parsed.report)) {
-      shard_of[i] = shard_for_list(ap->list_id, n);
-      ap->list_id = local_list_id(ap->list_id, n);
-      continue;
-    } else {
-      continue;  // keyless: shard 0
-    }
-    keys.push_back(key->span());
-    key_report.push_back(i);
-  }
-  if (!keys.empty()) {
-    std::vector<std::uint32_t> routed(keys.size());
-    common::shard_of_batch(keys.data(), keys.size(), n, routed.data());
-    for (std::size_t j = 0; j < keys.size(); ++j) {
-      shard_of[key_report[j]] = routed[j];
-    }
-  }
-
-  std::vector<OpBlock> blocks(n);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    blocks[shard_of[i]].add(std::move(reports[i]));
-  }
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (!blocks[s].empty()) pipeline_->submit_block(s, std::move(blocks[s]));
-  }
 }
 
 void CollectorRuntime::flush() { pipeline_->flush(); }

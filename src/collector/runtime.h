@@ -5,10 +5,11 @@
 // partitioning. The runtime slices every enabled store N-way by CRC of
 // the telemetry key (Append lists round-robin by list id), gives each
 // slice an independent RDMA service + NIC + queue pair, and feeds each
-// shard through a bounded SPSC queue with translator-op batching in
-// front of the NIC. Queries resolve against immutable per-shard
-// snapshots acquired through the generation-stamped SnapshotCache (the
-// dta::Client merge path).
+// shard one report at a time through a bounded SPSC queue. The shard
+// translates the report, batches the resulting verbs and executes each
+// batch directly on its queue pair. Queries resolve against immutable
+// per-shard snapshots acquired through the generation-stamped
+// SnapshotCache (the dta::Client merge path).
 //
 // This is the seam later scaling work plugs into: multi-collector
 // placement picks a runtime per collector host, NUMA pinning binds shard
@@ -47,40 +48,25 @@ struct CollectorRuntimeConfig {
   std::uint32_t queue_capacity = 4096;
   ThreadMode thread_mode = ThreadMode::kAuto;
 
-  // Hot-path switches (see ShardConfig for semantics): direct verb
-  // execution on the shard's queue pair instead of per-verb RoCE frame
-  // craft + parse, and transparent-huge-page advice for store regions.
-  bool direct_execution = true;
-  bool hugepage_store_memory = true;
-
   // CPU affinity for shard workers (no-op when unset): worker i is
   // pinned to worker_cores[i], or to core i when the list is shorter.
   // Pinning also drives NUMA placement: each shard's registered store
   // memory gets a node hint derived from its worker's core, and the
-  // pinned worker runs a first-touch pass over its regions
-  // (numa_first_touch) before ingesting anything.
+  // pinned worker runs a first-touch pass over its regions before
+  // ingesting anything.
   bool pin_workers = false;
   std::vector<int> worker_cores;
-  bool numa_first_touch = true;
 
-  // Snapshot tier. Incremental refresh patches only the chunks ingest
-  // dirtied since the last refresh (snapshot_chunk_bytes granularity,
-  // rounded up to a power of two) instead of recopying whole stores;
-  // past snapshot_full_copy_ratio dirty it falls back to one full
-  // memcpy. The staleness budget lets snapshot_shard_bounded serve a
-  // cached snapshot within the budget without any refresh or quiesce
-  // (disabled by default: zero budget means exact freshness).
-  bool incremental_snapshots = true;
+  // Snapshot tier. Refresh patches only the chunks ingest dirtied since
+  // the last refresh (snapshot_chunk_bytes granularity, rounded up to a
+  // power of two) instead of recopying whole stores; past
+  // snapshot_full_copy_ratio dirty it falls back to one full memcpy.
+  // The staleness budget lets snapshot_shard_bounded serve a cached
+  // snapshot within the budget without any refresh or quiesce (disabled
+  // by default: zero budget means exact freshness).
   std::uint32_t snapshot_chunk_bytes = 64;
   double snapshot_full_copy_ratio = 0.5;
   SnapshotStalenessBudget staleness_budget;
-
-  // Secondary index tier (range/event queries). Deltas queue per
-  // delivered op batch and fold in once index_publish_batch of them
-  // accumulate (defer-publish) — or on demand when a query needs a
-  // newer generation than the published version covers.
-  std::uint32_t index_publish_batch = 64;
-  std::uint32_t index_leaf_entries = 128;
 };
 
 struct CollectorRuntimeStats {
@@ -111,14 +97,6 @@ class CollectorRuntime {
   // Routes one report to its owning shard. Single-producer: call from
   // one thread. Pass an rvalue to hand the report over without a copy.
   void submit(proto::ParsedDta parsed);
-
-  // Batched submit: routes a whole batch with one interleaved CRC pass
-  // (common::shard_of_batch), buckets it into per-shard SoA blocks and
-  // hands each shard its block in a single queue slot. Equivalent to
-  // calling submit() per report — same ordering guarantees per shard,
-  // same read-your-submits accounting — at a fraction of the per-report
-  // cost. Same single-producer contract as submit().
-  void submit_batch(std::vector<proto::ParsedDta> reports);
 
   // Barrier: all submitted reports processed, all aggregation state
   // (postcard cache rows, append batches, staged op batches) delivered.

@@ -50,12 +50,12 @@ TranslationStats CollectorShard::translation_stats() const {
 CollectorShard::CollectorShard(std::uint32_t index, const ShardConfig& config)
     : index_(index),
       op_batch_size_(config.op_batch_size == 0 ? 1 : config.op_batch_size),
-      direct_execution_(config.direct_execution),
       service_(config.nic),
       dirty_(config.snapshot_chunk_bytes) {
-  if (config.hugepage_store_memory) {
-    service_.nic().pd().set_hugepage_hint(true);
-  }
+  // Store regions ask for transparent huge pages (MADV_HUGEPAGE on the
+  // 2 MiB-aligned interior; the paper puts all RDMA-registered memory
+  // on huge pages). Best-effort, no-op off-Linux.
+  service_.nic().pd().set_hugepage_hint(true);
   // Placement hint before any store memory is allocated: regions the
   // enable_* calls register below are asked onto the worker's node.
   if (config.numa_node >= 0) {
@@ -96,9 +96,6 @@ CollectorShard::CollectorShard(std::uint32_t index, const ShardConfig& config)
         break;
     }
   }
-
-  crafter_ = std::make_unique<translator::RdmaCrafter>(
-      translator::CrafterEndpoints{}, accept.responder_qpn, accept.start_psn);
 
   // Every registered store region is chunk-tracked so snapshot refresh
   // can copy only what the delivered batches actually dirtied.
@@ -154,68 +151,6 @@ void CollectorShard::ingest(const proto::ParsedDta& parsed) {
   if (pending_.size() >= op_batch_size_) deliver_batch();
 }
 
-void CollectorShard::ingest_block(const OpBlock& block) {
-  stats_.reports_in += block.size();
-  for (const auto* metas :
-       {&block.keywrite_meta, &block.keyincrement_meta, &block.postcard_meta,
-        &block.append_meta, &block.other_meta}) {
-    for (const OpBlock::Meta& meta : *metas) {
-      ++tenant_reports_in_[meta.tenant];
-    }
-  }
-
-  // One contiguous run per primitive: the engine, its geometry and the
-  // CRC tables stay hot across the whole run instead of being re-fetched
-  // per report through a variant dispatch.
-  std::size_t before = pending_.size();
-  if (keywrite_) {
-    for (std::size_t i = 0; i < block.keywrites.size(); ++i) {
-      stage_key(block.keywrites[i].key, kIndexKeyWrite);
-      keywrite_->translate(block.keywrites[i], block.keywrite_meta[i].immediate,
-                           pending_);
-      if (pending_.size() >= op_batch_size_) {
-        stats_.ops_batched += pending_.size() - before;
-        deliver_batch();
-        before = 0;
-      }
-    }
-  }
-  if (keyincrement_) {
-    for (const auto& report : block.keyincrements) {
-      stage_key(report.key, kIndexKeyIncrement);
-      keyincrement_->translate(report, pending_);
-      if (pending_.size() >= op_batch_size_) {
-        stats_.ops_batched += pending_.size() - before;
-        deliver_batch();
-        before = 0;
-      }
-    }
-  }
-  if (postcarding_) {
-    for (const auto& report : block.postcards) {
-      stage_key(report.key, kIndexPostcarding);
-      postcarding_->ingest(report, pending_);
-      if (pending_.size() >= op_batch_size_) {
-        stats_.ops_batched += pending_.size() - before;
-        deliver_batch();
-        before = 0;
-      }
-    }
-  }
-  if (append_) {
-    for (std::size_t i = 0; i < block.appends.size(); ++i) {
-      append_->ingest(block.appends[i], block.append_meta[i].immediate,
-                      pending_);
-      if (pending_.size() >= op_batch_size_) {
-        stats_.ops_batched += pending_.size() - before;
-        deliver_batch();
-        before = 0;
-      }
-    }
-  }
-  stats_.ops_batched += pending_.size() - before;
-}
-
 void CollectorShard::flush() {
   const std::size_t before = pending_.size();
   if (postcarding_) postcarding_->flush_all(pending_);
@@ -226,15 +161,18 @@ void CollectorShard::flush() {
 
 void CollectorShard::deliver_batch() {
   if (pending_.empty()) return;
-  // One doorbell for the whole batch: craft + NIC demux runs back to
-  // back over the staged ops without returning to the ingest loop.
+  // One doorbell for the whole batch: the staged ops execute back to
+  // back on the shard's queue pair (validation + DMA + message-rate
+  // charge; no frame craft, no parse, no PSN) without returning to the
+  // ingest loop.
   ++stats_.batch_flushes;
+  rdma::Nic& nic = service_.nic();
+  rdma::QueuePair& qp = *service_.qp();
   for (const auto& op : pending_) {
-    // Mark the op's byte extent dirty before executing it (over-
+    // Each op's byte extent is marked dirty before it executes (over-
     // approximate on failure — a spurious chunk copy is harmless, a
-    // missed one is a stale snapshot). WRITEs dirty their payload
-    // extent, FETCH_ADDs one 8 B counter; SENDs never touch registered
-    // store memory.
+    // missed one is a stale snapshot).
+    rdma::Nic::Outcome outcome;
     switch (op.kind) {
       case translator::RdmaOp::Kind::kWrite:
         dirty_.mark(op.remote_va, op.payload.size());
@@ -250,40 +188,20 @@ void CollectorShard::deliver_batch() {
                 op.payload.size() / append_entry_bytes_;
           }
         }
+        outcome = nic.execute_write(qp, op.remote_va, op.rkey, op.payload,
+                                    op.immediate);
         break;
       case translator::RdmaOp::Kind::kFetchAdd:
         dirty_.mark(op.remote_va, 8);
+        outcome =
+            nic.execute_fetch_add(qp, op.remote_va, op.rkey, op.add_value);
         break;
       case translator::RdmaOp::Kind::kSend:
+        // No shard engine emits a SEND, and a SEND never writes store
+        // memory: it counts as failed.
         break;
     }
-    // Direct execution: WRITEs and FETCH_ADDs run straight on the queue
-    // pair (validation + DMA + message-rate charge, no frame craft, no
-    // parse, no PSN). SENDs — and everything when disabled — still take
-    // the wire path, whose PSN stream stays self-consistent because
-    // direct verbs never touch it.
-    if (direct_execution_ && service_.qp() != nullptr &&
-        op.kind != translator::RdmaOp::Kind::kSend) {
-      rdma::Nic::Outcome outcome;
-      if (op.kind == translator::RdmaOp::Kind::kWrite) {
-        outcome = service_.nic().execute_write(*service_.qp(), op.remote_va,
-                                               op.rkey, op.payload,
-                                               op.immediate);
-      } else {
-        outcome = service_.nic().execute_fetch_add(*service_.qp(),
-                                                   op.remote_va, op.rkey,
-                                                   op.add_value);
-      }
-      if (outcome.responder.executed) {
-        ++stats_.verbs_executed;
-      } else {
-        ++stats_.verbs_failed;
-      }
-      continue;
-    }
-    net::Packet frame = crafter_->craft(op);
-    const auto outcome = service_.nic().ingest(frame);
-    if (outcome && outcome->responder.executed) {
+    if (outcome.responder.executed) {
       ++stats_.verbs_executed;
     } else {
       ++stats_.verbs_failed;

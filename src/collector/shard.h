@@ -5,11 +5,13 @@
 // writes reports straight into memory; to scale that past one core the
 // runtime partitions the key space N-way (CRC of the telemetry key) and
 // gives each partition an independent service. Each shard owns its own
-// translator engines and RoCE crafter — the single-writer-per-QP
-// property that makes DTA's QP-sharing ablation favourable is preserved
-// per shard — and coalesces translator-emitted RDMA ops into batches so
-// the per-op delivery overhead (frame craft + NIC demux) is paid once
-// per doorbell, not once per verb.
+// translator engines — the single-writer-per-QP property that makes
+// DTA's QP-sharing ablation favourable is preserved per shard — and
+// coalesces translator-emitted RDMA ops into batches that it executes
+// directly on its queue pair (Nic::execute_write / execute_fetch_add),
+// so the per-batch bookkeeping (index delta, generation bump) is paid
+// once per doorbell, not once per verb. The RoCE frame round-trip lives
+// in FabricBackend, the wire-fidelity path.
 #pragma once
 
 #include <atomic>
@@ -20,16 +22,14 @@
 #include <vector>
 
 #include "collector/dirty_tracker.h"
-#include "collector/op_block.h"
+#include "collector/rdma_service.h"
 #include "collector/shard_index.h"
 #include "common/lifetime_annotations.h"
 #include "dta/tenant.h"
-#include "collector/rdma_service.h"
 #include "translator/append_engine.h"
 #include "translator/keyincrement_engine.h"
 #include "translator/keywrite_engine.h"
 #include "translator/postcard_cache.h"
-#include "translator/rdma_crafter.h"
 
 namespace dta::collector {
 
@@ -52,17 +52,6 @@ struct ShardConfig {
   // Dirty-chunk granularity for incremental snapshot refresh (rounded
   // up to a power of two, min 64 B).
   std::uint32_t snapshot_chunk_bytes = 64;
-  // Execute WRITE / FETCH_ADD verbs directly on the shard's queue pair
-  // (QueuePair::execute_*) instead of crafting + re-parsing a RoCE
-  // frame per verb. The translator and responder share an address
-  // space here, so the frame round-trip is pure overhead; disable for
-  // full wire parity (every verb serialized, ICRC'd and PSN-checked).
-  bool direct_execution = true;
-  // Advise the kernel to back store regions with transparent huge
-  // pages (MADV_HUGEPAGE on the 2 MiB-aligned interior; the paper puts
-  // all RDMA-registered memory on huge pages). Best-effort, no-op
-  // off-Linux.
-  bool hugepage_store_memory = true;
 };
 
 struct ShardStats {
@@ -105,12 +94,6 @@ class CollectorShard {
   // resulting RDMA ops; delivers a batch once op_batch_size is reached.
   // Append reports must already carry shard-local list ids.
   void ingest(const proto::ParsedDta& parsed);
-
-  // Batched ingest: one contiguous translate run per primitive instead
-  // of a per-report variant dispatch (the block's submitter already
-  // bucketed the reports — see OpBlock). Same effects and accounting
-  // as calling ingest() per report, minus the per-report overheads.
-  void ingest_block(const OpBlock& block);
 
   // Drains the translator-side aggregation state (postcard cache rows,
   // append batch registers) and delivers any staged ops.
@@ -191,9 +174,7 @@ class CollectorShard {
 
   std::uint32_t index_;
   std::uint32_t op_batch_size_;
-  bool direct_execution_;
   RdmaService service_;
-  std::unique_ptr<translator::RdmaCrafter> crafter_;
   std::unique_ptr<translator::KeyWriteEngine> keywrite_;
   std::unique_ptr<translator::KeyIncrementEngine> keyincrement_;
   std::unique_ptr<translator::PostcardCache> postcarding_;

@@ -137,7 +137,7 @@ SnapshotCache::SnapshotPtr SnapshotCache::refresh(std::uint32_t shard_index,
   const std::uint64_t covers_seq = pipeline.submitted(shard_index);
 
   std::shared_ptr<StoreSnapshot> target;
-  bool incremental = config_.incremental && entry.writable != nullptr;
+  const bool incremental = entry.writable != nullptr;
   if (incremental) {
     const StampedPtr old =
         std::atomic_load_explicit(&entry.record, std::memory_order_acquire);

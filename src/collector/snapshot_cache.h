@@ -81,8 +81,6 @@ struct SnapshotStalenessBudget {
 };
 
 struct SnapshotCacheConfig {
-  // Patch dirty chunks instead of recopying whole stores on refresh.
-  bool incremental = true;
   // Dirty ratio above which refresh falls back to one full memcpy (the
   // chunk loop stops paying for itself when most of the store moved).
   double full_copy_dirty_ratio = 0.5;

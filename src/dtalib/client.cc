@@ -102,6 +102,13 @@ Status validate_report(const proto::ParsedDta& parsed,
       return {StatusCode::kInvalidArgument,
               "Append report: entries empty (nothing to append)"};
     }
+    // The wire carries the entry count in one byte: a larger report
+    // would encode a wrapped count and silently lose entries.
+    if (ap->entries.size() > 255) {
+      return {StatusCode::kOutOfRange,
+              "Append report: " + std::to_string(ap->entries.size()) +
+                  " entries exceed the wire's 8-bit entry count (255)"};
+    }
     if (ap->entry_size != config.append->entry_bytes) {
       return {StatusCode::kOutOfRange,
               "Append report: entry_size " + std::to_string(ap->entry_size) +

@@ -30,7 +30,6 @@ collector::CollectorRuntimeConfig host_config_from(
   out.append_batch_size = config.translator.append_batch_size;
   out.postcard_cache_slots = config.translator.postcard_cache_slots;
   out.thread_mode = collector::ThreadMode::kInline;
-  out.direct_execution = false;  // every verb rides a crafted RoCE frame
   return out;
 }
 

@@ -58,15 +58,21 @@ void TenantRegistry::register_tenant(TenantId tenant, TenantConfig config) {
   config.query_defaults.tenant = tenant;
   configs_[tenant] = config;
   counters_.try_emplace(tenant);
+  // A zero rate means unlimited: drop any bucket an earlier
+  // registration installed, or the old quota would keep shedding.
   if (config.quota.submits_per_second > 0.0) {
     submit_limiter_.set_tenant_params(
         tenant, bucket_params(config.quota.submits_per_second,
                               config.quota.submit_burst));
+  } else {
+    submit_limiter_.clear_tenant_params(tenant);
   }
   if (config.quota.queries_per_second > 0.0) {
     query_limiter_.set_tenant_params(
         tenant, bucket_params(config.quota.queries_per_second,
                               config.quota.query_burst));
+  } else {
+    query_limiter_.clear_tenant_params(tenant);
   }
 }
 

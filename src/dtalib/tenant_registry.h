@@ -79,7 +79,8 @@ class TenantRegistry {
   TenantRegistry();
 
   // Installs (or replaces) a tenant's quota + query defaults. Buckets
-  // restart full at the configured burst.
+  // restart full at the configured burst; a zero rate removes that
+  // dimension's bucket, so the tenant is no longer shed there.
   void register_tenant(TenantId tenant, TenantConfig config);
   bool is_registered(TenantId tenant) const;
   std::optional<TenantConfig> config(TenantId tenant) const;

@@ -72,10 +72,9 @@ class QueuePair {
   // minus the frame parse, ICRC check and PSN sequencing. Used by the
   // in-process collector shard, whose translator and responder share an
   // address space, so serializing each verb through a crafted RoCE
-  // frame only to re-parse it is pure overhead. PSN state is untouched:
-  // the crafter's PSN stream stays in lockstep with the wire path for
-  // the frames that still take it (SENDs, and everything when direct
-  // execution is disabled).
+  // frame only to re-parse it is pure overhead. PSN state is untouched,
+  // so direct verbs never disturb the PSN stream of frames that arrive
+  // on the wire.
   ResponderResult execute_write(std::uint64_t va, std::uint32_t rkey,
                                 common::ByteSpan payload,
                                 std::optional<std::uint32_t> immediate);

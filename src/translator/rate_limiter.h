@@ -46,6 +46,9 @@ class RateLimiter {
   // one: the bucket restarts full). Unconfigured tenants share the
   // default bucket.
   void set_tenant_params(TenantId tenant, RateLimiterParams params);
+  // Drops `tenant`'s own bucket (no-op without one): the tenant falls
+  // back to the shared default bucket.
+  void clear_tenant_params(TenantId tenant) { tenants_.erase(tenant); }
   bool has_tenant_bucket(TenantId tenant) const {
     return tenants_.count(tenant) != 0;
   }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <string>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -285,6 +286,13 @@ TEST_P(BackendConformanceTest, ErrorModelDistinctCodes) {
   Bytes huge_entry(260, 2);
   EXPECT_EQ(client.list(0).append(ByteSpan(huge_entry)).code(),
             StatusCode::kOutOfRange);
+
+  // The wire carries a packed Append's entry count in one byte: 256
+  // entries must be rejected, not wrapped to 0 on the Fabric.
+  proto::AppendReport packed;
+  packed.list_id = 0;
+  packed.entries.assign(256, Bytes(4, 3));
+  EXPECT_EQ(client.report(packed).code(), StatusCode::kOutOfRange);
 
   // The event query's kOutOfRange is a cursor past the head.
   EXPECT_EQ(client.events(0).since(1u << 30).run().code(),
@@ -658,22 +666,25 @@ TEST_P(BackendConformanceTest, ReplayDeterminismByteIdenticalStores) {
 
 // The wire path computes the same bytes as direct execution: a trace
 // replayed through the Fabric leaves the single-shard stores
-// byte-identical to LocalBackend's (the PR 7 direct-vs-wire
-// equivalence, now holding end-to-end through the serving plane).
+// byte-identical to LocalBackend's, with Append entries written one by
+// one (batch size 1) and packed into batched WRITEs (16, the default).
 TEST(BackendDifferentialTest, WireAndDirectStoresByteIdentical) {
-  const auto config =
-      conformance_host_config(collector::ThreadMode::kInline, 1);
   const auto workload = conformance_workload(400);
+  for (const std::uint32_t append_batch : {1u, 16u}) {
+    SCOPED_TRACE("append_batch_size " + std::to_string(append_batch));
+    auto config = conformance_host_config(collector::ThreadMode::kInline, 1);
+    config.append_batch_size = append_batch;
 
-  ReplayBackend recorder(std::make_unique<LocalBackend>(config));
-  submit_workload(recorder, workload);
-  const auto records = recorder.records();
+    ReplayBackend recorder(std::make_unique<LocalBackend>(config));
+    submit_workload(recorder, workload);
+    const auto records = recorder.records();
 
-  auto local = make_backend(BackendKind::kLocal, config);
-  auto fabric = make_backend(BackendKind::kFabric, config);
-  ASSERT_TRUE(ReplayBackend::replay(records, *local).ok());
-  ASSERT_TRUE(ReplayBackend::replay(records, *fabric).ok());
-  EXPECT_TRUE(images_equal(store_images(*local), store_images(*fabric)));
+    auto local = make_backend(BackendKind::kLocal, config);
+    auto fabric = make_backend(BackendKind::kFabric, config);
+    ASSERT_TRUE(ReplayBackend::replay(records, *local).ok());
+    ASSERT_TRUE(ReplayBackend::replay(records, *fabric).ok());
+    EXPECT_TRUE(images_equal(store_images(*local), store_images(*fabric)));
+  }
 }
 
 // ================================================ indexed range queries

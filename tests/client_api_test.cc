@@ -675,6 +675,11 @@ TEST_P(ClientApiTest, TenantQuotaExhaustionIsTypedNotSilent) {
 
   // Tenant 7's exhaustion never touches the default tenant.
   EXPECT_TRUE(table.put_u32(reports::u32_key(100), 1).ok());
+
+  // Re-registering as unlimited (rate 0) replaces the quota: the old
+  // bucket must not keep shedding.
+  client.tenants().register_tenant(7, TenantConfig{});
+  EXPECT_TRUE(table.put_u32(reports::u32_key(101), 1, 2, as7).ok());
 }
 
 TEST_P(ClientApiTest, TenantQueryQuotaShedsQueries) {

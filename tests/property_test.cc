@@ -562,177 +562,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSnapshotSweep,
                          ::testing::Values(3u, 17u, 4242u, 90210u));
 
 // ------------------------------------------------------------------------
-// Hot-path equivalence: the raw-speed paths (direct verb execution,
-// batched submit, interleaved batch CRC) are pure optimizations — every
-// one must be observationally identical to the slow path it bypasses.
+// Hot-path equivalence: the interleaved batch CRC APIs are pure
+// optimizations — each must be observationally identical to the scalar
+// call it bypasses.
 // ------------------------------------------------------------------------
-
-// One deterministic mixed-primitive report stream shared by the
-// equivalence sweeps below.
-std::vector<proto::ParsedDta> mixed_report_stream(unsigned seed, int count) {
-  common::Rng rng(common::test_seed(seed));
-  std::vector<proto::ParsedDta> out;
-  std::uint64_t next_id = 0;
-  for (int i = 0; i < count; ++i) {
-    switch (rng.next_below(4)) {
-      case 0: {
-        proto::KeyWriteReport r;
-        r.key = key_of(next_id++);
-        r.redundancy = static_cast<std::uint8_t>(1 + rng.next_below(3));
-        common::put_u32(r.data, static_cast<std::uint32_t>(next_id));
-        out.push_back(reports::wrap(std::move(r), rng.next_below(8) == 0));
-        break;
-      }
-      case 1: {
-        proto::KeyIncrementReport r;
-        r.key = key_of(rng.next_below(64));
-        r.redundancy = 2;
-        r.counter = 1 + rng.next_below(100);
-        out.push_back(reports::wrap(std::move(r)));
-        break;
-      }
-      case 2: {
-        proto::PostcardReport r;
-        r.key = key_of(1000 + rng.next_below(64));
-        r.hop = static_cast<std::uint8_t>(rng.next_below(5));
-        r.path_len = 5;
-        r.redundancy = 1;
-        r.value = static_cast<std::uint32_t>(rng.next_below(256));
-        out.push_back(reports::wrap(r));
-        break;
-      }
-      case 3: {
-        proto::AppendReport r;
-        r.list_id = static_cast<std::uint32_t>(rng.next_below(4));
-        r.entry_size = 4;
-        Bytes entry;
-        common::put_u32(entry, static_cast<std::uint32_t>(next_id++));
-        r.entries.push_back(std::move(entry));
-        out.push_back(reports::wrap(std::move(r)));
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-collector::CollectorRuntimeConfig equivalence_config() {
-  collector::CollectorRuntimeConfig config;
-  config.num_shards = 2;
-  config.thread_mode = collector::ThreadMode::kInline;
-  config.op_batch_size = 4;
-  collector::KeyWriteSetup kw;
-  kw.num_slots = 1 << 12;
-  kw.value_bytes = 4;
-  config.keywrite = kw;
-  collector::KeyIncrementSetup ki;
-  ki.num_slots = 1 << 12;
-  config.keyincrement = ki;
-  collector::AppendSetup ap;
-  ap.num_lists = 4;
-  ap.entries_per_list = 256;
-  ap.entry_bytes = 4;
-  config.append = ap;
-  collector::PostcardingSetup pc;
-  pc.num_chunks = 1 << 10;
-  pc.hops = 5;
-  for (std::uint32_t v = 0; v < 256; ++v) pc.value_space.push_back(v);
-  config.postcarding = pc;
-  return config;
-}
-
-void expect_identical_stores(collector::CollectorRuntime& a,
-                             collector::CollectorRuntime& b,
-                             std::uint32_t num_shards) {
-  const auto identical = [](const rdma::MemoryRegion* x,
-                            const rdma::MemoryRegion* y, const char* what,
-                            std::uint32_t shard) {
-    ASSERT_EQ(x == nullptr, y == nullptr) << what << " shard " << shard;
-    if (!x) return;
-    ASSERT_EQ(x->length(), y->length()) << what << " shard " << shard;
-    EXPECT_EQ(std::memcmp(x->data(), y->data(), x->length()), 0)
-        << what << " shard " << shard << " diverged";
-  };
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    const auto& sa = a.shard(s).service();
-    const auto& sb = b.shard(s).service();
-    identical(sa.keywrite_region(), sb.keywrite_region(), "keywrite", s);
-    identical(sa.keyincrement_region(), sb.keyincrement_region(),
-              "keyincrement", s);
-    identical(sa.append_region(), sb.append_region(), "append", s);
-    identical(sa.postcarding_region(), sb.postcarding_region(), "postcarding",
-              s);
-  }
-}
-
-class DirectExecutionSweep : public ::testing::TestWithParam<unsigned> {};
-
-// Direct verb execution (no frame craft, no RoCE parse) must leave
-// every store byte and every verb counter exactly where the wire path
-// leaves them.
-TEST_P(DirectExecutionSweep, StoreIdenticalToWirePath) {
-  auto config = equivalence_config();
-  config.direct_execution = false;
-  collector::CollectorRuntime wire(config);
-  config.direct_execution = true;
-  collector::CollectorRuntime direct(config);
-
-  const auto stream = mixed_report_stream(GetParam(), 600);
-  for (const auto& p : stream) {
-    wire.submit(p);
-    direct.submit(p);
-  }
-  wire.flush();
-  direct.flush();
-
-  expect_identical_stores(wire, direct, config.num_shards);
-  const auto ws = wire.stats();
-  const auto ds = direct.stats();
-  EXPECT_EQ(ws.reports_in, ds.reports_in);
-  EXPECT_EQ(ws.verbs_executed, ds.verbs_executed);
-  EXPECT_EQ(ws.verbs_failed, ds.verbs_failed);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DirectExecutionSweep,
-                         ::testing::Values(5u, 29u, 8080u));
-
-class SubmitBatchSweep : public ::testing::TestWithParam<unsigned> {};
-
-// submit_batch (one interleaved routing pass, SoA op blocks through
-// the queue) must be observationally identical to submitting the same
-// reports one at a time.
-TEST_P(SubmitBatchSweep, StoreIdenticalToPerReportSubmit) {
-  const auto config = equivalence_config();
-  collector::CollectorRuntime per_report(config);
-  collector::CollectorRuntime batched(config);
-
-  common::Rng rng(common::test_seed(GetParam() ^ 0xB10C));
-  const auto stream = mixed_report_stream(GetParam(), 600);
-  for (const auto& p : stream) per_report.submit(p);
-  // Random batch sizes, including size-1 and size-0 edge cases.
-  std::size_t at = 0;
-  while (at < stream.size()) {
-    const std::size_t n =
-        std::min<std::size_t>(rng.next_below(40), stream.size() - at);
-    batched.submit_batch(std::vector<proto::ParsedDta>(
-        stream.begin() + at, stream.begin() + at + n));
-    at += n;
-  }
-  per_report.flush();
-  batched.flush();
-
-  expect_identical_stores(per_report, batched, config.num_shards);
-  EXPECT_EQ(per_report.stats().reports_in, batched.stats().reports_in);
-  EXPECT_EQ(per_report.stats().verbs_executed,
-            batched.stats().verbs_executed);
-  EXPECT_EQ(per_report.translation_stats().keywrite_reports,
-            batched.translation_stats().keywrite_reports);
-  EXPECT_EQ(per_report.translation_stats().fetch_adds,
-            batched.translation_stats().fetch_adds);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SubmitBatchSweep,
-                         ::testing::Values(11u, 53u, 31337u));
 
 class CrcBatchEquivalenceSweep : public ::testing::TestWithParam<unsigned> {};
 

@@ -444,20 +444,6 @@ TEST(SnapshotCache, HighDirtyRatioFallsBackToFullCopy) {
   expect_snapshots_identical(*snap, *runtime.snapshot_shard_fresh(0));
 }
 
-TEST(SnapshotCache, IncrementalDisabledAlwaysFullCopies) {
-  CollectorRuntimeConfig config = cache_config(ThreadMode::kInline);
-  config.incremental_snapshots = false;
-  CollectorRuntime runtime(config);
-  for (std::uint32_t round = 1; round <= 3; ++round) {
-    runtime.submit(small_report(round, round));
-    (void)runtime.snapshot_shard(0);
-  }
-  const auto stats = runtime.snapshot_cache().stats();
-  EXPECT_EQ(stats.incremental_refreshes, 0u);
-  EXPECT_EQ(stats.full_refreshes, 3u);
-  EXPECT_EQ(stats.cow_clones, 0u);
-}
-
 // --------------------------------------------- bounded staleness (PR 4)
 
 TEST(SnapshotCache, WithinBudgetServesWithoutQuiesce) {
