@@ -13,12 +13,9 @@ IndexPublisher::IndexPublisher(std::size_t num_shards, Config config)
 
 void IndexPublisher::apply_queue_locked(Shard& shard) {
   if (shard.queue.empty()) return;
-  std::uint64_t applied = 0;
-  while (!shard.queue.empty()) {
-    shard.builder.apply(shard.queue.front());
-    shard.queue.pop_front();
-    ++applied;
-  }
+  shard.builder.apply(shard.queue);
+  const std::uint64_t applied = shard.queue.size();
+  shard.queue.clear();
   std::atomic_store_explicit(&shard.published, shard.builder.publish(),
                              std::memory_order_release);
   deltas_applied_.fetch_add(applied, std::memory_order_relaxed);
@@ -64,6 +61,10 @@ IndexPublisherStats IndexPublisher::stats() const {
   out.deltas_applied = deltas_applied_.load(std::memory_order_relaxed);
   out.publishes = publishes_.load(std::memory_order_relaxed);
   out.reader_catchups = reader_catchups_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    out.leaf_copies += shard->builder.leaf_copies();
+  }
   return out;
 }
 

@@ -3,17 +3,20 @@
 // ShardIndexVersion per shard.
 //
 // Writer side: CollectorShard::deliver_batch enqueues one IndexDelta
-// per delivered op batch — a lock, a deque push, an unlock. The builder
-// does NOT run per batch; deltas accumulate until `publish_batch` of
-// them are queued (the defer-publish window) and only then are they
-// folded in and a new version published. Readers therefore never make
-// ingest wait on index maintenance, and index maintenance is amortized
-// over many batches.
+// per delivered op batch — a lock, a vector push, an unlock. The
+// builder does NOT run per batch; deltas accumulate until
+// `publish_batch` of them are queued (the defer-publish window), and
+// then the shard worker that filled the window folds all of them in
+// one sorted pass and publishes one version. That fold is ingest work:
+// it costs what the window changed (the keys it sorts plus the leaves
+// it adds a key or a mask bit to), and a window that rewrites keys the
+// index already holds copies no leaf and republishes the same leaf
+// vector.
 //
 // Reader side: version_at_least(shard, G) is the query-path entry
 // point, with G the generation of the snapshot the query pinned. Fast
 // path: the published version already covers G — one atomic load, no
-// lock. Slow path: drain the queue, apply, publish once, return. The
+// lock. Slow path: fold the queued window, publish once, return. The
 // shard enqueues each delta before bumping its generation counter, so
 // a generation observed from a snapshot is always covered by the queue;
 // the catch-up can never come up short.
@@ -21,7 +24,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -37,6 +39,10 @@ struct IndexPublisherStats {
   // Publishes forced by a reader that needed a newer generation than
   // the deferred window had published.
   std::uint64_t reader_catchups = 0;
+  // Existing leaves the shard builders rewrote (ShardIndexBuilder::
+  // leaf_copies summed over shards): a window that only rewrites keys
+  // the index already holds adds none.
+  std::uint64_t leaf_copies = 0;
 };
 
 struct IndexPublisherConfig {
@@ -72,7 +78,7 @@ class IndexPublisher : public IndexSink {
  private:
   struct Shard {
     mutable Mutex mu;
-    std::deque<IndexDelta> queue DTA_GUARDED_BY(mu);
+    std::vector<IndexDelta> queue DTA_GUARDED_BY(mu);
     ShardIndexBuilder builder DTA_GUARDED_BY(mu);
     // Written under mu, but read lock-free on the fast path with
     // std::atomic_load — the atomic shared_ptr protocol, not the lock,
@@ -84,7 +90,7 @@ class IndexPublisher : public IndexSink {
           published(builder.publish()) {}
   };
 
-  // Folds every queued delta into the builder and publishes.
+  // Folds the queued window into the builder in one apply and publishes.
   void apply_queue_locked(Shard& shard) DTA_REQUIRES(shard.mu);
 
   Config config_;

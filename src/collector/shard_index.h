@@ -14,14 +14,15 @@
 // (DT_INCREMENTAL_BUILD / DT_DEFER_PUBLISH / DT_LEAF_ONLY_COW /
 // OVS_VERSION_MECHANISM): a published ShardIndexVersion is an immutable
 // vector of immutable sorted leaves, readers walk it lock-free, and the
-// builder replaces only the leaves a delta touches (leaf-only
-// copy-on-write) — the root is one shared_ptr vector copied per
-// publish. Versions carry the same generation stamp the SnapshotCache
-// compares, so "index generation >= snapshot generation" is the
-// consistency contract: the index then contains every key whose data is
-// in the snapshot (keys are never deleted, so later index generations
-// are supersets), and any extra keys resolve as point-query misses
-// against the snapshot itself. Values are never duplicated into the
+// builder folds a whole window of deltas in one sorted pass, replacing
+// only the leaves the window adds a key or a mask bit to (leaf-only
+// copy-on-write). The leaf vector itself is shared between versions and
+// copied only when some leaf changed. Versions carry the same
+// generation stamp the SnapshotCache compares, so "index generation >=
+// snapshot generation" is the consistency contract: the index then
+// contains every key whose data is in the snapshot (keys are never
+// deleted, so later index generations are supersets), and any extra
+// keys resolve as point-query misses against the snapshot itself. Values are never duplicated into the
 // index — range queries resolve hits through the same snapshot point
 // lookups the scan path uses, which is what makes the two byte-equal.
 #pragma once
@@ -84,12 +85,16 @@ struct IndexLeaf {
   std::vector<IndexEntry> entries;
 };
 
+// A version's leaves in key order. Immutable once published, and shared
+// by every later version whose window changed no leaf.
+using IndexLeafVector = std::vector<std::shared_ptr<const IndexLeaf>>;
+
 // An immutable published index version. Safe to read from any thread
 // with no synchronization beyond acquiring the shared_ptr.
 class ShardIndexVersion {
  public:
   ShardIndexVersion(std::uint64_t generation,
-                    std::vector<std::shared_ptr<const IndexLeaf>> leaves,
+                    std::shared_ptr<const IndexLeafVector> leaves,
                     std::vector<std::uint64_t> append_heads,
                     std::uint64_t key_count)
       : generation_(generation),
@@ -119,13 +124,14 @@ class ShardIndexVersion {
   template <typename Fn>
   void visit_range(const proto::TelemetryKey* from,
                    const proto::TelemetryKey* to, Fn&& fn) const {
+    const IndexLeafVector& leaves = *leaves_;
     std::size_t leaf = 0;
     std::size_t pos = 0;
     if (from != nullptr) {
       // First leaf whose last key is >= from, then lower_bound inside.
       leaf = first_leaf_not_below(*from);
-      if (leaf >= leaves_.size()) return;
-      const auto& entries = leaves_[leaf]->entries;
+      if (leaf >= leaves.size()) return;
+      const auto& entries = leaves[leaf]->entries;
       pos = static_cast<std::size_t>(
           std::lower_bound(entries.begin(), entries.end(), *from,
                            [](const IndexEntry& e,
@@ -134,8 +140,8 @@ class ShardIndexVersion {
                            }) -
           entries.begin());
     }
-    for (; leaf < leaves_.size(); ++leaf, pos = 0) {
-      const auto& entries = leaves_[leaf]->entries;
+    for (; leaf < leaves.size(); ++leaf, pos = 0) {
+      const auto& entries = leaves[leaf]->entries;
       for (; pos < entries.size(); ++pos) {
         const IndexEntry& entry = entries[pos];
         if (to != nullptr && index_key_less(*to, entry.key)) return;
@@ -147,47 +153,63 @@ class ShardIndexVersion {
   // Primitive-membership mask of `key`, 0 when absent.
   std::uint8_t lookup(const proto::TelemetryKey& key) const;
 
-  const std::vector<std::shared_ptr<const IndexLeaf>>& leaves() const {
-    return leaves_;
-  }
+  const IndexLeafVector& leaves() const { return *leaves_; }
 
  private:
   // Index of the first leaf whose last entry is not below `key`.
   std::size_t first_leaf_not_below(const proto::TelemetryKey& key) const;
 
   std::uint64_t generation_;
-  std::vector<std::shared_ptr<const IndexLeaf>> leaves_;
+  std::shared_ptr<const IndexLeafVector> leaves_;
   std::vector<std::uint64_t> append_heads_;
   std::uint64_t key_count_;
 };
 
-// The incremental builder: applies deltas with leaf-only COW and stamps
-// out immutable versions on publish(). Not thread-safe — the publisher
-// serializes access.
+// The incremental builder: folds windows of deltas with leaf-only COW
+// and stamps out immutable versions on publish(). Not thread-safe — the
+// publisher serializes access.
 class ShardIndexBuilder {
  public:
   explicit ShardIndexBuilder(std::uint32_t target_leaf_entries = 128);
 
-  // Folds one delta in: new keys inserted in order, existing keys get
-  // their primitive masks OR-merged, append heads advance. Only the
-  // leaves the delta's keys land in are copied.
-  void apply(const IndexDelta& delta);
+  // Folds a window of deltas in one pass: the window's keys are sorted
+  // and their masks OR-merged once, new keys are inserted in order,
+  // existing keys gain any new mask bits, and append heads advance. A
+  // leaf is copied only when the window adds a key or a mask bit to
+  // it, and only copied leaves can split. The entries are independent
+  // of how the deltas are cut into windows.
+  void apply(const std::vector<IndexDelta>& window) {
+    fold(window.data(), window.size());
+  }
+  // The one-delta window.
+  void apply(const IndexDelta& delta) { fold(&delta, 1); }
 
-  // Freezes the current state into an immutable version (cheap: copies
-  // the leaf-pointer vector, shares every leaf).
+  // Freezes the current state into an immutable version (cheap: shares
+  // the leaf vector, which the next leaf-changing apply replaces rather
+  // than modifies).
   std::shared_ptr<const ShardIndexVersion> publish() const;
 
   std::uint64_t generation() const { return generation_; }
   std::uint64_t key_count() const { return key_count_; }
+  // Existing leaves rewritten so far (first-time leaves of an empty
+  // index are not copies).
   std::uint64_t leaf_copies() const { return leaf_copies_; }
 
  private:
+  void fold(const IndexDelta* deltas, std::size_t count);
+  // Appends `run` to `out` as one leaf, or, above 2 x target entries,
+  // cut into run.size() / target pieces of target..2 x target entries.
+  void emit_leaves(std::vector<IndexEntry> run, IndexLeafVector& out) const;
+
   std::uint32_t target_leaf_entries_;
   std::uint64_t generation_ = 0;
   std::uint64_t key_count_ = 0;
   std::uint64_t leaf_copies_ = 0;
-  std::vector<std::shared_ptr<const IndexLeaf>> leaves_;
+  std::shared_ptr<const IndexLeafVector> leaves_;
   std::vector<std::uint64_t> append_heads_;
+  // The window's keys, sorted and OR-deduplicated; reused across
+  // applies so a steady-state fold does not allocate for them.
+  std::vector<IndexEntry> window_keys_;
 };
 
 }  // namespace dta::collector

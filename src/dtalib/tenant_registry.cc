@@ -41,10 +41,13 @@ std::vector<TenantStatsRow> join_tenant_ingest(
   return rows;
 }
 
+TenantRegistry::Direction::Direction(const char* verb_name)
+    : limiter(translator::RateLimiterParams{}), verb(verb_name) {}
+
 TenantRegistry::TenantRegistry()
     : epoch_(std::chrono::steady_clock::now()),
-      submit_limiter_(translator::RateLimiterParams{}),
-      query_limiter_(translator::RateLimiterParams{}) {}
+      submit_("submit"),
+      query_("query") {}
 
 common::VirtualNs TenantRegistry::now_ns() const {
   return static_cast<common::VirtualNs>(
@@ -53,74 +56,67 @@ common::VirtualNs TenantRegistry::now_ns() const {
           .count());
 }
 
-void TenantRegistry::register_tenant(TenantId tenant, TenantConfig config) {
-  MutexLock lock(mu_);
-  config.query_defaults.tenant = tenant;
-  configs_[tenant] = config;
-  counters_.try_emplace(tenant);
+void TenantRegistry::set_quota(Direction& direction, TenantId tenant,
+                               double rate, std::uint32_t burst) {
+  direction.tallies.try_emplace(tenant);
   // A zero rate means unlimited: drop any bucket an earlier
   // registration installed, or the old quota would keep shedding.
-  if (config.quota.submits_per_second > 0.0) {
-    submit_limiter_.set_tenant_params(
-        tenant, bucket_params(config.quota.submits_per_second,
-                              config.quota.submit_burst));
+  if (rate > 0.0) {
+    direction.limiter.set_tenant_params(tenant, bucket_params(rate, burst));
   } else {
-    submit_limiter_.clear_tenant_params(tenant);
-  }
-  if (config.quota.queries_per_second > 0.0) {
-    query_limiter_.set_tenant_params(
-        tenant, bucket_params(config.quota.queries_per_second,
-                              config.quota.query_burst));
-  } else {
-    query_limiter_.clear_tenant_params(tenant);
+    direction.limiter.clear_tenant_params(tenant);
   }
 }
 
+void TenantRegistry::register_tenant(TenantId tenant, TenantConfig config) {
+  MutexLock submit_lock(submit_.mu);
+  MutexLock query_lock(query_.mu);
+  config.query_defaults.tenant = tenant;
+  configs_[tenant] = config;
+  set_quota(submit_, tenant, config.quota.submits_per_second,
+            config.quota.submit_burst);
+  set_quota(query_, tenant, config.quota.queries_per_second,
+            config.quota.query_burst);
+}
+
 bool TenantRegistry::is_registered(TenantId tenant) const {
-  MutexLock lock(mu_);
+  MutexLock lock(query_.mu);
   return configs_.count(tenant) != 0;
 }
 
 std::optional<TenantConfig> TenantRegistry::config(TenantId tenant) const {
-  MutexLock lock(mu_);
+  MutexLock lock(query_.mu);
   auto it = configs_.find(tenant);
   if (it == configs_.end()) return std::nullopt;
   return it->second;
 }
 
-Status TenantRegistry::admit_locked(translator::RateLimiter& limiter,
-                                    TenantId tenant, common::VirtualNs now,
-                                    std::uint32_t ops,
-                                    std::uint64_t TenantCounters::*admitted,
-                                    std::uint64_t TenantCounters::*shed,
-                                    const char* verb) {
-  TenantCounters& c = counters_[tenant];
+Status TenantRegistry::admit(Direction& direction, TenantId tenant,
+                             common::VirtualNs now, std::uint32_t ops) {
+  MutexLock lock(direction.mu);
+  Tally& tally = direction.tallies[tenant];
+  translator::RateLimiter& limiter = direction.limiter;
   // Unregistered tenants and unlimited quotas (no bucket installed)
   // always pass: the registry counts them but never sheds them.
   if (limiter.has_tenant_bucket(tenant) && !limiter.admit(tenant, now, ops)) {
-    c.*shed += ops;
-    return Status::ResourceExhausted(
-        "tenant " + std::to_string(tenant) + " " + verb + " quota exhausted",
-        limiter.retry_after_ns(tenant, now, ops));
+    tally.shed += ops;
+    return Status::ResourceExhausted("tenant " + std::to_string(tenant) +
+                                         " " + direction.verb +
+                                         " quota exhausted",
+                                     limiter.retry_after_ns(tenant, now, ops));
   }
-  c.*admitted += ops;
+  tally.admitted += ops;
   return Status::Ok();
 }
 
 Status TenantRegistry::admit_submit_at(TenantId tenant, common::VirtualNs now,
                                        std::uint32_t ops) {
-  MutexLock lock(mu_);
-  return admit_locked(submit_limiter_, tenant, now, ops,
-                      &TenantCounters::submits_admitted,
-                      &TenantCounters::submits_shed, "submit");
+  return admit(submit_, tenant, now, ops);
 }
 
 Status TenantRegistry::admit_query_at(TenantId tenant, common::VirtualNs now,
                                       std::uint32_t ops) {
-  MutexLock lock(mu_);
-  return admit_locked(query_limiter_, tenant, now, ops,
-                      &TenantCounters::queries_admitted,
-                      &TenantCounters::queries_shed, "query");
+  return admit(query_, tenant, now, ops);
 }
 
 Status TenantRegistry::admit_submit(TenantId tenant, std::uint32_t ops) {
@@ -132,7 +128,7 @@ Status TenantRegistry::admit_query(TenantId tenant, std::uint32_t ops) {
 }
 
 QueryOptions TenantRegistry::query_defaults(TenantId tenant) const {
-  MutexLock lock(mu_);
+  MutexLock lock(query_.mu);
   auto it = configs_.find(tenant);
   if (it != configs_.end()) return it->second.query_defaults;
   QueryOptions opts;
@@ -140,24 +136,41 @@ QueryOptions TenantRegistry::query_defaults(TenantId tenant) const {
   return opts;
 }
 
-std::vector<TenantStatsRow> TenantRegistry::stats() const {
-  MutexLock lock(mu_);
-  std::vector<TenantStatsRow> rows;
-  rows.reserve(counters_.size());
-  for (const auto& [tenant, counters] : counters_) {
-    rows.push_back(TenantStatsRow{tenant, counters});
+TenantCounters TenantRegistry::merge(TenantId tenant, const Direction& submit,
+                                     const Direction& query) {
+  TenantCounters out;
+  if (auto it = submit.tallies.find(tenant); it != submit.tallies.end()) {
+    out.submits_admitted = it->second.admitted;
+    out.submits_shed = it->second.shed;
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const TenantStatsRow& a, const TenantStatsRow& b) {
-              return a.tenant < b.tenant;
-            });
+  if (auto it = query.tallies.find(tenant); it != query.tallies.end()) {
+    out.queries_admitted = it->second.admitted;
+    out.queries_shed = it->second.shed;
+  }
+  return out;
+}
+
+std::vector<TenantStatsRow> TenantRegistry::stats() const {
+  MutexLock submit_lock(submit_.mu);
+  MutexLock query_lock(query_.mu);
+  std::vector<TenantId> tenants;
+  tenants.reserve(submit_.tallies.size() + query_.tallies.size());
+  for (const auto& entry : submit_.tallies) tenants.push_back(entry.first);
+  for (const auto& entry : query_.tallies) tenants.push_back(entry.first);
+  std::sort(tenants.begin(), tenants.end());
+  tenants.erase(std::unique(tenants.begin(), tenants.end()), tenants.end());
+  std::vector<TenantStatsRow> rows;
+  rows.reserve(tenants.size());
+  for (TenantId tenant : tenants) {
+    rows.push_back(TenantStatsRow{tenant, merge(tenant, submit_, query_)});
+  }
   return rows;
 }
 
 TenantCounters TenantRegistry::counters(TenantId tenant) const {
-  MutexLock lock(mu_);
-  auto it = counters_.find(tenant);
-  return it == counters_.end() ? TenantCounters{} : it->second;
+  MutexLock submit_lock(submit_.mu);
+  MutexLock query_lock(query_.mu);
+  return merge(tenant, submit_, query_);
 }
 
 }  // namespace dta

@@ -13,8 +13,9 @@
 // never shed and its traffic lands in the shared row. A quota rate of
 // 0 means unlimited (admission always passes; only counting happens).
 //
-// Thread-safe: admission and stats take an internal mutex, so both
-// backends can call it from concurrent submitting/querying threads.
+// Thread-safe: each admission direction (submit, query) has its own
+// mutex on its own cache line, so a submitting thread and a querying
+// thread never wait on each other; registration and stats take both.
 #pragma once
 
 #include <chrono>
@@ -111,22 +112,43 @@ class TenantRegistry {
   TenantCounters counters(TenantId tenant) const;
 
  private:
-  common::VirtualNs now_ns() const;
-  Status admit_locked(translator::RateLimiter& limiter, TenantId tenant,
-                      common::VirtualNs now, std::uint32_t ops,
-                      std::uint64_t TenantCounters::*admitted,
-                      std::uint64_t TenantCounters::*shed, const char* verb)
-      DTA_REQUIRES(mu_);
+  struct Tally {
+    std::uint64_t admitted = 0;
+    std::uint64_t shed = 0;
+  };
 
-  mutable Mutex mu_;
+  // One admission direction: its token buckets (only tenants with a
+  // nonzero rate get one; everyone else passes through) and its
+  // per-tenant tallies, behind a lock of its own on a cache line of its
+  // own.
+  struct alignas(64) Direction {
+    explicit Direction(const char* verb_name);
+
+    mutable Mutex mu;
+    translator::RateLimiter limiter DTA_GUARDED_BY(mu);
+    std::unordered_map<TenantId, Tally> tallies DTA_GUARDED_BY(mu);
+    const char* verb;  // for shed messages; set once
+  };
+
+  common::VirtualNs now_ns() const;
+  Status admit(Direction& direction, TenantId tenant, common::VirtualNs now,
+               std::uint32_t ops) DTA_EXCLUDES(direction.mu);
+  // Installs or drops `tenant`'s bucket on one direction (rate 0 =
+  // unlimited) and gives the tenant a tally row.
+  static void set_quota(Direction& direction, TenantId tenant, double rate,
+                        std::uint32_t burst) DTA_REQUIRES(direction.mu);
+  static TenantCounters merge(TenantId tenant, const Direction& submit,
+                              const Direction& query)
+      DTA_REQUIRES(submit.mu, query.mu);
+
   // Set once in the constructor, read-only afterwards (not guarded).
   std::chrono::steady_clock::time_point epoch_;
-  std::unordered_map<TenantId, TenantConfig> configs_ DTA_GUARDED_BY(mu_);
-  std::unordered_map<TenantId, TenantCounters> counters_ DTA_GUARDED_BY(mu_);
-  // Token buckets, one limiter per admission dimension. Only tenants
-  // with a nonzero rate get a bucket; everyone else passes through.
-  translator::RateLimiter submit_limiter_ DTA_GUARDED_BY(mu_);
-  translator::RateLimiter query_limiter_ DTA_GUARDED_BY(mu_);
+  // Lock order where both are held: submit_.mu, then query_.mu.
+  Direction submit_;
+  Direction query_;
+  // Read on the query side (query_defaults), so it shares that lock.
+  std::unordered_map<TenantId, TenantConfig> configs_
+      DTA_GUARDED_BY(query_.mu);
 };
 
 }  // namespace dta

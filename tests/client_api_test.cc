@@ -5,6 +5,7 @@
 // distinct dta::Status code — no bools, no optionals, no asserts/UB.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <thread>
 #include <vector>
@@ -804,6 +805,77 @@ TEST_P(ClientApiTest, TwoTenantsSubmitConcurrently) {
   EXPECT_EQ(stats.ingest.reports_in, copies * 2u * kPerTenant);
   EXPECT_EQ(client.tenants().counters(2).submits_admitted, kPerTenant);
   EXPECT_EQ(client.tenants().counters(3).submits_admitted, kPerTenant);
+}
+
+// Submit-side and query-side admission take separate locks (TSan
+// target): one thread admits submits while another admits queries for
+// the same tenant, with quotas installed on both sides, and a third
+// reads the merged counters meanwhile. Every attempt is counted once,
+// as admitted or shed, in its own direction.
+TEST(TenantRegistry, SubmitAndQueryAdmissionRunConcurrently) {
+  TenantRegistry registry;
+  constexpr TenantId kTenant = 5;
+  TenantConfig config;
+  config.quota.submits_per_second = 2000.0;
+  config.quota.submit_burst = 32;
+  config.quota.queries_per_second = 1000.0;
+  config.quota.query_burst = 16;
+  registry.register_tenant(kTenant, config);
+
+  constexpr std::uint64_t kAttempts = 20000;
+  struct Outcome {
+    std::uint64_t admitted = 0;
+    std::uint64_t shed = 0;
+  };
+  auto drive = [&registry](bool submit) {
+    Outcome out;
+    for (std::uint64_t i = 0; i < kAttempts; ++i) {
+      const Status status = submit ? registry.admit_submit(kTenant)
+                                   : registry.admit_query(kTenant);
+      if (status.ok()) {
+        ++out.admitted;
+      } else {
+        EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+        ++out.shed;
+      }
+    }
+    return out;
+  };
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      const TenantCounters c = registry.counters(kTenant);
+      EXPECT_LE(c.submits_admitted + c.submits_shed, kAttempts);
+      EXPECT_LE(c.queries_admitted + c.queries_shed, kAttempts);
+      EXPECT_FALSE(registry.stats().empty());
+    }
+  });
+  auto submits = std::async(std::launch::async, drive, true);
+  auto queries = std::async(std::launch::async, drive, false);
+  const Outcome submit = submits.get();
+  const Outcome query = queries.get();
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ(submit.admitted + submit.shed, kAttempts);
+  EXPECT_EQ(query.admitted + query.shed, kAttempts);
+  // Both buckets were small enough to shed.
+  EXPECT_GT(submit.shed, 0u);
+  EXPECT_GT(query.shed, 0u);
+
+  const TenantCounters counters = registry.counters(kTenant);
+  EXPECT_EQ(counters.submits_admitted, submit.admitted);
+  EXPECT_EQ(counters.submits_shed, submit.shed);
+  EXPECT_EQ(counters.queries_admitted, query.admitted);
+  EXPECT_EQ(counters.queries_shed, query.shed);
+
+  const auto rows = registry.stats();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].tenant, kTenant);
+  EXPECT_EQ(rows[0].counters.submits_admitted, counters.submits_admitted);
+  EXPECT_EQ(rows[0].counters.submits_shed, counters.submits_shed);
+  EXPECT_EQ(rows[0].counters.queries_admitted, counters.queries_admitted);
+  EXPECT_EQ(rows[0].counters.queries_shed, counters.queries_shed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ClientApiTest,

@@ -1,6 +1,7 @@
-// Secondary-index tests: incremental builds equal one-shot rebuilds
-// (leaf geometry notwithstanding), leaf-only COW actually shares
-// untouched leaves, the defer-publish window lags until the batch or a
+// Secondary-index tests: incremental builds equal one-shot and windowed
+// rebuilds (leaf geometry notwithstanding), leaf-only COW actually shares
+// untouched leaves, no leaf outgrows its bound, rewrites that add nothing
+// copy nothing, the defer-publish window lags until the batch or a
 // reader catch-up, the runtime's per-shard indexes cover every pinned
 // snapshot across all four stores, event cursors resume/drop/wrap
 // correctly over small rings, and the whole thing survives a TSan
@@ -51,11 +52,14 @@ void expect_same_entries(const std::vector<IndexEntry>& a,
 TEST(ShardIndexBuilder, IncrementalEqualsOneShotAcrossLeafGeometries) {
   // 50 deltas of overlapping keys with varying masks, applied one at a
   // time into a small-leaf builder, must produce exactly the entries of
-  // a single merged delta applied to a large-leaf builder: contents are
-  // independent of delta slicing AND of leaf geometry.
+  // a single merged delta applied to a large-leaf builder, and of the
+  // same 50 deltas folded as one window: contents are independent of
+  // delta slicing, of windowing AND of leaf geometry.
   ShardIndexBuilder incremental(/*target_leaf_entries=*/4);
   ShardIndexBuilder one_shot(/*target_leaf_entries=*/128);
+  ShardIndexBuilder windowed(/*target_leaf_entries=*/4);
   IndexDelta merged;
+  std::vector<IndexDelta> window;
   for (std::uint64_t g = 1; g <= 50; ++g) {
     IndexDelta delta;
     delta.generation = g;
@@ -72,18 +76,25 @@ TEST(ShardIndexBuilder, IncrementalEqualsOneShotAcrossLeafGeometries) {
     delta.append_deltas.emplace_back(g % 4, g);
     merged.append_deltas.emplace_back(g % 4, g);
     incremental.apply(delta);
+    window.push_back(std::move(delta));
   }
   merged.generation = 50;
   one_shot.apply(merged);
+  windowed.apply(window);
 
   const auto a = incremental.publish();
   const auto b = one_shot.publish();
+  const auto c = windowed.publish();
   EXPECT_EQ(a->generation(), 50u);
   EXPECT_EQ(b->generation(), 50u);
+  EXPECT_EQ(c->generation(), 50u);
   EXPECT_EQ(a->key_count(), b->key_count());
+  EXPECT_EQ(c->key_count(), b->key_count());
   expect_same_entries(flatten(*a), flatten(*b));
+  expect_same_entries(flatten(*c), flatten(*b));
   for (std::uint32_t list = 0; list < 4; ++list) {
     EXPECT_EQ(a->append_head(list), b->append_head(list)) << "list " << list;
+    EXPECT_EQ(c->append_head(list), b->append_head(list)) << "list " << list;
   }
   // The small-leaf builder actually split (and so exercised COW merges).
   EXPECT_GT(a->leaves().size(), b->leaves().size());
@@ -157,6 +168,88 @@ TEST(ShardIndexBuilder, LeafOnlyCowSharesUntouchedLeaves) {
   EXPECT_EQ(after->lookup(u32_key(30)), kIndexKeyWrite | kIndexKeyIncrement);
   // The old version is immutable: still the old mask.
   EXPECT_EQ(before->lookup(u32_key(30)), kIndexKeyWrite);
+}
+
+TEST(ShardIndexBuilder, EveryLeafWithinBoundAfterAnyApply) {
+  // One large delta into an empty index, then mixed small ones that land
+  // inside, between and beyond its keys: after every apply each leaf
+  // holds at most 2 x target entries, however much one apply added.
+  constexpr std::uint32_t kTarget = 4;
+  ShardIndexBuilder builder(kTarget);
+  auto largest_leaf = [&] {
+    std::size_t largest = 0;
+    for (const auto& leaf : builder.publish()->leaves()) {
+      largest = std::max(largest, leaf->entries.size());
+    }
+    return largest;
+  };
+
+  IndexDelta bulk;
+  bulk.generation = 1;
+  for (std::uint32_t id = 0; id < 10000; ++id) {
+    bulk.keys.push_back({u32_key(id * 4), kIndexKeyWrite});
+  }
+  builder.apply(bulk);
+  EXPECT_EQ(builder.key_count(), 10000u);
+  ASSERT_LE(largest_leaf(), 2u * kTarget) << "after the bulk apply";
+
+  for (std::uint64_t g = 2; g <= 40; ++g) {
+    IndexDelta delta;
+    delta.generation = g;
+    const std::uint32_t width = (g % 5 == 0) ? 600 : 7;
+    for (std::uint32_t j = 0; j < width; ++j) {
+      // New keys (odd ids between the bulk's), rewrites of bulk keys,
+      // and keys past the end.
+      const std::uint32_t base = static_cast<std::uint32_t>(g * 131 + j);
+      const std::uint32_t id = (j % 3 == 0)   ? (base % 10000) * 4 + 1 + g % 3
+                               : (j % 3 == 1) ? (base % 10000) * 4
+                                              : 40000 + base * 8;
+      delta.keys.push_back({u32_key(id), kIndexKeyIncrement});
+    }
+    builder.apply(delta);
+    ASSERT_LE(largest_leaf(), 2u * kTarget) << "after apply " << g;
+  }
+}
+
+TEST(ShardIndexBuilder, RewriteOfPresentKeysCopiesNothing) {
+  ShardIndexBuilder builder(/*target_leaf_entries=*/4);
+  std::vector<IndexDelta> seed;
+  for (std::uint32_t g = 1; g <= 8; ++g) {
+    IndexDelta delta;
+    delta.generation = g;
+    for (std::uint32_t j = 0; j < 16; ++j) {
+      const std::uint32_t id = (g * 16 + j) % 100;
+      const std::uint8_t mask = (id % 2 == 0)
+                                    ? kIndexKeyWrite
+                                    : (kIndexKeyWrite | kIndexKeyIncrement);
+      delta.keys.push_back({u32_key(id), mask});
+    }
+    seed.push_back(std::move(delta));
+  }
+  builder.apply(seed);
+  const auto before = builder.publish();
+  ASSERT_GT(before->leaves().size(), 4u);
+  const std::uint64_t copies = builder.leaf_copies();
+
+  // The same keys again, with masks they already carry (or a subset),
+  // one delta and then one window: nothing to add, so no leaf is copied
+  // and the next version shares the previous leaf vector outright.
+  IndexDelta again;
+  again.generation = 9;
+  for (std::uint32_t id = 0; id < 100; ++id) {
+    if (before->lookup(u32_key(id)) == 0) continue;
+    again.keys.push_back({u32_key(id), kIndexKeyWrite});
+  }
+  ASSERT_FALSE(again.keys.empty());
+  builder.apply(again);
+  for (auto& delta : seed) delta.generation += 9;
+  builder.apply(seed);
+  EXPECT_EQ(builder.leaf_copies(), copies);
+
+  const auto after = builder.publish();
+  EXPECT_EQ(after->generation(), 17u);
+  EXPECT_EQ(after->key_count(), before->key_count());
+  EXPECT_EQ(&after->leaves(), &before->leaves());
 }
 
 // --------------------------------------------------------- publisher
@@ -399,6 +492,49 @@ TEST(RuntimeIndex, IncrementalEqualsRebuiltAcrossAllFourStores) {
       EXPECT_EQ(indexes[s]->lookup(u32_key(id)), s == owner ? mask : 0)
           << "id " << id << " shard " << s;
     }
+  }
+}
+
+TEST(RuntimeIndex, SecondTripOverSameKeysCopiesNoLeaf) {
+  // An inline runtime indexes 2,000 keys; the same reports again fold
+  // through the same windows but add nothing, so the publisher's
+  // leaf-copy count stays put and each shard republishes its old leaf
+  // vector.
+  Client client = Client::local(stores_config(2));
+  CollectorRuntime& runtime = *client.local_runtime();
+  auto trip = [&] {
+    for (std::uint32_t id = 0; id < 2000; ++id) {
+      ASSERT_TRUE(client.keywrite().put_u32(u32_key(id), id).ok());
+      if (id % 2 == 0) {
+        ASSERT_TRUE(client.counters().add(u32_key(id), 1).ok());
+      }
+    }
+    ASSERT_TRUE(client.flush().ok());
+  };
+  // Every delivered delta folded in and published.
+  auto settled = [&] {
+    std::vector<std::shared_ptr<const ShardIndexVersion>> out;
+    for (std::uint32_t s = 0; s < runtime.num_shards(); ++s) {
+      out.push_back(
+          runtime.index_shard(s, runtime.snapshot_shard(s)->generation()));
+    }
+    return out;
+  };
+
+  trip();
+  const auto first = settled();
+  const IndexPublisherStats after_first = runtime.index_publisher().stats();
+  EXPECT_GT(after_first.leaf_copies, 0u);
+
+  trip();
+  const auto second = settled();
+  const IndexPublisherStats after_second = runtime.index_publisher().stats();
+  EXPECT_GT(after_second.publishes, after_first.publishes);
+  EXPECT_EQ(after_second.leaf_copies, after_first.leaf_copies);
+  for (std::uint32_t s = 0; s < runtime.num_shards(); ++s) {
+    EXPECT_GT(second[s]->generation(), first[s]->generation());
+    EXPECT_EQ(second[s]->key_count(), first[s]->key_count());
+    EXPECT_EQ(&second[s]->leaves(), &first[s]->leaves()) << "shard " << s;
   }
 }
 
