@@ -9,6 +9,11 @@
 // batch throughputs and a "gate" object of speedup ratios checked by
 // bench/check_regression.py against bench/baselines/BENCH_crc.json.
 // Ratios (not absolute rates) so the gate is robust to CI hardware.
+//
+// The index-fold section times ShardIndexBuilder on its own, the fold a
+// shard worker runs per publish window, and writes BENCH_index_fold.json
+// (absolute ns per key, ungated). The bench exits non-zero if a window
+// that only rewrites present keys copies a leaf.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +21,7 @@
 
 #include "bench_util.h"
 #include "collector/rdma_service.h"
+#include "collector/shard_index.h"
 #include "common/crc.h"
 #include "translator/append_engine.h"
 #include "translator/crc_unit.h"
@@ -395,6 +401,67 @@ double bench_append_poll() {
   return iters / timer.seconds();
 }
 
+// ---------------------------------------------------------- index fold
+
+struct FoldResult {
+  double build_ns_per_key = 0;
+  double rewrite_ns_per_key = 0;
+  std::uint64_t rewrite_leaf_copies = 0;
+  std::size_t leaves = 0;
+};
+
+constexpr std::uint64_t kFoldKeys = 1u << 19;
+constexpr std::size_t kFoldDeltas = 64;  // IndexPublisherConfig::publish_batch
+constexpr std::size_t kFoldKeysPerDelta = 8;
+constexpr int kFoldRewriteWindows = 2000;
+
+// A 2^19-key index at the publisher's default leaf target (128), built
+// from windows of 64 deltas x 8 fresh mixed keys, then 2,000 windows of
+// the same shape that rewrite present keys: the steady state of a
+// Key-Write shard whose flows are all indexed. Windows are generated
+// outside the timed apply.
+FoldResult bench_index_fold() {
+  collector::ShardIndexBuilder builder(/*target_leaf_entries=*/128);
+  std::vector<collector::IndexDelta> window(kFoldDeltas);
+  std::uint64_t generation = 0;
+  auto fill = [&](auto&& next_id) {
+    for (auto& delta : window) {
+      delta.generation = ++generation;
+      delta.keys.clear();
+      for (std::size_t k = 0; k < kFoldKeysPerDelta; ++k) {
+        delta.keys.push_back(
+            {benchutil::mixed_key(next_id()), collector::kIndexKeyWrite});
+      }
+    }
+  };
+  constexpr double kWindowKeys = kFoldDeltas * kFoldKeysPerDelta;
+
+  FoldResult out;
+  double seconds = 0;
+  std::uint64_t id = 0;
+  while (id < kFoldKeys) {
+    fill([&] { return id++; });
+    benchutil::WallTimer timer;
+    builder.apply(window);
+    seconds += timer.seconds();
+  }
+  out.build_ns_per_key = seconds * 1e9 / static_cast<double>(kFoldKeys);
+
+  common::Rng rng(benchutil::seed(0xF01Du));
+  const std::uint64_t copies = builder.leaf_copies();
+  seconds = 0;
+  for (int w = 0; w < kFoldRewriteWindows; ++w) {
+    fill([&] { return rng.next_below(kFoldKeys); });
+    benchutil::WallTimer timer;
+    builder.apply(window);
+    seconds += timer.seconds();
+  }
+  out.rewrite_ns_per_key = seconds * 1e9 / (kFoldRewriteWindows * kWindowKeys);
+  out.rewrite_leaf_copies = builder.leaf_copies() - copies;
+  out.leaves = builder.publish()->leaves().size();
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -481,6 +548,32 @@ int main() {
   std::printf("  append poll              %12s\n",
               benchutil::eng(bench_append_poll()).c_str());
 
+  const FoldResult fold = bench_index_fold();
+  std::printf("\nIndex fold (2^19 mixed keys, target 128, windows of %zu "
+              "deltas x %zu keys):\n",
+              kFoldDeltas, kFoldKeysPerDelta);
+  std::printf("  build, first-time keys     %8.1f ns/key\n",
+              fold.build_ns_per_key);
+  std::printf("  rewrite, present keys      %8.1f ns/key  (%d windows, "
+              "%llu leaf copies, %zu leaves)\n",
+              fold.rewrite_ns_per_key, kFoldRewriteWindows,
+              static_cast<unsigned long long>(fold.rewrite_leaf_copies),
+              fold.leaves);
+  if (FILE* fold_json = std::fopen("BENCH_index_fold.json", "w")) {
+    std::fprintf(fold_json,
+                 "{\n  \"keys\": %llu,\n  \"target_leaf_entries\": 128,\n"
+                 "  \"window_keys\": %zu,\n  \"rewrite_windows\": %d,\n"
+                 "  \"leaves\": %zu,\n  \"build_ns_per_key\": %.1f,\n"
+                 "  \"rewrite_ns_per_key\": %.1f,\n"
+                 "  \"rewrite_leaf_copies\": %llu\n}\n",
+                 static_cast<unsigned long long>(kFoldKeys),
+                 kFoldDeltas * kFoldKeysPerDelta, kFoldRewriteWindows,
+                 fold.leaves, fold.build_ns_per_key, fold.rewrite_ns_per_key,
+                 static_cast<unsigned long long>(fold.rewrite_leaf_copies));
+    std::fclose(fold_json);
+    std::printf("\nwrote BENCH_index_fold.json\n");
+  }
+
   // ------------------------------------------------------------- JSON
   FILE* json = std::fopen("BENCH_crc.json", "w");
   if (json) {
@@ -517,6 +610,12 @@ int main() {
                  direct / wire);
     std::fclose(json);
     std::printf("\nwrote BENCH_crc.json\n");
+  }
+  if (fold.rewrite_leaf_copies != 0) {
+    std::fprintf(stderr,
+                 "FAIL: windows of present keys copied %llu index leaves\n",
+                 static_cast<unsigned long long>(fold.rewrite_leaf_copies));
+    return 1;
   }
   return 0;
 }

@@ -6,12 +6,13 @@
 // per delivered op batch — a lock, a vector push, an unlock. The
 // builder does NOT run per batch; deltas accumulate until
 // `publish_batch` of them are queued (the defer-publish window), and
-// then the shard worker that filled the window folds all of them in
-// one sorted pass and publishes one version. That fold is ingest work:
-// it costs what the window changed (the keys it sorts plus the leaves
-// it adds a key or a mask bit to), and a window that rewrites keys the
-// index already holds copies no leaf and republishes the same leaf
-// vector.
+// then the shard worker that filled the window folds all of them at
+// once and publishes one version. That fold is ingest work: it probes
+// every window key against the leaves, 16 keys in lockstep so their
+// cache misses overlap, and beyond that costs what the window changed
+// (the keys it sorts plus the leaves it adds a key or a mask bit to).
+// A window that rewrites keys the index already holds sorts nothing,
+// copies no leaf and republishes the same leaf vector.
 //
 // Reader side: version_at_least(shard, G) is the query-path entry
 // point, with G the generation of the snapshot the query pinned. Fast

@@ -135,8 +135,11 @@ class IngestPipeline {
     explicit ShardLane(std::uint32_t capacity) : queue(capacity) {}
     common::SpscQueue<proto::ParsedDta> queue;
     std::thread worker;
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> flushes_requested{0};
+    // The producer bumps `submitted` on every push, while an idle worker
+    // polls the request counters below in a loop: on one cache line the
+    // two would trade it back and forth on every report.
+    alignas(64) std::atomic<std::uint64_t> submitted{0};
+    alignas(64) std::atomic<std::uint64_t> flushes_requested{0};
     std::atomic<std::uint64_t> flushes_done{0};
     // Quiesce handshake: the holder bumps holds_requested and waits for
     // holds_granted; the worker grants (after drain + flush) and then

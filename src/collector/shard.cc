@@ -168,6 +168,19 @@ void CollectorShard::deliver_batch() {
   ++stats_.batch_flushes;
   rdma::Nic& nic = service_.nic();
   rdma::QueuePair& qp = *service_.qp();
+  // Prefetch pass: every op's target store line is requested before the
+  // first verb runs, so the batch's cache misses overlap instead of each
+  // verb stalling on its own.
+  const rdma::ProtectionDomain& pd = nic.pd();
+  for (const auto& op : pending_) {
+    if (op.kind == translator::RdmaOp::Kind::kSend) continue;
+    if (const rdma::MemoryRegion* region = pd.find(op.rkey)) {
+      region->prefetch_for_write(
+          op.remote_va, op.kind == translator::RdmaOp::Kind::kWrite
+                            ? op.payload.size()
+                            : 8);
+    }
+  }
   for (const auto& op : pending_) {
     // Each op's byte extent is marked dirty before it executes (over-
     // approximate on failure — a spurious chunk copy is harmless, a

@@ -14,17 +14,22 @@
 // (DT_INCREMENTAL_BUILD / DT_DEFER_PUBLISH / DT_LEAF_ONLY_COW /
 // OVS_VERSION_MECHANISM): a published ShardIndexVersion is an immutable
 // vector of immutable sorted leaves, readers walk it lock-free, and the
-// builder folds a whole window of deltas in one sorted pass, replacing
-// only the leaves the window adds a key or a mask bit to (leaf-only
-// copy-on-write). The leaf vector itself is shared between versions and
-// copied only when some leaf changed. Versions carry the same
-// generation stamp the SnapshotCache compares, so "index generation >=
-// snapshot generation" is the consistency contract: the index then
-// contains every key whose data is in the snapshot (keys are never
-// deleted, so later index generations are supersets), and any extra
-// keys resolve as point-query misses against the snapshot itself. Values are never duplicated into the
-// index — range queries resolve hits through the same snapshot point
-// lookups the scan path uses, which is what makes the two byte-equal.
+// builder folds a whole window of deltas at once, replacing only the
+// leaves the window adds a key or a mask bit to (leaf-only
+// copy-on-write). The builder keeps each leaf's first key in one
+// contiguous fence array, finds each window key's leaf there, and
+// checks the keys against their leaves with binary searches stepped in
+// lockstep across keys, so the leaves' cache misses overlap; only keys
+// that add something are then sorted. The leaf vector itself is shared
+// between versions and copied only when some leaf changed. Versions
+// carry the same generation stamp the SnapshotCache compares, so
+// "index generation >= snapshot generation" is the consistency
+// contract: the index then contains every key whose data is in the
+// snapshot (keys are never deleted, so later index generations are
+// supersets), and any extra keys resolve as point-query misses against
+// the snapshot itself. Values are never duplicated into the index —
+// range queries resolve hits through the same snapshot point lookups
+// the scan path uses, which is what makes the two byte-equal.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "dta/wire.h"
 
 namespace dta::collector {
@@ -49,12 +55,36 @@ struct IndexEntry {
 
 // The index orders keys lexicographically on their byte spans (shorter
 // key sorts first on a shared prefix) — TelemetryKey itself only
-// defines equality.
+// defines equality. Precondition: both keys are canonical, i.e. length
+// <= 16 and every byte past length zero (dta::Client rejects any other
+// key). On canonical keys the span order is the order of the
+// zero-padded bytes read as two big-endian 64-bit words, ties broken
+// by length: a pad byte sorts below anything a longer key could hold
+// there, and equal padded words mean one key is the other plus zero
+// bytes. IndexSortKey is that triple, decoded once so a search can
+// compare against it repeatedly.
+struct IndexSortKey {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  std::uint64_t length = 0;
+};
+
+inline IndexSortKey index_sort_key(const proto::TelemetryKey& key) {
+  return {common::load_u64(key.bytes.data()),
+          common::load_u64(key.bytes.data() + 8), key.length};
+}
+
+// Branchless, so a binary search can select on it without mispredicting.
+inline bool operator<(const IndexSortKey& a, const IndexSortKey& b) {
+  const unsigned hi_less = a.hi < b.hi, hi_equal = a.hi == b.hi;
+  const unsigned lo_less = a.lo < b.lo, lo_equal = a.lo == b.lo;
+  const unsigned shorter = a.length < b.length;
+  return (hi_less | (hi_equal & (lo_less | (lo_equal & shorter)))) != 0;
+}
+
 inline bool index_key_less(const proto::TelemetryKey& a,
                            const proto::TelemetryKey& b) {
-  const common::ByteSpan sa = a.span(), sb = b.span();
-  return std::lexicographical_compare(sa.begin(), sa.end(), sb.begin(),
-                                      sb.end());
+  return index_sort_key(a) < index_sort_key(b);
 }
 
 // One delivered op batch's worth of index maintenance: the keys the
@@ -172,9 +202,10 @@ class ShardIndexBuilder {
  public:
   explicit ShardIndexBuilder(std::uint32_t target_leaf_entries = 128);
 
-  // Folds a window of deltas in one pass: the window's keys are sorted
-  // and their masks OR-merged once, new keys are inserted in order,
-  // existing keys gain any new mask bits, and append heads advance. A
+  // Folds a window of deltas at once: every window key is probed
+  // against the current leaves, the keys that add a key or a mask bit
+  // are sorted and their masks OR-merged once, new keys are inserted in
+  // order, existing keys gain the new bits, and append heads advance. A
   // leaf is copied only when the window adds a key or a mask bit to
   // it, and only copied leaves can split. The entries are independent
   // of how the deltas are cut into windows.
@@ -196,20 +227,41 @@ class ShardIndexBuilder {
   std::uint64_t leaf_copies() const { return leaf_copies_; }
 
  private:
+  // A window key that adds itself or a mask bit to `leaf`.
+  struct Change {
+    IndexEntry entry;
+    std::uint32_t leaf = 0;
+  };
+
   void fold(const IndexDelta* deltas, std::size_t count);
-  // Appends `run` to `out` as one leaf, or, above 2 x target entries,
-  // cut into run.size() / target pieces of target..2 x target entries.
-  void emit_leaves(std::vector<IndexEntry> run, IndexLeafVector& out) const;
+  // Appends to changes_ every window key that `leaves` lacks, or holds
+  // without all of its mask bits, with its leaf. Keys go 16 at a time:
+  // each key's leaf is found in fences_, then the key is searched for
+  // in that leaf, the group's searches stepped together.
+  void probe_window(const IndexLeafVector& leaves);
+  // Appends `run` to `leaves` as one leaf, or, above 2 x target entries,
+  // cut into run.size() / target pieces of target..2 x target entries,
+  // and each new leaf's first key to `fences`.
+  void emit_leaves(std::vector<IndexEntry> run, IndexLeafVector& leaves,
+                   std::vector<IndexSortKey>& fences) const;
 
   std::uint32_t target_leaf_entries_;
   std::uint64_t generation_ = 0;
   std::uint64_t key_count_ = 0;
   std::uint64_t leaf_copies_ = 0;
   std::shared_ptr<const IndexLeafVector> leaves_;
+  // fences_[i] is (*leaves_)[i]'s first key. Built beside every new leaf
+  // vector, from the runs the fold emits and the old fences of the
+  // leaves it carries over, so no pass ever reads each leaf for it.
+  std::vector<IndexSortKey> fences_;
   std::vector<std::uint64_t> append_heads_;
-  // The window's keys, sorted and OR-deduplicated; reused across
-  // applies so a steady-state fold does not allocate for them.
+  // Scratch reused across windows so a steady-state fold does not
+  // allocate: the window's keys as delivered, the ones that change a
+  // leaf (then sorted and OR-deduplicated), and the fence array being
+  // built for the next leaf vector.
   std::vector<IndexEntry> window_keys_;
+  std::vector<Change> changes_;
+  std::vector<IndexSortKey> next_fences_;
 };
 
 }  // namespace dta::collector

@@ -32,8 +32,10 @@ class SpscQueue {
   // Producer side. Returns false when full.
   bool try_push(T&& value) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail > mask_) return false;
+    if (head - tail_seen_ > mask_) {
+      tail_seen_ = tail_.load(std::memory_order_acquire);
+      if (head - tail_seen_ > mask_) return false;
+    }
     slots_[head & mask_] = std::move(value);
     head_.store(head + 1, std::memory_order_release);
     return true;
@@ -42,8 +44,10 @@ class SpscQueue {
   // Consumer side. Returns false when empty.
   bool try_pop(T& out) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail == head) return false;
+    if (tail == head_seen_) {
+      head_seen_ = head_.load(std::memory_order_acquire);
+      if (tail == head_seen_) return false;
+    }
     out = std::move(slots_[tail & mask_]);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
@@ -66,9 +70,16 @@ class SpscQueue {
   // index gets a cache line of its own, and the read-mostly slot vector
   // + mask get a third: the producer dereferences the slot pointer on
   // every push, so it must not share tail_'s line (every consumer-side
-  // tail_ store would otherwise bounce the producer's line too).
+  // tail_ store would otherwise bounce the producer's line too). Each
+  // side also keeps the other's index as last read, on its own line,
+  // and re-reads the shared one only when that copy says full (or
+  // empty): a stale copy only understates the room (or the items), and
+  // a near-empty queue no longer costs the producer a miss on tail_'s
+  // line per push.
   alignas(64) std::atomic<std::size_t> head_{0};  // next write (producer)
+  std::size_t tail_seen_ = 0;                      // producer's copy
   alignas(64) std::atomic<std::size_t> tail_{0};  // next read (consumer)
+  std::size_t head_seen_ = 0;                      // consumer's copy
   alignas(64) std::vector<T> slots_;
   std::size_t mask_ = 0;
 };

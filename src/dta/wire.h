@@ -53,7 +53,11 @@ struct DtaHeader {
 };
 
 // Telemetry keys are arbitrary byte strings up to 16 bytes (flow
-// 5-tuples are 13; query IDs / source IPs are 4).
+// 5-tuples are 13; query IDs / source IPs are 4). Invariant: a key is
+// canonical, i.e. length <= 16 and every byte of `bytes` past `length`
+// is zero. from() and the wire decoders build only canonical keys,
+// dta::Client rejects any other with a typed Status, and both equality
+// and the index order (collector::index_key_less) assume it.
 struct TelemetryKey {
   std::array<std::uint8_t, 16> bytes{};
   std::uint8_t length = 0;

@@ -17,6 +17,15 @@ namespace dta {
 // FabricBackend) rejects the same inputs with the same codes.
 namespace {
 
+// A report or query key: non-empty and canonical.
+Status check_key(const char* what, const proto::TelemetryKey& key) {
+  if (key.length == 0) {
+    return {StatusCode::kInvalidArgument,
+            std::string(what) + ": empty telemetry key (key.length == 0)"};
+  }
+  return internal::check_canonical_key(what, key);
+}
+
 // Shared key/redundancy checks, with the report/query context threaded
 // into the message so callers can tell *which* field of *which*
 // primitive failed without a debugger (the bare "kInvalidArgument"
@@ -24,10 +33,7 @@ namespace {
 Status check_key_and_redundancy(const char* what,
                                 const proto::TelemetryKey& key,
                                 std::uint8_t redundancy) {
-  if (key.length == 0) {
-    return {StatusCode::kInvalidArgument,
-            std::string(what) + ": empty telemetry key (key.length == 0)"};
-  }
+  if (auto status = check_key(what, key); !status.ok()) return status;
   if (redundancy == 0) {
     return {StatusCode::kInvalidArgument,
             std::string(what) + ": redundancy 0, must be >= 1"};
@@ -75,9 +81,8 @@ Status validate_report(const proto::ParsedDta& parsed,
     if (!config.postcarding) {
       return {StatusCode::kNotConfigured, "Postcarding store not enabled"};
     }
-    if (pc->key.length == 0) {
-      return {StatusCode::kInvalidArgument,
-              "Postcard report: empty telemetry key (key.length == 0)"};
+    if (auto status = check_key("Postcard report", pc->key); !status.ok()) {
+      return status;
     }
     if (pc->hop >= config.postcarding->hops ||
         pc->path_len > config.postcarding->hops) {

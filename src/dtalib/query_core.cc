@@ -80,6 +80,23 @@ Expected<std::vector<std::uint32_t>> merge_path(
   return *std::move(merged);
 }
 
+Status check_canonical_key(const char* what, const proto::TelemetryKey& key) {
+  if (key.length > key.bytes.size()) {
+    return {StatusCode::kOutOfRange,
+            std::string(what) + ": telemetry key length " +
+                std::to_string(key.length) + " exceeds 16 bytes"};
+  }
+  for (std::size_t i = key.length; i < key.bytes.size(); ++i) {
+    if (key.bytes[i] != 0) {
+      return {StatusCode::kInvalidArgument,
+              std::string(what) + ": telemetry key byte " + std::to_string(i) +
+                  " is nonzero past its length " +
+                  std::to_string(key.length)};
+    }
+  }
+  return Status::Ok();
+}
+
 Status range_precheck(const Backend& backend, const RangeSpec& spec,
                       const QueryOptions& opts) {
   if (spec.primitive == RangePrimitive::kKeyWrite &&
@@ -98,6 +115,16 @@ Status range_precheck(const Backend& backend, const RangeSpec& spec,
     return {StatusCode::kOutOfRange,
             "range query: redundancy " + std::to_string(opts.redundancy) +
                 " exceeds the 8 slot-hash engines"};
+  }
+  const std::pair<const char*, const std::optional<proto::TelemetryKey>*>
+      bounds[] = {{"range query .from()", &spec.from},
+                  {"range query .to()", &spec.to},
+                  {"range query .after()", &spec.after}};
+  for (const auto& [what, bound] : bounds) {
+    if (!*bound) continue;
+    if (auto status = check_canonical_key(what, **bound); !status.ok()) {
+      return status;
+    }
   }
   if (spec.from && spec.to && collector::index_key_less(*spec.to, *spec.from)) {
     return {StatusCode::kInvalidArgument,

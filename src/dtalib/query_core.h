@@ -64,6 +64,14 @@ Expected<std::vector<std::uint32_t>> merge_path(
 // snapshots — which is what makes indexed results byte-identical to a
 // scan over the key catalog.
 
+// The canonical-key invariant of proto::TelemetryKey: kOutOfRange for
+// length > 16, kInvalidArgument for a nonzero byte past length. `what`
+// names the field in the message. Every report key, query key and range
+// bound passes through it before reaching a router or an index.
+Status check_canonical_key(const char* what, const proto::TelemetryKey& key);
+
+// Also checks each present bound (.from/.to/.after) with
+// check_canonical_key.
 Status range_precheck(const Backend& backend, const RangeSpec& spec,
                       const QueryOptions& opts);
 

@@ -307,6 +307,35 @@ TEST_P(BackendConformanceTest, ErrorModelDistinctCodes) {
                 .report(reports::u32_key(1), /*hop=*/9, /*path_len=*/5, 1)
                 .code(),
             StatusCode::kOutOfRange);
+
+  // Keys must be canonical: at most 16 bytes (the CRC would otherwise
+  // read past the key's array), and zero past their length (equality
+  // and the index order would otherwise disagree about the key).
+  TelemetryKey too_long = reports::u32_key(4);
+  too_long.length = 200;
+  TelemetryKey dirty_pad = reports::u32_key(5);
+  dirty_pad.bytes[9] = 0x5A;
+  EXPECT_EQ(table.put_u32(too_long, 1).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(table.put_u32(dirty_pad, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.counters().add(too_long, 1).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(client.postcards().report(dirty_pad, 0, 1, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.get(too_long).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(table.get(dirty_pad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.get_many({reports::u32_key(1), too_long}).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(client.counters().get(dirty_pad).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.range(table).from(too_long).run().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(client.range(table).to(dirty_pad).run().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.range(client.counters()).after({too_long}).run().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(client.range(table).after({dirty_pad}).run().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_P(BackendConformanceTest, NotConfiguredPrimitivesReportCleanly) {

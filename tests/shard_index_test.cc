@@ -5,7 +5,10 @@
 // reader catch-up, the runtime's per-shard indexes cover every pinned
 // snapshot across all four stores, event cursors resume/drop/wrap
 // correctly over small rings, and the whole thing survives a TSan
-// stress of concurrent ingest + indexed range queries.
+// stress of concurrent ingest + indexed range queries. Seeded random
+// windows of mixed-length keys (prefixes, zero bytes, fence keys) are
+// checked against an ordered-map reference, and the two-word key order
+// against lexicographic span order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 
 #include "collector/index_publisher.h"
 #include "collector/runtime.h"
@@ -250,6 +254,199 @@ TEST(ShardIndexBuilder, RewriteOfPresentKeysCopiesNothing) {
   EXPECT_EQ(after->generation(), 17u);
   EXPECT_EQ(after->key_count(), before->key_count());
   EXPECT_EQ(&after->leaves(), &before->leaves());
+}
+
+// Random canonical keys of length 1..16 over a few byte values, 0x00
+// among them, so shared prefixes, keys that are prefixes of one another
+// and zero bytes at every position are all common. `lo`/`hi` bound the
+// first byte.
+TelemetryKey random_key(common::Rng& rng, std::uint8_t lo = 0x00,
+                        std::uint8_t hi = 0xFF) {
+  static constexpr std::uint8_t kBytes[] = {0x00, 0x00, 0x01, 0x7F, 0x80,
+                                            0xFE, 0xFF};
+  TelemetryKey key;
+  key.length = static_cast<std::uint8_t>(1 + rng.next_below(16));
+  key.bytes[0] = static_cast<std::uint8_t>(lo + rng.next_below(hi - lo + 1));
+  for (std::uint8_t i = 1; i < key.length; ++i) {
+    key.bytes[i] = kBytes[rng.next_below(sizeof(kBytes))];
+  }
+  return key;
+}
+
+std::vector<std::uint8_t> span_of(const TelemetryKey& key) {
+  const common::ByteSpan span = key.span();
+  return {span.begin(), span.end()};
+}
+
+TEST(ShardIndexBuilder, RandomWindowsMatchOrderedMapReference) {
+  // Seeded random windows against a std::map keyed by the byte spans,
+  // so the reference order is plain lexicographic order and shares no
+  // code with index_key_less. After every apply: the same entries and
+  // masks, no leaf above 2 x target, and exactly one leaf copy per leaf
+  // of the previous version the window added a key or a mask bit to.
+  const std::uint8_t masks[] = {kIndexKeyWrite, kIndexKeyIncrement,
+                                kIndexPostcarding,
+                                kIndexKeyWrite | kIndexKeyIncrement};
+  for (const std::uint32_t target : {2u, 4u, 128u}) {
+    SCOPED_TRACE(::testing::Message() << "target " << target);
+    common::Rng rng(common::test_seed(0x1D3C0000u + target));
+    ShardIndexBuilder builder(target);
+    std::map<std::vector<std::uint8_t>, std::uint8_t> reference;
+    std::vector<TelemetryKey> present;
+    std::uint64_t generation = 0;
+    for (int round = 0; round < 120; ++round) {
+      const auto before = builder.publish();
+      const IndexLeafVector& leaves = before->leaves();
+      // The first rounds stay inside first bytes 0x40..0xC0, so later
+      // windows reach below the first fence and above the last.
+      const bool inner = round < 10;
+      std::vector<IndexDelta> window(1 + rng.next_below(4));
+      for (IndexDelta& delta : window) {
+        delta.generation = ++generation;
+        const std::uint64_t width =
+            1 + rng.next_below(round % 7 == 0 ? 300 : 24);
+        for (std::uint64_t k = 0; k < width; ++k) {
+          const std::uint8_t mask = masks[rng.next_below(4)];
+          TelemetryKey key;
+          switch (present.empty() ? 0 : rng.next_below(4)) {
+            case 0:  // usually absent
+              key = inner ? random_key(rng, 0x40, 0xC0) : random_key(rng);
+              break;
+            case 1:  // present, maybe with a new mask bit
+              key = present[rng.next_below(present.size())];
+              break;
+            case 2: {  // equal to a fence
+              const auto& leaf = leaves[rng.next_below(leaves.size())];
+              key = leaf->entries.front().key;
+              break;
+            }
+            default: {  // a prefix or a zero-extension of a present key
+              key = present[rng.next_below(present.size())];
+              if (rng.chance(0.5) && key.length > 1) {
+                const auto keep = static_cast<std::uint8_t>(
+                    1 + rng.next_below(key.length - 1));
+                std::fill(key.bytes.begin() + keep, key.bytes.end(), 0);
+                key.length = keep;
+              } else if (key.length < 16) {
+                ++key.length;  // the new byte is the zero pad
+              }
+              break;
+            }
+          }
+          delta.keys.push_back({key, mask});
+          if (rng.chance(0.1)) delta.keys.push_back({key, mask});  // dup
+        }
+      }
+
+      // Expected leaf copies: previous leaves some window key lands in
+      // (the last leaf whose first key is <= it; leaf 0 below all) and
+      // adds a key or a mask bit to.
+      std::map<std::vector<std::uint8_t>, std::uint8_t> window_masks;
+      for (const IndexDelta& delta : window) {
+        for (const IndexEntry& entry : delta.keys) {
+          window_masks[span_of(entry.key)] |= entry.primitives;
+        }
+      }
+      std::vector<bool> changed(leaves.size(), false);
+      for (const auto& [bytes, mask] : window_masks) {
+        const auto it = reference.find(bytes);
+        if (it != reference.end() && (mask & ~it->second) == 0) continue;
+        const auto above = std::upper_bound(
+            leaves.begin(), leaves.end(), bytes,
+            [](const std::vector<std::uint8_t>& k, const auto& leaf) {
+              return k < span_of(leaf->entries.front().key);
+            });
+        if (!leaves.empty()) {
+          changed[above == leaves.begin() ? 0 : above - leaves.begin() - 1] =
+              true;
+        }
+      }
+      const auto expected_copies = static_cast<std::uint64_t>(
+          std::count(changed.begin(), changed.end(), true));
+
+      const std::uint64_t copies_before = builder.leaf_copies();
+      if (window.size() == 1) {
+        builder.apply(window.front());
+      } else {
+        builder.apply(window);
+      }
+      for (const auto& [bytes, mask] : window_masks) {
+        auto [it, inserted] = reference.emplace(bytes, mask);
+        if (inserted) {
+          present.push_back(
+              TelemetryKey::from(common::ByteSpan(bytes.data(), bytes.size())));
+        } else {
+          it->second |= mask;
+        }
+      }
+
+      SCOPED_TRACE(::testing::Message() << "round " << round);
+      ASSERT_EQ(builder.leaf_copies() - copies_before, expected_copies);
+      const auto after = builder.publish();
+      ASSERT_EQ(after->key_count(), reference.size());
+      const std::vector<IndexEntry> entries = flatten(*after);
+      ASSERT_EQ(entries.size(), reference.size());
+      auto ref = reference.begin();
+      for (std::size_t e = 0; e < entries.size(); ++e, ++ref) {
+        ASSERT_EQ(span_of(entries[e].key), ref->first) << "entry " << e;
+        ASSERT_EQ(entries[e].primitives, ref->second) << "entry " << e;
+      }
+      for (const auto& leaf : after->leaves()) {
+        ASSERT_LE(leaf->entries.size(), 2u * target);
+      }
+      for (const auto& [bytes, mask] : window_masks) {
+        ASSERT_EQ(after->lookup(TelemetryKey::from(
+                      common::ByteSpan(bytes.data(), bytes.size()))),
+                  reference.at(bytes));
+      }
+    }
+  }
+}
+
+TEST(IndexKeyLess, MatchesSpanLexicographicOrderOnCanonicalKeys) {
+  // 100K random canonical pairs: unrelated keys, a key and its own
+  // prefix or extension (zero or arbitrary bytes), and a key and itself
+  // with one byte changed, so either word can decide. The two-word
+  // compare must agree with lexicographic order over the spans in both
+  // directions.
+  common::Rng rng(common::test_seed(0x1D3C1E55u));
+  for (int n = 0; n < 100000; ++n) {
+    const TelemetryKey a = random_key(rng);
+    TelemetryKey b;
+    switch (rng.next_below(4)) {
+      case 0:
+        b = random_key(rng);
+        break;
+      case 3:  // one byte changed
+        b = a;
+        b.bytes[rng.next_below(a.length)] =
+            static_cast<std::uint8_t>(rng.next_u32());
+        break;
+      case 1: {  // a prefix of a (possibly a itself)
+        b = a;
+        b.length = static_cast<std::uint8_t>(rng.next_below(a.length + 1));
+        std::fill(b.bytes.begin() + b.length, b.bytes.end(), 0);
+        break;
+      }
+      default: {  // a extended by zero or arbitrary bytes
+        b = a;
+        while (b.length < 16 && rng.chance(0.6)) {
+          b.bytes[b.length++] =
+              rng.chance(0.5) ? 0 : static_cast<std::uint8_t>(rng.next_u32());
+        }
+        break;
+      }
+    }
+    const common::ByteSpan sa = a.span(), sb = b.span();
+    ASSERT_EQ(index_key_less(a, b),
+              std::lexicographical_compare(sa.begin(), sa.end(), sb.begin(),
+                                           sb.end()))
+        << "pair " << n;
+    ASSERT_EQ(index_key_less(b, a),
+              std::lexicographical_compare(sb.begin(), sb.end(), sa.begin(),
+                                           sa.end()))
+        << "pair " << n;
+  }
 }
 
 // --------------------------------------------------------- publisher
