@@ -16,11 +16,25 @@ std::uint64_t KeyIncrementStore::slot_value(const proto::TelemetryKey& key,
 
 std::uint64_t KeyIncrementStore::query(const proto::TelemetryKey& key,
                                        std::uint8_t redundancy) const {
-  std::uint64_t best = ~0ull;
-  for (std::uint8_t n = 0; n < redundancy; ++n) {
-    best = std::min(best, slot_value(key, n));
+  return read(translator::key_hashes(key, redundancy, /*with_checksum=*/false));
+}
+
+void KeyIncrementStore::prefetch(const translator::KeyHashes& hashes) const {
+  for (unsigned n = 0; n < hashes.replicas; ++n) {
+    __builtin_prefetch(region_->data() +
+                       hashes.slot_index(n, num_slots_) * slot_bytes());
   }
-  return redundancy == 0 ? 0 : best;
+}
+
+std::uint64_t KeyIncrementStore::read(
+    const translator::KeyHashes& hashes) const {
+  std::uint64_t best = ~0ull;
+  for (unsigned n = 0; n < hashes.replicas; ++n) {
+    best = std::min(best, common::load_u64(region_->data() +
+                                           hashes.slot_index(n, num_slots_) *
+                                               slot_bytes()));
+  }
+  return hashes.replicas == 0 ? 0 : best;
 }
 
 void KeyIncrementStore::reset() { region_->zero(); }

@@ -25,6 +25,11 @@ class KeyIncrementStore {
   std::uint64_t query(const proto::TelemetryKey& key,
                       std::uint8_t redundancy) const;
 
+  // query() in its two steps (see KeyWriteStore::prefetch): `hashes` is
+  // translator::key_hashes(key, redundancy, /*with_checksum=*/false).
+  void prefetch(const translator::KeyHashes& hashes) const;
+  std::uint64_t read(const translator::KeyHashes& hashes) const;
+
   // Reads one replica's counter (for tests).
   std::uint64_t slot_value(const proto::TelemetryKey& key,
                            std::uint8_t replica) const;

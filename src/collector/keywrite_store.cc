@@ -43,14 +43,25 @@ KeyWriteQueryResult KeyWriteStore::query(const proto::TelemetryKey& key,
 KeyWriteViewResult KeyWriteStore::query_view(const proto::TelemetryKey& key,
                                              std::uint8_t redundancy,
                                              std::uint8_t threshold) const {
-  KeyWriteViewResult result;
-
   // h1 plus all N slot indexes in one interleaved pass over the key.
-  const unsigned n_replicas = std::min<unsigned>(redundancy, 8);
-  std::uint32_t checksum = 0;
-  std::uint64_t slots[8];
-  translator::key_hashes(key, n_replicas, num_slots_, &checksum, slots);
-  const std::uint32_t expect = checksum & checksum_mask();
+  return read(translator::key_hashes(key, std::min<unsigned>(redundancy, 8)),
+              threshold);
+}
+
+void KeyWriteStore::prefetch(const translator::KeyHashes& hashes) const {
+  for (unsigned n = 0; n < hashes.replicas; ++n) {
+    const std::uint8_t* slot =
+        region_->data() + hashes.slot_index(n, num_slots_) * slot_bytes();
+    __builtin_prefetch(slot);
+    __builtin_prefetch(slot + slot_bytes() - 1);
+  }
+}
+
+KeyWriteViewResult KeyWriteStore::read(const translator::KeyHashes& hashes,
+                                       std::uint8_t threshold) const {
+  KeyWriteViewResult result;
+  const unsigned n_replicas = hashes.replicas;
+  const std::uint32_t expect = hashes.checksum & checksum_mask();
 
   // Candidate values and their vote counts. N <= 8, so flat arrays beat
   // any map; comparisons are memcmp over the fixed-width value.
@@ -64,7 +75,7 @@ KeyWriteViewResult KeyWriteStore::query_view(const proto::TelemetryKey& key,
   std::size_t seen = 0;
 
   for (unsigned n = 0; n < n_replicas; ++n) {
-    const std::uint64_t slot_idx = slots[n];
+    const std::uint64_t slot_idx = hashes.slot_index(n, num_slots_);
     bool duplicate = false;
     for (std::size_t s = 0; s < seen; ++s) {
       if (seen_slots[s] == slot_idx) {

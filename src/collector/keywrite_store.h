@@ -62,6 +62,15 @@ class KeyWriteStore {
                                 std::uint8_t redundancy,
                                 std::uint8_t consensus_threshold = 1) const;
 
+  // query_view() in its two steps, for callers that look one key up in
+  // several snapshots, or many keys at once: hash the key once
+  // (translator::key_hashes with min(redundancy, 8) replicas), prefetch
+  // its slot lines in every store it will be read from, then read().
+  // read() is the vote itself; prefetch() changes nothing.
+  void prefetch(const translator::KeyHashes& hashes) const;
+  KeyWriteViewResult read(const translator::KeyHashes& hashes,
+                          std::uint8_t consensus_threshold = 1) const;
+
   // Split-phase helpers used by the Figure 11b breakdown bench: the
   // checksum computation and the slot fetch are the two measured parts.
   std::uint32_t compute_checksum(const proto::TelemetryKey& key) const;

@@ -234,7 +234,9 @@ void CollectorShard::deliver_batch() {
   }
   if (index_sink_ != nullptr) {
     delta.generation = generation_.load(std::memory_order_relaxed) + 1;
-    delta.keys = std::move(staged_keys_);
+    // Copied out at the batch's size: staged_keys_ keeps its capacity,
+    // so the next batch stages without regrowing it from empty.
+    delta.keys.assign(staged_keys_.begin(), staged_keys_.end());
     staged_keys_.clear();
     index_sink_->enqueue(index_, std::move(delta));
   }

@@ -4,10 +4,6 @@ namespace dta::collector {
 
 namespace {
 
-bool entry_below_key(const IndexEntry& e, const proto::TelemetryKey& k) {
-  return index_key_less(e.key, k);
-}
-
 // Keys a fold probes together: enough independent searches in flight to
 // overlap their cache misses (on a 4-vCPU Xeon, 32 lanes measured the
 // same as 16 and 8 were slower).
@@ -46,41 +42,43 @@ void lockstep_partition_point(const T** base, std::size_t* size,
 
 }  // namespace
 
-std::size_t ShardIndexVersion::first_leaf_not_below(
-    const proto::TelemetryKey& key) const {
-  // Leaves partition the key space in order; find the first leaf whose
-  // last entry is >= key.
-  const IndexLeafVector& leaves = *leaves_;
-  std::size_t lo = 0, hi = leaves.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const auto& entries = leaves[mid]->entries;
-    if (!entries.empty() && index_key_less(entries.back().key, key)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+IndexCursor::IndexCursor(const ShardIndexVersion& version,
+                         const proto::TelemetryKey* from)
+    : leaves_(&version.leaves()) {
+  if (from == nullptr) {
+    enter(0);
+    return;
   }
-  return lo;
+  // The last leaf whose fence is <= from holds the first entry >= from,
+  // unless every entry there is below it; then the next leaf's first
+  // entry is that entry (its fence is above from).
+  const IndexSortKey key = index_sort_key(*from);
+  const IndexFenceVector& fences = version.fences();
+  const auto above = static_cast<std::size_t>(
+      std::upper_bound(fences.begin(), fences.end(), key) - fences.begin());
+  enter(above == 0 ? 0 : above - 1);
+  at_ = std::lower_bound(at_, end_, key,
+                         [](const IndexEntry& e, const IndexSortKey& k) {
+                           return index_sort_key(e.key) < k;
+                         });
+  if (at_ == end_) enter(leaf_ + 1);
 }
 
 std::uint8_t ShardIndexVersion::lookup(const proto::TelemetryKey& key) const {
-  const std::size_t leaf = first_leaf_not_below(key);
-  if (leaf >= leaves_->size()) return 0;
-  const auto& entries = (*leaves_)[leaf]->entries;
-  const auto it =
-      std::lower_bound(entries.begin(), entries.end(), key, entry_below_key);
-  if (it == entries.end() || it->key != key) return 0;
-  return it->primitives;
+  const IndexCursor cursor(*this, &key);
+  return !cursor.done() && cursor.entry().key == key
+             ? cursor.entry().primitives
+             : 0;
 }
 
 ShardIndexBuilder::ShardIndexBuilder(std::uint32_t target_leaf_entries)
     : target_leaf_entries_(std::max<std::uint32_t>(target_leaf_entries, 2)),
-      leaves_(std::make_shared<const IndexLeafVector>()) {}
+      leaves_(std::make_shared<const IndexLeafVector>()),
+      fences_(std::make_shared<const IndexFenceVector>()) {}
 
 void ShardIndexBuilder::emit_leaves(
     std::vector<IndexEntry> run, IndexLeafVector& leaves,
-    std::vector<IndexSortKey>& fences) const {
+    IndexFenceVector& fences) const {
   const std::size_t n = run.size();
   const std::size_t target = target_leaf_entries_;
   if (n <= 2 * target) {
@@ -115,17 +113,18 @@ void ShardIndexBuilder::probe_window(const IndexLeafVector& leaves) {
 
     // The leaf: the last whose fence is <= the key. Leaf 0 also takes
     // every key below the first fence.
+    const IndexFenceVector& fences = *fences_;
     const IndexSortKey* fence[kProbeLanes];
     for (std::size_t l = 0; l < lanes; ++l) {
-      fence[l] = fences_.data();
-      size[l] = fences_.size();
+      fence[l] = fences.data();
+      size[l] = fences.size();
     }
     lockstep_partition_point(
         fence, size, lanes,
         [&key](std::size_t l, const IndexSortKey& f) { return !(key[l] < f); });
     std::uint32_t leaf[kProbeLanes];
     for (std::size_t l = 0; l < lanes; ++l) {
-      const auto above = static_cast<std::size_t>(fence[l] - fences_.data());
+      const auto above = static_cast<std::size_t>(fence[l] - fences.data());
       leaf[l] = static_cast<std::uint32_t>(above == 0 ? 0 : above - 1);
     }
 
@@ -197,25 +196,29 @@ void ShardIndexBuilder::fold(const IndexDelta* deltas, std::size_t count) {
     run.reserve(changes_.size());
     for (const Change& change : changes_) run.push_back(change.entry);
     auto next = std::make_shared<IndexLeafVector>();
+    auto next_fences = std::make_shared<IndexFenceVector>();
     key_count_ += run.size();
-    emit_leaves(std::move(run), *next, fences_);
+    emit_leaves(std::move(run), *next, *next_fences);
     leaves_ = std::move(next);
+    fences_ = std::move(next_fences);
     return;
   }
 
   // One walk over the runs of changes that share a leaf: each such leaf
   // is merged (and cut if oversized) into a new leaf vector, which takes
   // every other leaf by pointer and its fence from the old array.
+  const IndexFenceVector& fences = *fences_;
   auto next = std::make_shared<IndexLeafVector>();
   next->reserve(old.size() + 1);
-  next_fences_.clear();
+  auto next_fences = std::make_shared<IndexFenceVector>();
+  next_fences->reserve(fences.size() + 1);
   std::size_t carried = 0;  // old leaves [0, carried) are already in next
   std::size_t i = 0;
   while (i < changes_.size()) {
     const std::uint32_t leaf = changes_[i].leaf;
     next->insert(next->end(), old.begin() + carried, old.begin() + leaf);
-    next_fences_.insert(next_fences_.end(), fences_.begin() + carried,
-                        fences_.begin() + leaf);
+    next_fences->insert(next_fences->end(), fences.begin() + carried,
+                        fences.begin() + leaf);
     std::size_t j = i + 1;
     while (j < changes_.size() && changes_[j].leaf == leaf) ++j;
     const std::vector<IndexEntry>& entries = old[leaf]->entries;
@@ -237,19 +240,19 @@ void ShardIndexBuilder::fold(const IndexDelta* deltas, std::size_t count) {
     }
     merged.insert(merged.end(), entries.begin() + a, entries.end());
     ++leaf_copies_;
-    emit_leaves(std::move(merged), *next, next_fences_);
+    emit_leaves(std::move(merged), *next, *next_fences);
     carried = leaf + 1;
   }
   next->insert(next->end(), old.begin() + carried, old.end());
-  next_fences_.insert(next_fences_.end(), fences_.begin() + carried,
-                      fences_.end());
+  next_fences->insert(next_fences->end(), fences.begin() + carried,
+                      fences.end());
   leaves_ = std::move(next);
-  fences_.swap(next_fences_);
+  fences_ = std::move(next_fences);
 }
 
 std::shared_ptr<const ShardIndexVersion> ShardIndexBuilder::publish() const {
-  return std::make_shared<const ShardIndexVersion>(generation_, leaves_,
-                                                   append_heads_, key_count_);
+  return std::make_shared<const ShardIndexVersion>(
+      generation_, leaves_, fences_, append_heads_, key_count_);
 }
 
 }  // namespace dta::collector

@@ -20,9 +20,12 @@
 // contiguous fence array, finds each window key's leaf there, and
 // checks the keys against their leaves with binary searches stepped in
 // lockstep across keys, so the leaves' cache misses overlap; only keys
-// that add something are then sorted. The leaf vector itself is shared
-// between versions and copied only when some leaf changed. Versions
-// carry the same generation stamp the SnapshotCache compares, so
+// that add something are then sorted. The leaf vector and its fence
+// array are shared between versions and replaced only when some leaf
+// changed; readers get both, so an IndexCursor seeks a range's first
+// key through the fences (a binary search over one contiguous array)
+// instead of through the leaves, then walks forward in key order.
+// Versions carry the same generation stamp the SnapshotCache compares, so
 // "index generation >= snapshot generation" is the consistency
 // contract: the index then contains every key whose data is in the
 // snapshot (keys are never deleted, so later index generations are
@@ -82,6 +85,10 @@ inline bool operator<(const IndexSortKey& a, const IndexSortKey& b) {
   return (hi_less | (hi_equal & (lo_less | (lo_equal & shorter)))) != 0;
 }
 
+inline bool operator==(const IndexSortKey& a, const IndexSortKey& b) {
+  return a.hi == b.hi && a.lo == b.lo && a.length == b.length;
+}
+
 inline bool index_key_less(const proto::TelemetryKey& a,
                            const proto::TelemetryKey& b) {
   return index_sort_key(a) < index_sort_key(b);
@@ -119,16 +126,61 @@ struct IndexLeaf {
 // by every later version whose window changed no leaf.
 using IndexLeafVector = std::vector<std::shared_ptr<const IndexLeaf>>;
 
+// fences[i] is leaves[i]'s first key, decoded: one contiguous array a
+// seek binary-searches without touching a leaf. Published beside the
+// leaf vector it describes and shared exactly as long as that vector.
+using IndexFenceVector = std::vector<IndexSortKey>;
+
+class ShardIndexVersion;
+
+// Forward cursor over one version's entries in key order; valid while
+// the version lives. The seek costs a binary search over the fence
+// array plus one inside the leaf it names; each step after that is a
+// pointer bump, and a leaf change is one load of the next leaf.
+class IndexCursor {
+ public:
+  // Positioned at the first entry not below `from` (the first entry
+  // when null).
+  IndexCursor(const ShardIndexVersion& version,
+              const proto::TelemetryKey* from);
+
+  bool done() const { return at_ == end_; }
+  const IndexEntry& entry() const { return *at_; }
+  void next() {
+    if (++at_ == end_) enter(leaf_ + 1);
+  }
+
+ private:
+  // Positions at the first entry of leaf `leaf` or later, or done.
+  void enter(std::size_t leaf) {
+    for (leaf_ = leaf; leaf_ < leaves_->size(); ++leaf_) {
+      const std::vector<IndexEntry>& entries = (*leaves_)[leaf_]->entries;
+      if (entries.empty()) continue;
+      at_ = entries.data();
+      end_ = at_ + entries.size();
+      return;
+    }
+    at_ = end_ = nullptr;
+  }
+
+  const IndexLeafVector* leaves_;
+  std::size_t leaf_ = 0;
+  const IndexEntry* at_ = nullptr;
+  const IndexEntry* end_ = nullptr;
+};
+
 // An immutable published index version. Safe to read from any thread
 // with no synchronization beyond acquiring the shared_ptr.
 class ShardIndexVersion {
  public:
   ShardIndexVersion(std::uint64_t generation,
                     std::shared_ptr<const IndexLeafVector> leaves,
+                    std::shared_ptr<const IndexFenceVector> fences,
                     std::vector<std::uint64_t> append_heads,
                     std::uint64_t key_count)
       : generation_(generation),
         leaves_(std::move(leaves)),
+        fences_(std::move(fences)),
         append_heads_(std::move(append_heads)),
         key_count_(key_count) {}
 
@@ -154,29 +206,9 @@ class ShardIndexVersion {
   template <typename Fn>
   void visit_range(const proto::TelemetryKey* from,
                    const proto::TelemetryKey* to, Fn&& fn) const {
-    const IndexLeafVector& leaves = *leaves_;
-    std::size_t leaf = 0;
-    std::size_t pos = 0;
-    if (from != nullptr) {
-      // First leaf whose last key is >= from, then lower_bound inside.
-      leaf = first_leaf_not_below(*from);
-      if (leaf >= leaves.size()) return;
-      const auto& entries = leaves[leaf]->entries;
-      pos = static_cast<std::size_t>(
-          std::lower_bound(entries.begin(), entries.end(), *from,
-                           [](const IndexEntry& e,
-                              const proto::TelemetryKey& k) {
-                             return index_key_less(e.key, k);
-                           }) -
-          entries.begin());
-    }
-    for (; leaf < leaves.size(); ++leaf, pos = 0) {
-      const auto& entries = leaves[leaf]->entries;
-      for (; pos < entries.size(); ++pos) {
-        const IndexEntry& entry = entries[pos];
-        if (to != nullptr && index_key_less(*to, entry.key)) return;
-        if (!fn(entry)) return;
-      }
+    for (IndexCursor cursor(*this, from); !cursor.done(); cursor.next()) {
+      if (to != nullptr && index_key_less(*to, cursor.entry().key)) return;
+      if (!fn(cursor.entry())) return;
     }
   }
 
@@ -184,13 +216,12 @@ class ShardIndexVersion {
   std::uint8_t lookup(const proto::TelemetryKey& key) const;
 
   const IndexLeafVector& leaves() const { return *leaves_; }
+  const IndexFenceVector& fences() const { return *fences_; }
 
  private:
-  // Index of the first leaf whose last entry is not below `key`.
-  std::size_t first_leaf_not_below(const proto::TelemetryKey& key) const;
-
   std::uint64_t generation_;
   std::shared_ptr<const IndexLeafVector> leaves_;
+  std::shared_ptr<const IndexFenceVector> fences_;
   std::vector<std::uint64_t> append_heads_;
   std::uint64_t key_count_;
 };
@@ -216,8 +247,8 @@ class ShardIndexBuilder {
   void apply(const IndexDelta& delta) { fold(&delta, 1); }
 
   // Freezes the current state into an immutable version (cheap: shares
-  // the leaf vector, which the next leaf-changing apply replaces rather
-  // than modifies).
+  // the leaf and fence vectors, which the next leaf-changing apply
+  // replaces rather than modifies).
   std::shared_ptr<const ShardIndexVersion> publish() const;
 
   std::uint64_t generation() const { return generation_; }
@@ -243,7 +274,7 @@ class ShardIndexBuilder {
   // cut into run.size() / target pieces of target..2 x target entries,
   // and each new leaf's first key to `fences`.
   void emit_leaves(std::vector<IndexEntry> run, IndexLeafVector& leaves,
-                   std::vector<IndexSortKey>& fences) const;
+                   IndexFenceVector& fences) const;
 
   std::uint32_t target_leaf_entries_;
   std::uint64_t generation_ = 0;
@@ -252,16 +283,15 @@ class ShardIndexBuilder {
   std::shared_ptr<const IndexLeafVector> leaves_;
   // fences_[i] is (*leaves_)[i]'s first key. Built beside every new leaf
   // vector, from the runs the fold emits and the old fences of the
-  // leaves it carries over, so no pass ever reads each leaf for it.
-  std::vector<IndexSortKey> fences_;
+  // leaves it carries over, so no pass ever reads each leaf for it, and
+  // published with it.
+  std::shared_ptr<const IndexFenceVector> fences_;
   std::vector<std::uint64_t> append_heads_;
   // Scratch reused across windows so a steady-state fold does not
-  // allocate: the window's keys as delivered, the ones that change a
-  // leaf (then sorted and OR-deduplicated), and the fence array being
-  // built for the next leaf vector.
+  // allocate: the window's keys as delivered, and the ones that change
+  // a leaf (then sorted and OR-deduplicated).
   std::vector<IndexEntry> window_keys_;
   std::vector<Change> changes_;
-  std::vector<IndexSortKey> next_fences_;
 };
 
 }  // namespace dta::collector

@@ -10,9 +10,11 @@ namespace dta::collector {
 std::unique_ptr<rdma::MemoryRegion> StoreSnapshot::copy_region(
     const rdma::MemoryRegion* src) {
   // Same base VA and rkey as the live region: the store arithmetic
-  // (base + slot * slot_size) carries over unchanged.
+  // (base + slot * slot_size) carries over unchanged. A copy of an
+  // advised region is advised too, before the memcpy first touches it.
   auto copy = std::make_unique<rdma::MemoryRegion>(
-      src->base_va(), src->length(), src->rkey(), src->access());
+      src->base_va(), src->length(), src->rkey(), src->access(),
+      src->hugepage_advised());
   std::memcpy(copy->data(), src->data(), src->length());
   return copy;
 }
@@ -140,12 +142,6 @@ KeyWriteViewResult StoreSnapshot::keywrite_query_view(
     std::uint8_t consensus_threshold) const {
   if (!keywrite_) return {};
   return keywrite_->query_view(key, redundancy, consensus_threshold);
-}
-
-std::optional<std::uint64_t> StoreSnapshot::keyincrement_query(
-    const proto::TelemetryKey& key, std::uint8_t redundancy) const {
-  if (!keyincrement_) return std::nullopt;
-  return keyincrement_->query(key, redundancy);
 }
 
 PostcardingQueryResult StoreSnapshot::postcarding_query(

@@ -97,10 +97,16 @@ class StoreSnapshot {
       const proto::TelemetryKey& key, std::uint8_t redundancy,
       std::uint8_t consensus_threshold = 1) const DTA_LIFETIMEBOUND;
 
-  // CMS min over the copied Key-Increment counters; nullopt when the
-  // primitive is not enabled.
-  std::optional<std::uint64_t> keyincrement_query(
-      const proto::TelemetryKey& key, std::uint8_t redundancy) const;
+  // The query stores over the copied regions (nullptr when the
+  // primitive is disabled), for lookups split into their hash, prefetch
+  // and read steps (KeyWriteStore::prefetch/read). Same lifetime rules
+  // as keywrite_query_view.
+  const KeyWriteStore* keywrite() const DTA_LIFETIMEBOUND {
+    return keywrite_.get();
+  }
+  const KeyIncrementStore* keyincrement() const DTA_LIFETIMEBOUND {
+    return keyincrement_.get();
+  }
 
   // Chunk-vote path decode over the copied Postcarding chunks.
   PostcardingQueryResult postcarding_query(const proto::TelemetryKey& key,

@@ -219,14 +219,12 @@ Status postcard_precheck(const Backend& backend,
 // The merge and range-resolution core lives in dtalib/query_core.h so
 // FabricBackend resolves through the exact same path (the conformance
 // kit's byte-equality depends on there being only one).
-using internal::collect_range_candidates;
 using internal::merge_counter;
 using internal::merge_keywrite;
 using internal::merge_keywrite_view;
 using internal::merge_path;
 using internal::range_precheck;
-using internal::resolve_range_entry;
-using internal::scan_range_candidates;
+using internal::resolve_range;
 
 }  // namespace
 
@@ -381,24 +379,20 @@ Expected<RangeResult> LocalBackend::range_query(const RangeSpec& spec,
   // Pin every shard's snapshot, then catch each shard's index up to the
   // pinned generation: the returned version is then a superset of the
   // keys that snapshot holds, so no key the scan path would return can
-  // be missing from the candidates.
+  // be missing from the candidates. A key resolves against its shard's
+  // snapshot alone, like a point get, and the index holding it is that
+  // shard's.
   const std::uint32_t n = runtime_.num_shards();
-  std::vector<SnapshotPtr> pinned(n);
-  std::vector<std::shared_ptr<const collector::ShardIndexVersion>> indexes;
+  std::vector<std::vector<SnapshotPtr>> sets(n);
+  internal::IndexVersions indexes;
   indexes.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
     auto snap = acquire(s, opts);
     if (!snap.ok()) return snap.status();
-    pinned[s] = std::move(snap).value();
-    indexes.push_back(runtime_.index_shard(s, pinned[s]->generation()));
+    indexes.push_back(runtime_.index_shard(s, snap.value()->generation()));
+    sets[s].push_back(std::move(snap).value());
   }
-  const auto candidates = collect_range_candidates(indexes, spec);
-  return scan_range_candidates(
-      candidates, spec.limit, [&](const proto::TelemetryKey& key) {
-        const std::vector<SnapshotPtr> snaps{
-            pinned[collector::shard_for_key(key, n)]};
-        return resolve_range_entry(snaps, key, spec, opts);
-      });
+  return resolve_range(indexes, sets, spec, opts);
 }
 
 const collector::CollectorRuntimeConfig& LocalBackend::host_config() const {
@@ -623,35 +617,35 @@ Expected<RangeResult> ClusterBackend::range_query(const RangeSpec& spec,
   // Pin one snapshot + caught-up index per live (host, shard).
   // Candidates are the union across hosts; each candidate then resolves
   // over exactly its candidate_hosts' pinned snapshots — the same
-  // replica set, same merge, as a point get of that key.
+  // replica set, same merge, as a point get of that key. A key in host
+  // h's shard-s index sits on shard s wherever it landed: under
+  // kByKeyHash on h alone, its owner (a dead owner's index is not read,
+  // so its lost partition yields no candidates, as point gets fail);
+  // otherwise on every live host.
   const std::uint32_t shards = cluster_.shards_per_host();
-  std::vector<std::vector<SnapshotPtr>> pinned(
-      cluster_.num_hosts(), std::vector<SnapshotPtr>(shards));
-  std::vector<std::shared_ptr<const collector::ShardIndexVersion>> indexes;
+  std::vector<std::vector<SnapshotPtr>> replicas(shards);
+  internal::IndexVersions indexes;
   indexes.reserve(live.size() * shards);
   for (const std::uint32_t h : live) {
     for (std::uint32_t s = 0; s < shards; ++s) {
       auto snap = acquire(h, s, opts);
       if (!snap.ok()) return snap.status();
-      pinned[h][s] = std::move(snap).value();
       indexes.push_back(
-          cluster_.host(h).index_shard(s, pinned[h][s]->generation()));
+          cluster_.host(h).index_shard(s, snap.value()->generation()));
+      replicas[s].push_back(std::move(snap).value());
     }
   }
-  const auto candidates = collect_range_candidates(indexes, spec);
-  return scan_range_candidates(
-      candidates, spec.limit,
-      [&](const proto::TelemetryKey& key) -> std::optional<RangeEntry> {
-        const auto hosts = candidate_hosts(key);
-        // Empty under kByKeyHash when the key's owner died: the
-        // partition is lost, point gets fail, so ranges skip it too.
-        if (hosts.empty()) return std::nullopt;
-        const std::uint32_t shard = cluster_.selector().shard_within_host(key);
-        std::vector<SnapshotPtr> snaps;
-        snaps.reserve(hosts.size());
-        for (const std::uint32_t h : hosts) snaps.push_back(pinned[h][shard]);
-        return resolve_range_entry(snaps, key, spec, opts);
-      });
+  const bool owned = cluster_.selector().policy() ==
+                     translator::PartitionPolicy::kByKeyHash;
+  std::vector<std::vector<SnapshotPtr>> sets;
+  sets.reserve(indexes.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      sets.push_back(owned ? std::vector<SnapshotPtr>{replicas[s][i]}
+                           : replicas[s]);
+    }
+  }
+  return resolve_range(indexes, sets, spec, opts);
 }
 
 const collector::CollectorRuntimeConfig& ClusterBackend::host_config() const {

@@ -161,13 +161,16 @@ Expected<RangeResult> FabricBackend::range_query(const RangeSpec& spec,
   auto snap = acquire_locked(opts);
   if (!snap.ok()) return snap.status();
   // acquire_locked just folded everything staged, so index_ covers the
-  // snapshot's generation exactly.
-  const auto candidates = internal::collect_range_candidates({index_}, spec);
-  const std::vector<SnapshotPtr> snaps{snap.value()};
-  return internal::scan_range_candidates(
-      candidates, spec.limit, [&](const proto::TelemetryKey& key) {
-        return internal::resolve_range_entry(snaps, key, spec, opts);
-      });
+  // snapshot's generation exactly. One shard: every key resolves
+  // against the same one-snapshot set.
+  return internal::resolve_range({index_}, {{std::move(snap).value()}},
+                                 spec, opts);
+}
+
+std::shared_ptr<const collector::ShardIndexVersion> FabricBackend::index() {
+  MutexLock lock(mu_);
+  (void)acquire_locked(QueryOptions{});
+  return index_;
 }
 
 Expected<std::vector<Backend::SnapshotPtr>> FabricBackend::key_snapshots(

@@ -68,6 +68,10 @@ class FabricBackend : public Backend {
 
   Fabric& fabric() { return *fabric_; }
 
+  // The index version range_query reads: the one built with the current
+  // snapshot (building both if a submit landed since).
+  std::shared_ptr<const collector::ShardIndexVersion> index();
+
  private:
   // The current snapshot, building it if any submit landed since the
   // last one.

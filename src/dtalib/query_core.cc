@@ -1,21 +1,35 @@
 #include "dtalib/query_core.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <utility>
 
+#include "translator/crc_unit.h"
+
 namespace dta::internal {
 
-Expected<ByteView> merge_keywrite_view(const std::vector<SnapshotPtr>& snaps,
-                                       const proto::TelemetryKey& key,
-                                       const QueryOptions& opts) {
+namespace {
+
+// Resolution takes the redundancy the point-get precheck allows (1..8);
+// anything above reads the 8 slot-hash engines there are.
+translator::KeyHashes lookup_hashes(const proto::TelemetryKey& key,
+                                    const QueryOptions& opts, bool counter) {
+  return translator::key_hashes(key, std::min<unsigned>(opts.redundancy, 8),
+                                /*with_checksum=*/!counter);
+}
+
+// The read step every Key-Write lookup ends in, point or range.
+Expected<ByteView> vote_keywrite(const std::vector<SnapshotPtr>& snaps,
+                                 const translator::KeyHashes& hashes,
+                                 const QueryOptions& opts) {
   collector::KeyWriteViewResult best;
   const SnapshotPtr* best_snap = nullptr;
   bool conflict = false;
   for (const auto& snap : snaps) {
-    if (!snap->has_keywrite()) continue;
-    const auto result = snap->keywrite_query_view(key, opts.redundancy,
-                                                  opts.consensus_threshold);
+    const collector::KeyWriteStore* store = snap->keywrite();
+    if (store == nullptr) continue;
+    const auto result = store->read(hashes, opts.consensus_threshold);
     if (result.status == collector::QueryStatus::kHit) {
       if (best.status != collector::QueryStatus::kHit ||
           result.votes > best.votes) {
@@ -36,6 +50,31 @@ Expected<ByteView> merge_keywrite_view(const std::vector<SnapshotPtr>& snaps,
   return Status(StatusCode::kNotFound, "no slot carried the key's checksum");
 }
 
+// The read step every counter lookup ends in, point or range.
+Expected<std::uint64_t> vote_counter(const std::vector<SnapshotPtr>& snaps,
+                                     const translator::KeyHashes& hashes) {
+  std::optional<std::uint64_t> best;
+  for (const auto& snap : snaps) {
+    if (const collector::KeyIncrementStore* store = snap->keyincrement()) {
+      best = std::max(best.value_or(0), store->read(hashes));
+    }
+  }
+  if (!best) {
+    return Status(StatusCode::kNotFound,
+                  "no candidate snapshot held a Key-Increment store");
+  }
+  return *best;
+}
+
+}  // namespace
+
+Expected<ByteView> merge_keywrite_view(const std::vector<SnapshotPtr>& snaps,
+                                       const proto::TelemetryKey& key,
+                                       const QueryOptions& opts) {
+  return vote_keywrite(snaps, lookup_hashes(key, opts, /*counter=*/false),
+                       opts);
+}
+
 Expected<common::Bytes> merge_keywrite(const std::vector<SnapshotPtr>& snaps,
                                        const proto::TelemetryKey& key,
                                        const QueryOptions& opts) {
@@ -47,17 +86,7 @@ Expected<common::Bytes> merge_keywrite(const std::vector<SnapshotPtr>& snaps,
 Expected<std::uint64_t> merge_counter(const std::vector<SnapshotPtr>& snaps,
                                       const proto::TelemetryKey& key,
                                       const QueryOptions& opts) {
-  std::optional<std::uint64_t> best;
-  for (const auto& snap : snaps) {
-    if (const auto est = snap->keyincrement_query(key, opts.redundancy)) {
-      best = std::max(best.value_or(0), *est);
-    }
-  }
-  if (!best) {
-    return Status(StatusCode::kNotFound,
-                  "no candidate snapshot held a Key-Increment store");
-  }
-  return *best;
+  return vote_counter(snaps, lookup_hashes(key, opts, /*counter=*/true));
 }
 
 Expected<std::vector<std::uint32_t>> merge_path(
@@ -133,37 +162,169 @@ Status range_precheck(const Backend& backend, const RangeSpec& spec,
   return Status::Ok();
 }
 
-std::vector<proto::TelemetryKey> collect_range_candidates(
-    const std::vector<std::shared_ptr<const collector::ShardIndexVersion>>&
-        indexes,
-    const RangeSpec& spec) {
-  const std::uint8_t want = spec.primitive == RangePrimitive::kCounter
-                                ? collector::kIndexKeyIncrement
-                                : collector::kIndexKeyWrite;
-  // .after() resumes strictly past the cursor key; when it also sits
-  // below .from() (a cursor from some other range), .from() wins.
-  const proto::TelemetryKey* from = nullptr;
-  bool exclusive_from = false;
-  if (spec.after &&
-      !(spec.from && collector::index_key_less(*spec.after, *spec.from))) {
-    from = &*spec.after;
-    exclusive_from = true;
-  } else if (spec.from) {
-    from = &*spec.from;
+namespace {
+
+// The shards' index cursors merged in key order. next() yields each
+// distinct key within the spec's bounds that some index holds with the
+// wanted primitive, once however many indexes hold it (replica hosts),
+// with the position of the first index that does.
+class CandidateMerge {
+ public:
+  // key is null once the merge is exhausted; otherwise it lives in an
+  // index leaf, valid while the indexes are.
+  struct Candidate {
+    const proto::TelemetryKey* key = nullptr;
+    std::size_t source = 0;
+  };
+
+  CandidateMerge(const IndexVersions& indexes, const RangeSpec& spec)
+      : want_(spec.primitive == RangePrimitive::kCounter
+                  ? collector::kIndexKeyIncrement
+                  : collector::kIndexKeyWrite) {
+    // .after() resumes strictly past the cursor key; when it also sits
+    // below .from() (a cursor from some other range), .from() wins.
+    const proto::TelemetryKey* from = nullptr;
+    if (spec.after &&
+        !(spec.from && collector::index_key_less(*spec.after, *spec.from))) {
+      from = &*spec.after;
+      exclude_ = from;
+    } else if (spec.from) {
+      from = &*spec.from;
+    }
+    if (spec.to) to_ = collector::index_sort_key(*spec.to);
+    heads_.reserve(indexes.size());
+    for (const auto& index : indexes) {
+      heads_.push_back({collector::IndexCursor(*index, from), {}});
+      heads_.back().load();
+    }
   }
-  const proto::TelemetryKey* to = spec.to ? &*spec.to : nullptr;
-  std::vector<proto::TelemetryKey> out;
-  for (const auto& index : indexes) {
-    index->visit_range(from, to, [&](const collector::IndexEntry& entry) {
-      if ((entry.primitives & want) != 0 &&
-          !(exclusive_from && entry.key == *from)) {
-        out.push_back(entry.key);
+
+  Candidate next() {
+    while (true) {
+      std::size_t least = heads_.size();
+      for (std::size_t i = 0; i < heads_.size(); ++i) {
+        if (heads_[i].cursor.done()) continue;
+        if (least == heads_.size() || heads_[i].key < heads_[least].key) {
+          least = i;
+        }
       }
-      return true;
-    });
+      if (least == heads_.size() || (to_ && *to_ < heads_[least].key)) {
+        return {};
+      }
+      const collector::IndexSortKey key = heads_[least].key;
+      const collector::IndexEntry& entry = heads_[least].cursor.entry();
+      // Every index holding the key steps past it; its masks OR-merge.
+      std::uint8_t primitives = 0;
+      for (Head& head : heads_) {
+        if (!head.cursor.done() && head.key == key) {
+          primitives |= head.cursor.entry().primitives;
+          head.cursor.next();
+          head.load();
+        }
+      }
+      if ((primitives & want_) == 0) continue;
+      if (exclude_ != nullptr && entry.key == *exclude_) continue;
+      return {&entry.key, least};
+    }
   }
-  std::sort(out.begin(), out.end(), collector::index_key_less);
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+
+ private:
+  // A cursor and its entry's key, decoded once per step.
+  struct Head {
+    collector::IndexCursor cursor;
+    collector::IndexSortKey key;
+
+    void load() {
+      if (!cursor.done()) key = collector::index_sort_key(cursor.entry().key);
+    }
+  };
+
+  std::uint8_t want_;
+  const proto::TelemetryKey* exclude_ = nullptr;
+  std::optional<collector::IndexSortKey> to_;
+  std::vector<Head> heads_;
+};
+
+// Candidates resolved together: their slot lines are all requested
+// before the first vote reads one, so the group's misses overlap (the
+// lane count the index fold's lockstep probes use too).
+constexpr std::size_t kResolveGroup = 16;
+
+}  // namespace
+
+std::vector<proto::TelemetryKey> collect_range_candidates(
+    const IndexVersions& indexes, const RangeSpec& spec) {
+  CandidateMerge merge(indexes, spec);
+  std::vector<proto::TelemetryKey> out;
+  for (auto candidate = merge.next(); candidate.key != nullptr;
+       candidate = merge.next()) {
+    out.push_back(*candidate.key);
+  }
+  return out;
+}
+
+RangeResult resolve_range(const IndexVersions& indexes,
+                          const std::vector<std::vector<SnapshotPtr>>& sets,
+                          const RangeSpec& spec, const QueryOptions& opts) {
+  struct Resolving {
+    const proto::TelemetryKey* key = nullptr;
+    const std::vector<SnapshotPtr>* snaps = nullptr;
+    translator::KeyHashes hashes;
+  };
+  const bool counter = spec.primitive == RangePrimitive::kCounter;
+  CandidateMerge merge(indexes, spec);
+  std::array<Resolving, kResolveGroup> group;
+  RangeResult out;
+  auto candidate = merge.next();
+  while (candidate.key != nullptr) {
+    if (spec.limit != 0 && out.entries.size() == spec.limit) {
+      // `candidate` is the lookahead: one is left past the limit.
+      out.truncated = true;
+      out.next = RangeCursor{out.entries.back().key};
+      break;
+    }
+    // Hash step: each key's hashes once, and a prefetch of its slot
+    // lines in every snapshot it resolves against. A group never takes
+    // more candidates than the limit still has room for.
+    std::size_t room = kResolveGroup;
+    if (spec.limit != 0) {
+      room = static_cast<std::size_t>(std::min<std::uint64_t>(
+          room, spec.limit - out.entries.size()));
+    }
+    std::size_t size = 0;
+    for (; candidate.key != nullptr && size < room;
+         candidate = merge.next()) {
+      Resolving& r = group[size++];
+      r.key = candidate.key;
+      r.snaps = &sets[candidate.source];
+      r.hashes = lookup_hashes(*r.key, opts, counter);
+      for (const auto& snap : *r.snaps) {
+        if (counter) {
+          if (const auto* store = snap->keyincrement()) {
+            store->prefetch(r.hashes);
+          }
+        } else if (const auto* store = snap->keywrite()) {
+          store->prefetch(r.hashes);
+        }
+      }
+    }
+    // Read step: the vote a point get of the key runs.
+    for (std::size_t i = 0; i < size; ++i) {
+      const Resolving& r = group[i];
+      RangeEntry entry;
+      entry.key = *r.key;
+      if (counter) {
+        const auto est = vote_counter(*r.snaps, r.hashes);
+        if (!est.ok()) continue;
+        common::put_u64(entry.value, *est);
+      } else {
+        const auto view = vote_keywrite(*r.snaps, r.hashes, opts);
+        if (!view.ok()) continue;
+        entry.value = view->to_bytes();
+      }
+      out.entries.push_back(std::move(entry));
+    }
+  }
   return out;
 }
 

@@ -4,7 +4,7 @@
 // LocalBackend/ClusterBackend (client.cc) and FabricBackend
 // (fabric_backend.cc) pin different snapshot topologies, but the value
 // semantics must be identical: one replica-merge per primitive, and one
-// candidate-scan loop for range queries. Keeping the helpers here —
+// range resolver. Keeping the helpers here —
 // instead of duplicating them per backend — is what lets the
 // conformance kit demand byte-equality across backends: there is only
 // one resolution path to be equal to.
@@ -36,7 +36,10 @@ using SnapshotPtr = Backend::SnapshotPtr;
 // This is the zero-copy core: each snapshot's vote resolves to a span
 // into that snapshot's memory (no candidate is ever copied), and the
 // winner comes back as a ByteView holding the winning snapshot's pin.
-// merge_keywrite() is the copy mode layered on top.
+// merge_keywrite() is the copy mode layered on top. Like merge_counter,
+// it hashes the key once (translator::key_hashes) and then runs the
+// read step in each snapshot — the two steps resolve_range splits
+// across a group of keys.
 Expected<ByteView> merge_keywrite_view(const std::vector<SnapshotPtr>& snaps,
                                        const proto::TelemetryKey& key,
                                        const QueryOptions& opts);
@@ -60,9 +63,9 @@ Expected<std::vector<std::uint32_t>> merge_path(
 // Backends share everything but snapshot topology: candidates come out
 // of the per-shard secondary indexes (already generation-matched to the
 // pinned snapshots), then every candidate resolves through the SAME
-// merge helpers the point-get path uses, against the SAME pinned
-// snapshots — which is what makes indexed results byte-identical to a
-// scan over the key catalog.
+// vote the point-get path uses, against the SAME pinned snapshots —
+// which is what makes indexed results byte-identical to a scan over the
+// key catalog.
 
 // The canonical-key invariant of proto::TelemetryKey: kOutOfRange for
 // length > 16, kInvalidArgument for a nonzero byte past length. `what`
@@ -75,12 +78,42 @@ Status check_canonical_key(const char* what, const proto::TelemetryKey& key);
 Status range_precheck(const Backend& backend, const RangeSpec& spec,
                       const QueryOptions& opts);
 
+// One pinned index version per (host, shard) a range query reads.
+using IndexVersions =
+    std::vector<std::shared_ptr<const collector::ShardIndexVersion>>;
+
+// The range query every Backend runs, costing what it returns rather
+// than what the window holds:
+//   seek    — one forward cursor per index, each seeking `from` through
+//             the version's fence array;
+//   merge   — the cursors merged in key order, a key held by several
+//             indexes (replica hosts) taken once, filtered to the
+//             primitive and past an exclusive .after();
+//   resolve — candidates taken 16 at a time: each key's checksum and N
+//             slot hashes computed once, its slot lines prefetched in
+//             every snapshot of its set, then the point-get vote run
+//             over each.
+// The merge stops at `limit` resolved entries plus the one candidate
+// past them that proves `truncated`. `sets[i]` is the snapshot set of
+// every key found in `indexes[i]`: the snapshots a point get of such a
+// key reads (its shard's, on each host whose reads it resolves over).
+// Reports reach a shard's index by the same host and shard hashes a
+// point get routes by, so the index a key sits in names its set and
+// nothing is rehashed per candidate. Equal, entry for entry, to
+// scan_range_candidates over collect_range_candidates with
+// resolve_range_entry on the key's point-get snapshots.
+RangeResult resolve_range(const IndexVersions& indexes,
+                          const std::vector<std::vector<SnapshotPtr>>& sets,
+                          const RangeSpec& spec, const QueryOptions& opts);
+
+// The reference path resolve_range is held to (and the steps the
+// pipeline bench times one by one):
+
 // The sorted, deduplicated union of every index's candidates within the
-// spec's bounds, filtered to the primitive the range enumerates.
+// spec's bounds, filtered to the primitive the range enumerates: the
+// resolver's merge run with no limit.
 std::vector<proto::TelemetryKey> collect_range_candidates(
-    const std::vector<std::shared_ptr<const collector::ShardIndexVersion>>&
-        indexes,
-    const RangeSpec& spec);
+    const IndexVersions& indexes, const RangeSpec& spec);
 
 // One candidate through the point-lookup merge. nullopt = the key is in
 // the index but not in the pinned snapshots (an index generation ahead

@@ -1,7 +1,9 @@
 #include "rdma/memory_region.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -67,6 +69,16 @@ const NumaTopology& topology() {
   return topo;
 }
 
+void release_buffer(void* mapping, std::size_t bytes) {
+  if (mapping == nullptr) return;
+#if defined(__linux__)
+  munmap(mapping, bytes);
+#else
+  (void)bytes;
+  std::free(mapping);
+#endif
+}
+
 }  // namespace
 
 int numa_node_count() { return topology().nodes; }
@@ -78,28 +90,68 @@ int numa_node_of_core(int core) {
 }
 
 MemoryRegion::MemoryRegion(std::uint64_t base_va, std::size_t length,
-                           std::uint32_t rkey, std::uint32_t access)
-    : base_va_(base_va), rkey_(rkey), access_(access), buffer_(length, 0) {}
-
-void MemoryRegion::zero() {
-  std::fill(buffer_.begin(), buffer_.end(), std::uint8_t{0});
+                           std::uint32_t rkey, std::uint32_t access,
+                           bool hugepages)
+    : base_va_(base_va), rkey_(rkey), access_(access), length_(length) {
+  map_buffer(hugepages);
 }
+
+MemoryRegion::~MemoryRegion() { release_buffer(mapping_, mapping_bytes_); }
+
+void MemoryRegion::map_buffer(bool hugepages) {
+  constexpr std::size_t kHuge = std::size_t{2} << 20;
+  // A zero-length region still gets a real (one-page) buffer, so data()
+  // is never null.
+  const std::size_t bytes = std::max<std::size_t>(length_, 1);
+  const bool huge = hugepages && length_ >= kHuge;
+  hugepage_advised_ = false;
+#if defined(__linux__)
+  // Mapped directly rather than taken from the heap: the pages are
+  // fresh, so none is faulted before the advice below, and they read as
+  // zero without being written. A huge-page buffer maps 2 MiB of slack
+  // to start on a 2 MiB boundary; the slack is never touched.
+  mapping_bytes_ = bytes + (huge ? kHuge : 0);
+  mapping_ = mmap(nullptr, mapping_bytes_, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapping_ == MAP_FAILED) {
+    mapping_ = nullptr;
+    throw std::bad_alloc();
+  }
+  auto start = reinterpret_cast<std::uintptr_t>(mapping_);
+  if (huge) start = (start + kHuge - 1) & ~std::uintptr_t{kHuge - 1};
+  data_ = reinterpret_cast<std::uint8_t*>(start);
+#if defined(MADV_HUGEPAGE)
+  // The whole huge pages inside the buffer; the ragged tail stays on
+  // base pages, so the advice never faults memory past length().
+  if (huge && madvise(data_, length_ & ~(kHuge - 1), MADV_HUGEPAGE) == 0) {
+    hugepage_advised_ = true;
+  }
+#endif
+#else
+  (void)huge;
+  mapping_bytes_ = bytes;
+  mapping_ = std::calloc(bytes, 1);
+  if (mapping_ == nullptr) throw std::bad_alloc();
+  data_ = static_cast<std::uint8_t*>(mapping_);
+#endif
+}
+
+void MemoryRegion::zero() { std::memset(data_, 0, length_); }
 
 bool MemoryRegion::bind_to_node(int node) {
   if (node < 0) return false;
   numa_node_ = node;
 #if defined(__linux__) && defined(SYS_mbind)
-  // Raw mbind (libnuma may be absent): move the page-aligned interior
-  // of the buffer. Edge pages shared with neighbouring allocations are
-  // left where they are; MPOL_BIND + MPOL_MF_MOVE also migrates pages
-  // already touched by the allocating thread.
+  // Raw mbind (libnuma may be absent): move the buffer's whole pages (a
+  // partial last page is left where it is); MPOL_BIND + MPOL_MF_MOVE
+  // also migrates pages already touched by the allocating thread.
   if (node >= 64) return false;  // single-word nodemask covers real hosts
   const long page_size = sysconf(_SC_PAGESIZE);
   const auto kPage =
       page_size > 0 ? static_cast<std::uintptr_t>(page_size) : 4096u;
-  const auto start = reinterpret_cast<std::uintptr_t>(buffer_.data());
+  const auto start = reinterpret_cast<std::uintptr_t>(data_);
   const std::uintptr_t lo = (start + kPage - 1) & ~(kPage - 1);
-  const std::uintptr_t hi = (start + buffer_.size()) & ~(kPage - 1);
+  const std::uintptr_t hi = (start + length_) & ~(kPage - 1);
   if (lo >= hi) return false;
   unsigned long nodemask = 1ul << node;
   constexpr int kMpolBind = 2;       // MPOL_BIND
@@ -112,42 +164,23 @@ bool MemoryRegion::bind_to_node(int node) {
 #endif
 }
 
-bool MemoryRegion::advise_hugepages() {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  // madvise wants the range aligned; advise the 2 MiB-aligned interior
-  // of the buffer (the ragged edges stay on base pages — a region has
-  // to span at least one full huge page to benefit anyway).
-  constexpr std::uintptr_t kHuge = 2ull << 20;
-  const auto start = reinterpret_cast<std::uintptr_t>(buffer_.data());
-  const std::uintptr_t lo = (start + kHuge - 1) & ~(kHuge - 1);
-  const std::uintptr_t hi = (start + buffer_.size()) & ~(kHuge - 1);
-  if (lo >= hi) return false;
-  if (madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE) == 0) {
-    hugepage_advised_ = true;
-  }
-  return hugepage_advised_;
-#else
-  return false;
-#endif
-}
-
 void MemoryRegion::first_touch_rebind() {
-  // The copy construction touches every page of the new buffer from the
-  // calling thread, so first-touch policy allocates them on its node.
-  const bool rehuge = hugepage_advised_;
-  hugepage_advised_ = false;
-  std::vector<std::uint8_t> fresh(buffer_.begin(), buffer_.end());
-  buffer_.swap(fresh);
-  // The swap moved the region onto new pages; re-advise them.
-  if (rehuge) advise_hugepages();
+  // The copy touches every page of the new buffer from the calling
+  // thread, so first-touch policy allocates them on its node; the new
+  // buffer is advised (when the old one was) before that first touch.
+  const std::uint8_t* old_data = data_;
+  void* const old_mapping = mapping_;
+  const std::size_t old_mapping_bytes = mapping_bytes_;
+  map_buffer(hugepage_advised_);
+  std::memcpy(data_, old_data, length_);
+  release_buffer(old_mapping, old_mapping_bytes);
 #if defined(__linux__)
   const int cpu = sched_getcpu();
   if (cpu >= 0) {
     const int node = numa_node_of_core(cpu);
-    // First-touch only places never-faulted pages; the allocator may
-    // have recycled pages already resident on another node. Follow up
-    // with an explicit migrate of the new buffer so the placement (and
-    // its bookkeeping) is real, not assumed.
+    // First-touch only places never-faulted pages. Follow up with an
+    // explicit migrate of the new buffer so the placement (and its
+    // bookkeeping) is real, not assumed.
     if (node >= 0) bind_to_node(node);
   }
 #endif
@@ -159,10 +192,9 @@ MemoryRegion* ProtectionDomain::register_region(std::size_t length,
   // Advance the fake address space, 4 KiB aligned, with a guard page.
   const std::uint64_t aligned = (length + 0xFFFull) & ~0xFFFull;
   next_va_ += aligned + 0x1000;
-  auto region =
-      std::make_unique<MemoryRegion>(va, length, next_rkey_++, access);
+  auto region = std::make_unique<MemoryRegion>(va, length, next_rkey_++,
+                                               access, hugepage_hint_);
   if (node_hint_ >= 0) region->bind_to_node(node_hint_);
-  if (hugepage_hint_) region->advise_hugepages();
   regions_.push_back(std::move(region));
   return regions_.back().get();
 }

@@ -30,22 +30,22 @@ std::uint32_t value_code(std::uint32_t value) {
   return common::value_crc().compute(common::ByteSpan(buf, 4));
 }
 
-void key_hashes(const proto::TelemetryKey& key, unsigned replicas,
-                std::uint64_t num_slots, std::uint32_t* checksum,
-                std::uint64_t* slots) {
+KeyHashes key_hashes(const proto::TelemetryKey& key, unsigned replicas,
+                     bool with_checksum) {
   const common::Crc32* engines[9] = {};
   std::uint32_t hashes[9] = {};
   std::size_t count = 0;
-  if (checksum != nullptr) engines[count++] = &common::checksum_crc();
+  if (with_checksum) engines[count++] = &common::checksum_crc();
   for (unsigned i = 0; i < replicas; ++i) {
     engines[count++] = &common::slot_crc(i);  // enforces replicas <= 8
   }
   common::Crc32::compute_multi(engines, count, key.span(), hashes);
+  KeyHashes out;
+  out.replicas = replicas;
   std::size_t at = 0;
-  if (checksum != nullptr) *checksum = hashes[at++];
-  for (unsigned i = 0; i < replicas; ++i) {
-    slots[i] = num_slots == 0 ? 0 : hashes[at++] % num_slots;
-  }
+  if (with_checksum) out.checksum = hashes[at++];
+  for (unsigned i = 0; i < replicas; ++i) out.slot[i] = hashes[at++];
+  return out;
 }
 
 }  // namespace dta::translator

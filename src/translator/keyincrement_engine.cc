@@ -19,12 +19,12 @@ KeyIncrementEngine::KeyIncrementEngine(KeyIncrementGeometry geometry)
 void KeyIncrementEngine::translate(const proto::KeyIncrementReport& report,
                                    std::vector<RdmaOp>& out) {
   ++stats_.reports;
-  std::uint64_t slots[8];
-  key_hashes(report.key, std::min<unsigned>(report.redundancy, 8),
-             geometry_.num_slots, nullptr, slots);
+  const KeyHashes hashes =
+      key_hashes(report.key, std::min<unsigned>(report.redundancy, 8),
+                 /*with_checksum=*/false);
   for (unsigned replica = 0; replica < report.redundancy; ++replica) {
     const std::uint64_t slot =
-        replica < 8 ? slots[replica]
+        replica < 8 ? hashes.slot_index(replica, geometry_.num_slots)
                     : slot_index(replica, report.key, geometry_.num_slots);
     RdmaOp op;
     op.kind = RdmaOp::Kind::kFetchAdd;

@@ -26,15 +26,12 @@ void KeyWriteEngine::translate(const proto::KeyWriteReport& report,
   // One interleaved pass over the key computes h1 plus all N slot
   // indexes (instead of N+1, or N+2 with an immediate, separate CRCs).
   const unsigned n = report.redundancy;
-  std::uint32_t checksum = 0;
-  std::uint64_t slots[8];
-  key_hashes(report.key, std::min(n, 8u), geometry_.num_slots, &checksum,
-             slots);
+  const KeyHashes hashes = key_hashes(report.key, std::min(n, 8u));
 
   // Slot payload: [4B key checksum][value, zero-padded to value_bytes].
   common::Bytes payload;
   payload.reserve(geometry_.slot_bytes());
-  common::put_u32(payload, checksum & geometry_.checksum_mask());
+  common::put_u32(payload, hashes.checksum & geometry_.checksum_mask());
   const std::size_t copy_len =
       std::min<std::size_t>(report.data.size(), geometry_.value_bytes);
   if (copy_len < report.data.size()) ++stats_.truncated_values;
@@ -43,16 +40,20 @@ void KeyWriteEngine::translate(const proto::KeyWriteReport& report,
   payload.resize(geometry_.slot_bytes(), 0);
 
   for (unsigned replica = 0; replica < n; ++replica) {
-    const std::uint64_t slot = replica < 8
-                                   ? slots[replica]
-                                   : slot_index(replica, report.key,
-                                                geometry_.num_slots);
+    const std::uint64_t slot =
+        replica < 8 ? hashes.slot_index(replica, geometry_.num_slots)
+                    : slot_index(replica, report.key, geometry_.num_slots);
     RdmaOp op;
     op.kind = RdmaOp::Kind::kWrite;
     op.remote_va = geometry_.base_va + slot * geometry_.slot_bytes();
     op.rkey = geometry_.rkey;
-    op.payload = payload;
-    if (immediate && replica == 0) op.immediate = checksum;
+    // The last replica takes the payload itself: N allocations, not N+1.
+    if (replica + 1 == n) {
+      op.payload = std::move(payload);
+    } else {
+      op.payload = payload;
+    }
+    if (immediate && replica == 0) op.immediate = hashes.checksum;
     out.push_back(std::move(op));
     ++stats_.writes_emitted;
   }

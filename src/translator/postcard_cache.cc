@@ -60,7 +60,12 @@ void PostcardCache::emit(std::uint32_t index, bool full,
     op.kind = RdmaOp::Kind::kWrite;
     op.remote_va = geometry_.base_va + chunk * geometry_.chunk_bytes();
     op.rkey = geometry_.rkey;
-    op.payload = payload;
+    // The last replica takes the payload itself: N allocations, not N+1.
+    if (replica + 1 == row.redundancy) {
+      op.payload = std::move(payload);
+    } else {
+      op.payload = payload;
+    }
     out.push_back(std::move(op));
     ++stats_.writes_emitted;
   }

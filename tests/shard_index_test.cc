@@ -399,6 +399,34 @@ TEST(ShardIndexBuilder, RandomWindowsMatchOrderedMapReference) {
                       common::ByteSpan(bytes.data(), bytes.size()))),
                   reference.at(bytes));
       }
+
+      // The published fences are the leaves' first keys, and a cursor
+      // seeking any key (absent, present, below the first fence, above
+      // the last) starts at the reference's lower bound and walks on in
+      // order across leaves.
+      ASSERT_EQ(after->fences().size(), after->leaves().size());
+      for (std::size_t l = 0; l < after->leaves().size(); ++l) {
+        ASSERT_TRUE(after->fences()[l] ==
+                    index_sort_key(after->leaves()[l]->entries.front().key))
+            << "leaf " << l;
+      }
+      for (int seek = 0; seek < 6; ++seek) {
+        const TelemetryKey from = seek % 2 == 0
+                                      ? random_key(rng)
+                                      : present[rng.next_below(present.size())];
+        auto ref = reference.lower_bound(span_of(from));
+        IndexCursor cursor(*after, &from);
+        for (int step = 0; step < 2 * static_cast<int>(target) + 3 &&
+                           ref != reference.end();
+             ++step, ++ref, cursor.next()) {
+          ASSERT_FALSE(cursor.done()) << "seek " << seek << " step " << step;
+          ASSERT_EQ(span_of(cursor.entry().key), ref->first)
+              << "seek " << seek << " step " << step;
+        }
+        if (ref == reference.end()) {
+          ASSERT_TRUE(cursor.done());
+        }
+      }
     }
   }
 }

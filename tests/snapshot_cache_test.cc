@@ -6,9 +6,11 @@
 // snapshot — and the NUMA placement bookkeeping on the shard regions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -764,6 +766,57 @@ TEST(SnapshotCache, NumaPlacementBookkeeping) {
       }
     }
   }
+  runtime.stop();
+}
+
+// The shard's regions ask for transparent huge pages, and the advice
+// has to land before the first write to count: a hinted region of at
+// least 2 MiB starts on a 2 MiB boundary and is advised, and so are the
+// snapshot copy, the copy-on-write clone and a first-touch rebind of it.
+TEST(SnapshotCache, HugepageHintedRegionsAndTheirCopiesAreAdvised) {
+  CollectorRuntimeConfig config = cache_config(ThreadMode::kInline);
+  config.keywrite->num_slots = 1 << 19;  // 8 B slots: a 4 MiB region
+  CollectorRuntime runtime(config);
+  for (std::uint64_t id = 0; id < 64; ++id) {
+    runtime.submit(small_report(id, static_cast<std::uint32_t>(id), 2));
+  }
+  runtime.flush();
+  const RdmaService& service = runtime.shard(0).service();
+  const auto snap = runtime.snapshot_shard(0);
+  const auto clone = snap->clone(service);
+  rdma::MemoryRegion* live = runtime.shard(0).service().keywrite_region();
+  const std::vector<std::uint8_t> before(live->data(),
+                                         live->data() + live->length());
+  ASSERT_GE(live->length(), std::size_t{2} << 20);
+#if defined(__linux__)
+  // madvise(MADV_HUGEPAGE) succeeds on any kernel built with THP, in
+  // every mode; the sysfs knob exists exactly then.
+  const bool thp = std::ifstream(
+                       "/sys/kernel/mm/transparent_hugepage/enabled")
+                       .is_open();
+  const auto check = [thp](const rdma::MemoryRegion* region,
+                           const char* what) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(region->data()) % (2u << 20),
+              0u)
+        << what;
+    if (thp) {
+      EXPECT_TRUE(region->hugepage_advised()) << what;
+    }
+  };
+  check(live, "live region");
+  check(snap->keywrite_mem(), "snapshot copy");
+  check(clone->keywrite_mem(), "copy-on-write clone");
+  live->first_touch_rebind();
+  check(live, "first-touch rebind");
+#else
+  live->first_touch_rebind();
+#endif
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), live->data()));
+  EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                         snap->keywrite_mem()->data()));
+  const auto read = service.keywrite()->query(key_of(7), 2);
+  ASSERT_EQ(read.status, QueryStatus::kHit);
+  EXPECT_EQ(read.value, snap->keywrite_query(key_of(7), 2).value);
   runtime.stop();
 }
 
