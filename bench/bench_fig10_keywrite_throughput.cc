@@ -6,8 +6,8 @@
 // measure the software rate this machine sustains, and (2) prints the
 // modeled-hardware rate, where the BlueField-2-class message rate is the
 // binding resource (the paper's bottleneck).
-// The sharded sweep at the bottom drives the dta::Client facade over a
-// LocalBackend (sharded CollectorRuntime): shard counts 1/2/4/8 x
+// The sharded sweep at the bottom drives the dta::Client facade over
+// one host (a sharded CollectorRuntime): shard counts 1/2/4/8 x
 // op-batch sizes, reporting the aggregate modeled ops/s (per-shard NIC
 // message units add) next to the software rate.
 //

@@ -90,7 +90,7 @@ struct CacheSweepResult {
 };
 
 // Section (c): cached vs fresh snapshot acquisition through the Client
-// facade's LocalBackend runtime, Q queries per flush interval.
+// facade's one-host runtime, Q queries per flush interval.
 CacheSweepResult run_snapshot_cache_sweep(bool smoke) {
   using namespace dta::collector;
   CollectorRuntimeConfig config;

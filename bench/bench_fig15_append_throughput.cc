@@ -7,8 +7,8 @@
 // the NIC), and the link/NIC model prices the ingress and message-rate
 // bounds. List sizes are scaled 1/64 in memory (ring behaviour is
 // size-independent, which the run verifies by wrapping both rings).
-// The sharded sweep at the bottom drives the dta::Client facade over a
-// LocalBackend (sharded CollectorRuntime): shard counts 1/2/4/8 x
+// The sharded sweep at the bottom drives the dta::Client facade over
+// one host (a sharded CollectorRuntime): shard counts 1/2/4/8 x
 // append batch sizes, lists striped over shards, with the aggregate
 // modeled entries/s (per-shard NIC rate x batch) next to the software
 // rate.

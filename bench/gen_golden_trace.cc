@@ -4,7 +4,8 @@
 //
 // Fixtures are deterministic — synthesized from the traffic model with
 // fixed seeds and logical timestamps, recorded through a ReplayBackend
-// over a LocalBackend — so regeneration is byte-stable: rerunning this
+// over Client::local's one-host backend — so regeneration is
+// byte-stable: rerunning this
 // tool must produce bit-identical files until the trace format or the
 // workload definition changes, and a diff on the fixtures is a
 // meaningful review artifact.
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : "tests/data";
 
   {
-    ReplayBackend recorder(std::make_unique<LocalBackend>(
+    ReplayBackend recorder(dta::testing::make_local_backend(
         dta::testing::conformance_host_config()));
     if (int rc = write_fixture(recorder, dta::testing::conformance_workload(600),
                                out_dir + "/conformance_600.dtatrace")) {
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
     telemetry::TraceGenerator gen(trace);
     telemetry::ReportMix mix;
     mix.keyincrement = false;  // Key-Write only
-    ReplayBackend recorder(std::make_unique<LocalBackend>(config));
+    ReplayBackend recorder(dta::testing::make_local_backend(config));
     if (int rc = write_fixture(recorder,
                                telemetry::synthesize_reports(gen, 2000, mix),
                                out_dir + "/keywrite_2k.dtatrace")) {

@@ -22,7 +22,7 @@ int main() {
 
   dta::Client client = dta::Client::local(config);
   auto metrics = client.keywrite();
-  std::printf("client up: LocalBackend, %u-slot Key-Write store\n",
+  std::printf("client up: one collector host, %u-slot Key-Write store\n",
               static_cast<unsigned>(kw.num_slots));
 
   // 2. A switch reports per-flow telemetry: flow 5-tuple -> 4B metric.

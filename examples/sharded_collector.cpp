@@ -1,6 +1,6 @@
 // Sharded collector walkthrough on the v2 client API.
 //
-// Spins up a 4-shard collector behind dta::Client (LocalBackend),
+// Spins up a 4-shard collector behind dta::Client (Client::local),
 // pushes per-flow Key-Write metrics, per-flow loss counters and an
 // Append event stream through the sharded ingest pipeline, then
 // answers queries through the typed handles — the scaled-out version

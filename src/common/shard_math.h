@@ -6,9 +6,9 @@
 // Both tiers use the same fold: keys hash to a partition with a CRC
 // engine, Append lists stripe round-robin by list id and fold the global
 // id to a partition-local one. Every component that routes — the
-// translator-side CollectorSelector, the collector-side ingest pipeline
-// and both query frontends — must agree on these functions, so they
-// live here and nowhere else.
+// translator-side CollectorSelector (host tier), CollectorRuntime::submit
+// (shard tier) and the query path that finds a key again — must agree
+// on these functions, so they live here and nowhere else.
 //
 // The two key hashes are drawn from distinct CRC polynomials
 // (kHopPolys[7] for the host tier, kShardPoly for the shard tier, both
@@ -31,27 +31,10 @@ inline std::uint32_t host_of_key(ByteSpan key, std::uint32_t num_hosts) {
 }
 
 // Intra-host tier: which shard of a host owns a key (shard_of, from
-// crc.h, uses the dedicated kShardPoly engine). Re-exposed here so the
-// router reads as one unit.
+// crc.h, uses the dedicated kShardPoly engine). Re-exposed here so both
+// tiers read as one unit.
 inline std::uint32_t shard_of_key(ByteSpan key, std::uint32_t num_shards) {
   return shard_of(key, num_shards);
-}
-
-// Both routing tiers resolved with one interleaved pass over the key:
-// the host and shard engines fold the same key bytes simultaneously
-// (Crc32::compute_multi) instead of re-reading them per tier.
-struct HostShard {
-  std::uint32_t host;
-  std::uint32_t shard;
-};
-inline HostShard host_shard_of_key(ByteSpan key, std::uint32_t num_hosts,
-                                   std::uint32_t num_shards) {
-  if (num_hosts <= 1 && num_shards <= 1) return {0, 0};
-  const Crc32* engines[2] = {&hop_crc(7), &shard_crc()};
-  std::uint32_t h[2];
-  Crc32::compute_multi(engines, 2, key, h);
-  return {num_hosts <= 1 ? 0u : h[0] % num_hosts,
-          num_shards <= 1 ? 0u : h[1] % num_shards};
 }
 
 // Append lists stripe round-robin at either tier; a list lives whole on

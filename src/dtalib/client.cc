@@ -143,9 +143,9 @@ namespace {
 using collector::StoreSnapshot;
 using SnapshotPtr = Backend::SnapshotPtr;
 
-// The single snapshot-acquisition path both backends share: resolve
-// the read-your-submits floor, reject unsatisfiable floors, pick the
-// per-call or runtime staleness budget, acquire bounded.
+// The single snapshot-acquisition path: resolve the read-your-submits
+// floor, reject unsatisfiable floors, pick the per-call or runtime
+// staleness budget, acquire bounded.
 Expected<SnapshotPtr> acquire_snapshot(collector::CollectorRuntime& runtime,
                                        std::uint32_t shard,
                                        const QueryOptions& opts) {
@@ -268,166 +268,6 @@ Expected<EventBatch> Backend::events_query(std::uint32_t list,
   return out;
 }
 
-// --- LocalBackend ------------------------------------------------------------
-
-LocalBackend::LocalBackend(collector::CollectorRuntimeConfig config)
-    : runtime_(std::move(config)) {}
-
-Status LocalBackend::submit(proto::ParsedDta parsed,
-                            const ReportOptions& opts) {
-  // (dst_ip addresses hosts; a local backend is host 0.)
-  if (auto status = validate_report(parsed, host_config(), num_lists());
-      !status.ok()) {
-    return status;
-  }
-  // Admission after validation: a malformed report never consumes
-  // quota. Over-quota tenants get kResourceExhausted with the bucket's
-  // refill horizon — never a silent drop.
-  if (auto status = tenants_.admit_submit(opts.tenant, submit_ops(parsed));
-      !status.ok()) {
-    return status;
-  }
-  parsed.header.tenant = opts.tenant;
-  if (opts.immediate) parsed.header.immediate = true;
-  MutexLock lock(submit_mu_);
-  runtime_.submit(std::move(parsed));
-  return Status::Ok();
-}
-
-Status LocalBackend::flush() {
-  MutexLock lock(submit_mu_);
-  runtime_.flush();
-  return Status::Ok();
-}
-
-void LocalBackend::stop() {
-  MutexLock lock(submit_mu_);
-  runtime_.stop();
-}
-
-Expected<SnapshotPtr> LocalBackend::acquire(std::uint32_t shard,
-                                            const QueryOptions& opts) {
-  return acquire_snapshot(runtime_, shard, opts);
-}
-
-Expected<std::vector<SnapshotPtr>> LocalBackend::key_snapshots(
-    const proto::TelemetryKey& key, const QueryOptions& opts) {
-  if (auto status = tenants_.admit_query(opts.tenant); !status.ok()) {
-    return status;
-  }
-  const std::uint32_t shard =
-      collector::shard_for_key(key, runtime_.num_shards());
-  auto snap = acquire(shard, opts);
-  if (!snap.ok()) return snap.status();
-  return std::vector<SnapshotPtr>{std::move(snap).value()};
-}
-
-Expected<std::vector<std::vector<SnapshotPtr>>>
-LocalBackend::key_snapshots_batch(const std::vector<proto::TelemetryKey>& keys,
-                                  const QueryOptions& opts) {
-  if (auto status = tenants_.admit_query(
-          opts.tenant, static_cast<std::uint32_t>(keys.size()));
-      !status.ok()) {
-    return status;
-  }
-  // One pin per shard: each shard is snapshotted at most once per batch.
-  std::vector<SnapshotPtr> pinned(runtime_.num_shards());
-  std::vector<std::vector<SnapshotPtr>> out;
-  out.reserve(keys.size());
-  for (const auto& key : keys) {
-    const std::uint32_t shard =
-        collector::shard_for_key(key, runtime_.num_shards());
-    if (!pinned[shard]) {
-      auto snap = acquire(shard, opts);
-      if (!snap.ok()) return snap.status();
-      pinned[shard] = std::move(snap).value();
-    }
-    out.push_back({pinned[shard]});
-  }
-  return out;
-}
-
-Expected<Backend::ListSlice> LocalBackend::list_snapshot(
-    std::uint32_t list, const QueryOptions& opts) {
-  if (auto status = tenants_.admit_query(opts.tenant); !status.ok()) {
-    return status;
-  }
-  if (!host_config().append) {
-    return Status(StatusCode::kNotConfigured, "Append store not enabled");
-  }
-  if (list >= num_lists()) {
-    return Status(StatusCode::kUnknownList, "Append list id out of range");
-  }
-  const std::uint32_t shard =
-      collector::shard_for_list(list, runtime_.num_shards());
-  auto snap = acquire(shard, opts);
-  if (!snap.ok()) return snap.status();
-  ListSlice slice;
-  slice.snap = std::move(snap).value();
-  slice.shard_list = collector::local_list_id(list, runtime_.num_shards());
-  return slice;
-}
-
-Expected<RangeResult> LocalBackend::range_query(const RangeSpec& spec,
-                                                const QueryOptions& opts) {
-  if (auto status = range_precheck(*this, spec, opts); !status.ok()) {
-    return status;
-  }
-  if (auto status = tenants_.admit_query(opts.tenant); !status.ok()) {
-    return status;
-  }
-  // Pin every shard's snapshot, then catch each shard's index up to the
-  // pinned generation: the returned version is then a superset of the
-  // keys that snapshot holds, so no key the scan path would return can
-  // be missing from the candidates. A key resolves against its shard's
-  // snapshot alone, like a point get, and the index holding it is that
-  // shard's.
-  const std::uint32_t n = runtime_.num_shards();
-  std::vector<std::vector<SnapshotPtr>> sets(n);
-  internal::IndexVersions indexes;
-  indexes.reserve(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    auto snap = acquire(s, opts);
-    if (!snap.ok()) return snap.status();
-    indexes.push_back(runtime_.index_shard(s, snap.value()->generation()));
-    sets[s].push_back(std::move(snap).value());
-  }
-  return resolve_range(indexes, sets, spec, opts);
-}
-
-const collector::CollectorRuntimeConfig& LocalBackend::host_config() const {
-  return runtime_.config();
-}
-
-std::uint32_t LocalBackend::num_lists() const {
-  return host_config().append ? host_config().append->num_lists : 0;
-}
-
-ClientStats LocalBackend::stats() const {
-  ClientStats out;
-  out.ingest = runtime_.stats();
-  out.translation = runtime_.translation_stats();
-  out.num_hosts = 1;
-  out.live_hosts = 1;
-  ClusterHostStats host;
-  host.ingest = out.ingest;
-  host.translation = out.translation;
-  host.snapshots = runtime_.snapshot_cache().stats();
-  out.per_host.push_back(std::move(host));
-  out.per_tenant =
-      join_tenant_ingest(tenants_.stats(), runtime_.tenant_ingest());
-  return out;
-}
-
-double LocalBackend::modeled_verbs_per_sec() const {
-  return runtime_.modeled_aggregate_verbs_per_sec();
-}
-
-Status LocalBackend::fail_host(std::uint32_t host) {
-  (void)host;
-  return {StatusCode::kUnsupported, "LocalBackend has no host to fail"};
-}
-
 // --- ClusterBackend ----------------------------------------------------------
 
 ClusterBackend::ClusterBackend(ClusterRuntimeConfig config)
@@ -465,18 +305,14 @@ void ClusterBackend::stop() {
   cluster_.stop();
 }
 
-std::vector<std::uint32_t> ClusterBackend::candidate_hosts(
+translator::HostRange ClusterBackend::candidate_hosts(
     const proto::TelemetryKey& key) const {
-  std::vector<std::uint32_t> hosts;
-  const auto owner = cluster_.selector().owner_host(key);
-  if (owner) {
-    if (!cluster_.is_failed(*owner)) hosts.push_back(*owner);
-    return hosts;  // kByKeyHash: a dead owner means the partition is lost
+  // kByKeyHash: the owner alone (a dead owner means the partition is
+  // lost); otherwise any host may hold the key.
+  if (const auto owner = cluster_.selector().owner_host(key)) {
+    return {*owner, 1};
   }
-  for (std::uint32_t h = 0; h < cluster_.num_hosts(); ++h) {
-    if (!cluster_.is_failed(h)) hosts.push_back(h);
-  }
-  return hosts;
+  return {0, cluster_.num_hosts()};
 }
 
 Expected<SnapshotPtr> ClusterBackend::acquire(std::uint32_t host,
@@ -491,18 +327,19 @@ Expected<std::vector<SnapshotPtr>> ClusterBackend::key_snapshots(
       !status.ok()) {
     return status;
   }
-  const auto hosts = candidate_hosts(key);
-  if (hosts.empty()) {
-    return Status(StatusCode::kUnavailable,
-                  "every candidate replica host is failed");
-  }
+  const translator::HostRange hosts = candidate_hosts(key);
   const std::uint32_t shard = cluster_.selector().shard_within_host(key);
   std::vector<SnapshotPtr> snaps;
-  snaps.reserve(hosts.size());
-  for (const std::uint32_t h : hosts) {
+  snaps.reserve(hosts.count);
+  for (std::uint32_t h = hosts.first; h < hosts.first + hosts.count; ++h) {
+    if (cluster_.is_failed(h)) continue;
     auto snap = acquire(h, shard, opts);
     if (!snap.ok()) return snap.status();
     snaps.push_back(std::move(snap).value());
+  }
+  if (snaps.empty()) {
+    return Status(StatusCode::kUnavailable,
+                  "every candidate replica host is failed");
   }
   return snaps;
 }
@@ -522,21 +359,22 @@ ClusterBackend::key_snapshots_batch(
   std::vector<std::vector<SnapshotPtr>> out;
   out.reserve(keys.size());
   for (const auto& key : keys) {
-    const auto hosts = candidate_hosts(key);
-    if (hosts.empty()) {
-      return Status(StatusCode::kUnavailable,
-                    "every candidate replica host is failed");
-    }
+    const translator::HostRange hosts = candidate_hosts(key);
     const std::uint32_t shard = cluster_.selector().shard_within_host(key);
     std::vector<SnapshotPtr> snaps;
-    snaps.reserve(hosts.size());
-    for (const std::uint32_t h : hosts) {
+    snaps.reserve(hosts.count);
+    for (std::uint32_t h = hosts.first; h < hosts.first + hosts.count; ++h) {
+      if (cluster_.is_failed(h)) continue;
       if (!pinned[h][shard]) {
         auto snap = acquire(h, shard, opts);
         if (!snap.ok()) return snap.status();
         pinned[h][shard] = std::move(snap).value();
       }
       snaps.push_back(pinned[h][shard]);
+    }
+    if (snaps.empty()) {
+      return Status(StatusCode::kUnavailable,
+                    "every candidate replica host is failed");
     }
     out.push_back(std::move(snaps));
   }
@@ -555,7 +393,7 @@ Expected<Backend::ListSlice> ClusterBackend::list_snapshot(
   if (list >= num_lists()) {
     return Status(StatusCode::kUnknownList, "Append list id out of range");
   }
-  auto& selector = cluster_.selector();
+  const auto& selector = cluster_.selector();
   std::optional<std::uint32_t> host;
   switch (selector.policy()) {
     case translator::PartitionPolicy::kByKeyHash:
@@ -573,12 +411,8 @@ Expected<Backend::ListSlice> ClusterBackend::list_snapshot(
       }
       break;
     case translator::PartitionPolicy::kByDestinationIp: {
-      // Only the host the reporter addressed holds the list; same
-      // normalized mapping as submit().
-      std::uint32_t dst_ip = opts.dst_ip;
-      if (dst_ip == 0) dst_ip = cluster_.host_ip(0);
-      const std::uint32_t h =
-          (dst_ip - cluster_.host_ip(0)) % cluster_.num_hosts();
+      // Only the host the reporter addressed holds the list.
+      const std::uint32_t h = cluster_.host_of_ip(opts.dst_ip);
       if (!cluster_.is_failed(h)) host = h;
       break;
     }
@@ -614,7 +448,10 @@ Expected<RangeResult> ClusterBackend::range_query(const RangeSpec& spec,
   if (live.empty()) {
     return Status(StatusCode::kUnavailable, "every collector host is failed");
   }
-  // Pin one snapshot + caught-up index per live (host, shard).
+  // Pin one snapshot per live (host, shard), then catch that shard's
+  // index up to the pinned generation: the returned version is then a
+  // superset of the keys the snapshot holds, so no key the scan path
+  // would return can be missing from the candidates.
   // Candidates are the union across hosts; each candidate then resolves
   // over exactly its candidate_hosts' pinned snapshots — the same
   // replica set, same merge, as a point get of that key. A key in host
@@ -901,7 +738,8 @@ Expected<EventBatch> EventQuery::run() const {
 // --- Client ------------------------------------------------------------------
 
 Client Client::local(collector::CollectorRuntimeConfig config) {
-  return Client(std::make_unique<LocalBackend>(std::move(config)));
+  return Client(std::make_unique<ClusterBackend>(ClusterRuntimeConfig{
+      std::move(config), 1, translator::PartitionPolicy::kByKeyHash}));
 }
 
 Client Client::cluster(ClusterRuntimeConfig config) {
@@ -938,8 +776,8 @@ Status Client::fail_host(std::uint32_t host) {
 }
 
 collector::CollectorRuntime* Client::local_runtime() {
-  auto* local = dynamic_cast<LocalBackend*>(backend_.get());
-  return local ? &local->runtime() : nullptr;
+  ClusterRuntime* cluster = cluster_runtime();
+  return cluster && cluster->num_hosts() == 1 ? &cluster->host(0) : nullptr;
 }
 
 ClusterRuntime* Client::cluster_runtime() {

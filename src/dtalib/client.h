@@ -9,15 +9,13 @@
 //   AppendList      — event-stream ring lists (append/read)
 //   PostcardStream  — per-flow path aggregation (report/path_of)
 //
-// over a Backend interface with two implementations, so callers never
-// see host/shard topology:
-//
-//   LocalBackend    — one collector host: wraps the sharded
-//                     CollectorRuntime (and its per-shard translator
-//                     engines) behind the facade.
-//   ClusterBackend  — N hosts x M shards: wraps ClusterRuntime and
-//                     routes through the same two-level router the
-//                     cluster query tier uses, with replica failover.
+// over a Backend interface, so callers never see host/shard topology.
+// The in-process implementation is ClusterBackend: it wraps
+// ClusterRuntime (one host or N, each a sharded CollectorRuntime with
+// its per-shard translator engines), routes each report to its host by
+// partition policy and fails over between replicas. Client::local() is
+// its one-host form. FabricBackend (fabric_backend.h) runs the wire
+// path and ReplayBackend (replay_backend.h) records any backend.
 //
 // Every query resolves against immutable StoreSnapshots acquired
 // through one path (the generation-stamped SnapshotCache), and every
@@ -64,8 +62,8 @@ namespace dta {
 // The canonical telemetry key of a flow (13B wire 5-tuple).
 proto::TelemetryKey flow_key(const net::FiveTuple& flow);
 
-// Uniform stats over both backends: totals across live hosts plus the
-// per-host breakdown (one row for LocalBackend) and the per-tenant
+// Uniform stats over every backend: totals across live hosts plus the
+// per-host breakdown (one row for a one-host client) and the per-tenant
 // serving-plane rows (admission counters + ingest attribution).
 struct ClientStats {
   collector::CollectorRuntimeStats ingest;
@@ -80,13 +78,13 @@ struct ClientStats {
 // its router: a distinct Status per failure class (geometry mismatch,
 // empty key, redundancy out of range, unknown list, ...). Exported so
 // out-of-file backends (FabricBackend, wrappers) reject the same
-// inputs with the same codes as LocalBackend/ClusterBackend.
+// inputs with the same codes as ClusterBackend.
 Status validate_report(const proto::ParsedDta& parsed,
                        const collector::CollectorRuntimeConfig& config,
                        std::uint32_t num_lists);
 
-// The deployment seam under Client. Both implementations submit
-// through their runtime's router and serve queries from immutable
+// The deployment seam under Client. Every implementation submits
+// through its runtime's router and serves queries from immutable
 // per-shard snapshots acquired through one bounded-staleness path.
 class Backend {
  public:
@@ -111,8 +109,9 @@ class Backend {
   virtual void stop() = 0;
 
   // One snapshot of `key`'s owning shard on every live candidate host
-  // (exactly one for LocalBackend; the replica set for ClusterBackend).
-  // kUnavailable when no candidate survives.
+  // (the owner under kByKeyHash, so exactly one on a one-host client;
+  // the replica set otherwise). kUnavailable when no candidate
+  // survives.
   virtual Expected<std::vector<SnapshotPtr>> key_snapshots(
       const proto::TelemetryKey& key, const QueryOptions& opts) = 0;
 
@@ -157,8 +156,11 @@ class Backend {
   // counters, per-tenant query defaults. Thread-safe.
   virtual TenantRegistry& tenants() = 0;
 
-  // Simulates a collector host death (resiliency tests/drills).
-  // LocalBackend has no host to lose -> kUnsupported.
+  // Simulates a collector host death (resiliency tests/drills); safe
+  // to call while other threads submit and query. A host outside the
+  // backend -> kInvalidArgument; a backend with no host to lose
+  // (FabricBackend) -> kUnsupported. Failing a one-host client's host 0
+  // leaves every query kUnavailable.
   virtual Status fail_host(std::uint32_t host) = 0;
 };
 
@@ -277,9 +279,10 @@ class PostcardStream {
 
 class Client {
  public:
-  // One collector host (sharded CollectorRuntime under the hood).
+  // One collector host: a one-host ClusterBackend (kByKeyHash), its
+  // sharded CollectorRuntime reachable through local_runtime().
   static Client local(collector::CollectorRuntimeConfig config);
-  // N hosts x M shards behind the two-level router.
+  // N hosts x M shards, each report routed to its host by policy.
   static Client cluster(ClusterRuntimeConfig config);
   // Bring-your-own Backend (tests, future remote/replay backends).
   explicit Client(std::unique_ptr<Backend> backend);
@@ -351,8 +354,9 @@ class Client {
   const Backend& backend() const DTA_LIFETIMEBOUND { return *backend_; }
 
   // Escape hatches to the wrapped runtime (benches asserting on cache
-  // internals, tests poking shard state). nullptr when the backend is
-  // not of that kind.
+  // internals, tests poking shard state): the ClusterRuntime of a
+  // ClusterBackend, and the CollectorRuntime of a one-host one.
+  // nullptr when the backend is not of that kind.
   collector::CollectorRuntime* local_runtime();
   ClusterRuntime* cluster_runtime();
 
@@ -362,43 +366,7 @@ class Client {
 
 // --- backend implementations -------------------------------------------------
 
-class LocalBackend final : public Backend {
- public:
-  explicit LocalBackend(collector::CollectorRuntimeConfig config);
-
-  collector::CollectorRuntime& runtime() { return runtime_; }
-
-  Status submit(proto::ParsedDta parsed, const ReportOptions& opts) override;
-  Status flush() override;
-  void stop() override;
-  Expected<std::vector<SnapshotPtr>> key_snapshots(
-      const proto::TelemetryKey& key, const QueryOptions& opts) override;
-  Expected<std::vector<std::vector<SnapshotPtr>>> key_snapshots_batch(
-      const std::vector<proto::TelemetryKey>& keys,
-      const QueryOptions& opts) override;
-  Expected<ListSlice> list_snapshot(std::uint32_t list,
-                                    const QueryOptions& opts) override;
-  Expected<RangeResult> range_query(const RangeSpec& spec,
-                                    const QueryOptions& opts) override;
-  const collector::CollectorRuntimeConfig& host_config() const override;
-  std::uint32_t num_lists() const override;
-  ClientStats stats() const override;
-  double modeled_verbs_per_sec() const override;
-  TenantRegistry& tenants() override { return tenants_; }
-  Status fail_host(std::uint32_t host) override;
-
- private:
-  Expected<SnapshotPtr> acquire(std::uint32_t shard, const QueryOptions& opts);
-
-  collector::CollectorRuntime runtime_;
-  TenantRegistry tenants_;
-  // Serializes submit/flush/stop onto the runtime's single-producer
-  // ingest contract, so tenants may submit from concurrent threads.
-  // (runtime_ itself is not GUARDED_BY: the query tier reads it
-  // lock-free through immutable snapshots by design.)
-  Mutex submit_mu_;
-};
-
+// The in-process backend: one collector host (Client::local) or N.
 class ClusterBackend final : public Backend {
  public:
   explicit ClusterBackend(ClusterRuntimeConfig config);
@@ -425,10 +393,9 @@ class ClusterBackend final : public Backend {
   Status fail_host(std::uint32_t host) override;
 
  private:
-  // Live hosts that may hold `key`: the owner under kByKeyHash (empty
-  // if it died — the partition is lost), every live host otherwise.
-  std::vector<std::uint32_t> candidate_hosts(
-      const proto::TelemetryKey& key) const;
+  // The hosts that may hold `key`: the owner under kByKeyHash, every
+  // host otherwise. Callers skip the failed ones.
+  translator::HostRange candidate_hosts(const proto::TelemetryKey& key) const;
   Expected<SnapshotPtr> acquire(std::uint32_t host, std::uint32_t shard,
                                 const QueryOptions& opts);
 

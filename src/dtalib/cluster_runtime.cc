@@ -2,18 +2,18 @@
 
 #include <unordered_map>
 
-#include "common/shard_math.h"
-
 namespace dta {
 
 ClusterRuntime::ClusterRuntime(ClusterRuntimeConfig config)
     : config_(std::move(config)),
-      selector_(config_.policy,
-                config_.num_hosts == 0 ? 1 : config_.num_hosts,
-                config_.host.num_shards == 0 ? 1 : config_.host.num_shards),
-      failed_(selector_.num_collectors(), false) {
-  hosts_.reserve(selector_.num_collectors());
-  for (std::uint32_t h = 0; h < selector_.num_collectors(); ++h) {
+      selector_(config_.policy, config_.num_hosts, config_.host.num_shards),
+      failed_(selector_.num_collectors()) {  // value-initialized: all live
+  // config() and host_config() report the geometry that runs: the
+  // selector maps 0 hosts or 0 shards to 1, as CollectorRuntime does.
+  config_.num_hosts = selector_.num_collectors();
+  config_.host.num_shards = selector_.shards_per_host();
+  hosts_.reserve(config_.num_hosts);
+  for (std::uint32_t h = 0; h < config_.num_hosts; ++h) {
     hosts_.push_back(
         std::make_unique<collector::CollectorRuntime>(config_.host));
   }
@@ -21,13 +21,9 @@ ClusterRuntime::ClusterRuntime(ClusterRuntimeConfig config)
 
 ClusterRuntime::~ClusterRuntime() { stop(); }
 
-void ClusterRuntime::submit(proto::ParsedDta parsed, std::uint32_t dst_ip) {
-  if (dst_ip == 0) dst_ip = host_ip(0);
-  // Route on the offset from the cluster's base address: the selector's
-  // modulo mapping then sends host_ip(h) to host h exactly (the raw IP
-  // is only aligned with the host index when the base divides evenly).
-  const auto routes =
-      selector_.route_cluster(parsed.report, dst_ip - host_ip(0));
+void ClusterRuntime::submit(proto::ParsedDta&& parsed, std::uint32_t dst_ip) {
+  const translator::HostRange hosts =
+      selector_.route(parsed.report, host_of_ip(dst_ip));
 
   if (auto* ap = std::get_if<proto::AppendReport>(&parsed.report)) {
     // Fold the global list id to the host-local space (kByKeyHash only;
@@ -36,15 +32,12 @@ void ClusterRuntime::submit(proto::ParsedDta parsed, std::uint32_t dst_ip) {
     ap->list_id = selector_.host_local_list(ap->list_id);
   }
 
-  for (std::size_t i = 0; i < routes.size(); ++i) {
-    const std::uint32_t h = routes[i].host;
-    if (failed_[h]) continue;  // a dead collector just loses its copy
-    if (i + 1 == routes.size()) {
-      hosts_[h]->submit(std::move(parsed));
-    } else {
-      hosts_[h]->submit(parsed);  // kReplicate: one copy per host
-    }
+  // A dead collector just loses its copy.
+  const std::uint32_t last = hosts.first + hosts.count - 1;
+  for (std::uint32_t h = hosts.first; h < last; ++h) {
+    if (!is_failed(h)) hosts_[h]->submit(parsed);  // kReplicate: a copy
   }
+  if (!is_failed(last)) hosts_[last]->submit(std::move(parsed));
 }
 
 void ClusterRuntime::flush() {
@@ -56,7 +49,7 @@ void ClusterRuntime::stop() {
 }
 
 void ClusterRuntime::fail_host(std::uint32_t host) {
-  failed_[host] = true;
+  failed_[host].store(true);
   // The router already excludes dead hosts from every candidate set;
   // invalidating makes the coherence story airtight (and frees the
   // dead host's snapshot memory): no future query can be served from a
@@ -67,7 +60,7 @@ void ClusterRuntime::fail_host(std::uint32_t host) {
 std::uint32_t ClusterRuntime::live_hosts() const {
   std::uint32_t live = 0;
   for (std::uint32_t h = 0; h < hosts_.size(); ++h) {
-    if (!failed_[h]) ++live;
+    if (!is_failed(h)) ++live;
   }
   return live;
 }
@@ -75,7 +68,7 @@ std::uint32_t ClusterRuntime::live_hosts() const {
 collector::CollectorRuntimeStats ClusterRuntime::stats() const {
   collector::CollectorRuntimeStats total;
   for (std::uint32_t h = 0; h < hosts_.size(); ++h) {
-    if (failed_[h]) continue;
+    if (is_failed(h)) continue;
     total += hosts_[h]->stats();
   }
   return total;
@@ -89,7 +82,7 @@ ClusterStats ClusterRuntime::cluster_stats() const {
     host.ingest = hosts_[h]->stats();
     host.translation = hosts_[h]->translation_stats();
     host.snapshots = hosts_[h]->snapshot_cache().stats();
-    host.failed = failed_[h];
+    host.failed = is_failed(h);
     if (!host.failed) {
       ++out.live_hosts;
       out.ingest += host.ingest;
@@ -113,7 +106,7 @@ ClusterStats ClusterRuntime::cluster_stats() const {
 double ClusterRuntime::modeled_aggregate_verbs_per_sec() const {
   double total = 0.0;
   for (std::uint32_t h = 0; h < hosts_.size(); ++h) {
-    if (failed_[h]) continue;
+    if (is_failed(h)) continue;
     total += hosts_[h]->modeled_aggregate_verbs_per_sec();
   }
   return total;

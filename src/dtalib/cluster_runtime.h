@@ -1,15 +1,16 @@
-// ClusterRuntime — the two-level scale-out deployment (paper §7).
+// ClusterRuntime — the in-process collector deployment: one host or N
+// (paper §7).
 //
 // The collection ceiling is the collector NIC message rate; DTA raises
 // it by partitioning reports, and this class composes the two partition
 // dimensions: N collector *hosts* (each its own NIC/QP set and
 // translator-side RDMA connection) x M *shards* per host (the intra-
-// host CollectorRuntime tier from PR 1). Routing is one decision made
-// by the shared two-level router (translator::CollectorSelector +
-// common/shard_math.h): host by partition policy — kByKeyHash,
-// kByDestinationIp or kReplicate — and shard by key CRC, so every
-// policy composes with intra-host sharding and aggregate capacity
-// scales as N x M.
+// host CollectorRuntime tier). The translator-side selector
+// (translator::CollectorSelector) picks the host by partition policy —
+// kByKeyHash, kByDestinationIp or kReplicate — and the host's
+// CollectorRuntime::submit picks the shard by key CRC, so every policy
+// composes with intra-host sharding and aggregate capacity scales as
+// N x M. One host (dta::Client::local) is the one-partition case.
 //
 // Resiliency: under kReplicate every host holds a full copy;
 // fail_host() simulates a collector death (it stops receiving, its
@@ -19,8 +20,12 @@
 // Threading contract: submit()/flush()/stop() from one control thread
 // (the backends serialize concurrent submitters behind a mutex);
 // queries resolve on any thread against immutable snapshots.
+// fail_host() may run on any thread, concurrently with both: the
+// per-host failed flags are atomics, read once per host by submit and
+// by every query.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -75,12 +80,13 @@ class ClusterRuntime {
   ClusterRuntime(const ClusterRuntime&) = delete;
   ClusterRuntime& operator=(const ClusterRuntime&) = delete;
 
-  // Routes one report through the two-level router and submits it to
-  // its host runtime(s). `dst_ip` is the report's IP destination
-  // (kByDestinationIp routes on it; 0 means "host 0's address").
-  // Append list ids are folded to the host-local id space under
-  // kByKeyHash, mirroring the intra-host fold.
-  void submit(proto::ParsedDta parsed, std::uint32_t dst_ip = 0);
+  // Routes one report to its host(s) and submits it to each live one;
+  // the host runtime places it on a shard. `dst_ip` is the report's IP
+  // destination (kByDestinationIp routes on it, see host_of_ip). Append
+  // list ids are folded to the host-local id space under kByKeyHash,
+  // mirroring the intra-host fold. The last host takes the report
+  // itself; under kReplicate every other host gets a copy.
+  void submit(proto::ParsedDta&& parsed, std::uint32_t dst_ip = 0);
 
   // Barrier across every host (dead ones included: reports accepted
   // before the failure must still become queryable).
@@ -95,7 +101,7 @@ class ClusterRuntime {
   // host's cached snapshots — cluster-tier cache coherence: a frozen
   // host must not keep answering through pre-failure cache entries.
   void fail_host(std::uint32_t host);
-  bool is_failed(std::uint32_t host) const { return failed_[host]; }
+  bool is_failed(std::uint32_t host) const { return failed_[host].load(); }
   std::uint32_t live_hosts() const;
 
   collector::CollectorRuntime& host(std::uint32_t h) { return *hosts_[h]; }
@@ -106,10 +112,17 @@ class ClusterRuntime {
     return hosts_.front()->num_shards();
   }
   // The reporter-visible address of host `h` (the kByDestinationIp
-  // partitioning handle). submit()/events() normalize addresses to
-  // offsets from host_ip(0) before routing, so host_ip(h) addresses
-  // host h exactly, for any host count.
+  // partitioning handle).
   std::uint32_t host_ip(std::uint32_t h) const { return 0x0A0000C0 + h; }
+  // The host a report addressed to `dst_ip` reaches under
+  // kByDestinationIp, for submits and event reads alike: 0 means
+  // host_ip(0), and any other address maps by its offset from
+  // host_ip(0) modulo the host count, so host_ip(h) addresses host h
+  // exactly, for any host count.
+  std::uint32_t host_of_ip(std::uint32_t dst_ip) const {
+    if (dst_ip == 0) return 0;
+    return (dst_ip - host_ip(0)) % num_hosts();
+  }
 
   // The configuration this cluster was built from.
   const ClusterRuntimeConfig& config() const { return config_; }
@@ -120,11 +133,7 @@ class ClusterRuntime {
   TenantRegistry& tenants() { return tenants_; }
   const TenantRegistry& tenants() const { return tenants_; }
 
-  translator::CollectorSelector& selector() { return selector_; }
   const translator::CollectorSelector& selector() const { return selector_; }
-  const translator::SelectorStats& selector_stats() const {
-    return selector_.stats();
-  }
 
   // Aggregate stats and modeled capacity over *live* hosts: the
   // scale-out headline is the sum of every live shard's NIC rate, so a
@@ -138,9 +147,9 @@ class ClusterRuntime {
 
  private:
   ClusterRuntimeConfig config_;
-  translator::CollectorSelector selector_;
+  const translator::CollectorSelector selector_;
   std::vector<std::unique_ptr<collector::CollectorRuntime>> hosts_;
-  std::vector<bool> failed_;
+  std::vector<std::atomic<bool>> failed_;
   TenantRegistry tenants_;
 };
 

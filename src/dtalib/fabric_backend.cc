@@ -120,7 +120,7 @@ Expected<Backend::SnapshotPtr> FabricBackend::acquire_locked(
   // every accepted submit — rebuild only when one landed since the
   // last build (the flush is the quiesce barrier: postcard cache rows
   // and append batches are delivered before the copy, exactly like the
-  // shard hold barrier under LocalBackend).
+  // shard hold barrier under ClusterBackend).
   if (!snapshot_ || snapshot_covers_ != submitted_) {
     fabric_->flush();
     // Fold the staged index delta first, so the published index

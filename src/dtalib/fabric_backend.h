@@ -1,8 +1,8 @@
 // FabricBackend — the wire-fidelity dta::Backend.
 //
-// LocalBackend routes submits through the sharded CollectorRuntime with
-// direct verb execution; FabricBackend routes every submit through the
-// real dta::Fabric loop instead: reporter UDP/DTA encapsulation, the
+// ClusterBackend routes submits through the sharded CollectorRuntime
+// with direct verb execution; FabricBackend routes every submit through
+// the real dta::Fabric loop instead: reporter UDP/DTA encapsulation, the
 // reporter->translator link, the translator's per-primitive engines,
 // RoCEv2 frame crafting, the rdma link, and the collector NIC executing
 // verbs into registered memory. Every report a client submits is
@@ -39,7 +39,7 @@ class FabricBackend : public Backend {
   // The store geometry of `config` as a FabricConfig (num_shards
   // collapses to 1; the wire path has no sharding). The conformance
   // fixtures use this to build a Fabric with the same stores as a
-  // LocalBackend.
+  // one-host ClusterBackend.
   static FabricConfig fabric_config_from(
       const collector::CollectorRuntimeConfig& config);
 

@@ -4,8 +4,8 @@ namespace dta {
 
 MultiFabric::MultiFabric(MultiFabricConfig config)
     : config_(config),
-      // Single-service hosts: the two-level router runs with one shard
-      // per host, so the host tier is the whole routing decision.
+      // Single-service hosts: one shard per host, so the host is the
+      // whole routing decision.
       selector_(config.policy, config.num_collectors, /*shards_per_host=*/1),
       failed_(config.num_collectors, false) {
   for (std::uint32_t c = 0; c < config_.num_collectors; ++c) {
@@ -17,21 +17,18 @@ MultiFabric::MultiFabric(MultiFabricConfig config)
   }
 }
 
-std::uint32_t MultiFabric::shard_of(const proto::Report& report) {
-  // Probe the selector without perturbing stats? Routing is idempotent
-  // and stats-counting a query-side probe is harmless and keeps the
-  // selector single-pathed.
-  const auto route = selector_.route_cluster(
-      report, config_.base.translator.endpoints.collector_ip);
-  return route.empty() ? 0 : route[0].host;
+std::uint32_t MultiFabric::shard_of(const proto::Report& report) const {
+  return selector_
+      .route(report, config_.base.translator.endpoints.collector_ip)
+      .first;
 }
 
 void MultiFabric::report(const proto::Report& report) {
-  const auto route = selector_.route_cluster(
-      report, config_.base.translator.endpoints.collector_ip);
-  for (const auto& r : route) {
-    if (failed_[r.host]) continue;  // a dead collector just loses its copy
-    fabrics_[r.host]->report(report);
+  const translator::HostRange hosts =
+      selector_.route(report, config_.base.translator.endpoints.collector_ip);
+  for (std::uint32_t c = hosts.first; c < hosts.first + hosts.count; ++c) {
+    if (failed_[c]) continue;  // a dead collector just loses its copy
+    fabrics_[c]->report(report);
   }
 }
 

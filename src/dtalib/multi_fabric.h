@@ -16,7 +16,7 @@
 // one single-service collector per host. For cluster-scale deployments
 // (N hosts x M shards, async queries, replica failover) use
 // dta::ClusterRuntime, which drives the sharded CollectorRuntime behind
-// the same two-level router this class routes with.
+// the same selector this class routes with.
 #pragma once
 
 #include <memory>
@@ -44,7 +44,7 @@ class MultiFabric {
 
   // Which collector owns this report's key under the current policy
   // (so queries go to the right shard).
-  std::uint32_t shard_of(const proto::Report& report);
+  std::uint32_t shard_of(const proto::Report& report) const;
 
   // Queries against a specific collector's stores.
   collector::Collector& collector(std::uint32_t idx) {
@@ -60,16 +60,12 @@ class MultiFabric {
   void fail_collector(std::uint32_t idx) { failed_[idx] = true; }
   bool is_failed(std::uint32_t idx) const { return failed_[idx]; }
 
-  const translator::SelectorStats& selector_stats() const {
-    return selector_.stats();
-  }
-
   // Aggregate modeled NIC message capacity across live collectors.
   double aggregate_message_rate() const;
 
  private:
   MultiFabricConfig config_;
-  translator::CollectorSelector selector_;
+  const translator::CollectorSelector selector_;
   std::vector<std::unique_ptr<Fabric>> fabrics_;
   std::vector<bool> failed_;
 };

@@ -1,8 +1,8 @@
 // Shared query-resolution core — the merge and range helpers every
 // Backend resolves with.
 //
-// LocalBackend/ClusterBackend (client.cc) and FabricBackend
-// (fabric_backend.cc) pin different snapshot topologies, but the value
+// ClusterBackend (client.cc) and FabricBackend (fabric_backend.cc)
+// pin different snapshot topologies, but the value
 // semantics must be identical: one replica-merge per primitive, and one
 // range resolver. Keeping the helpers here —
 // instead of duplicating them per backend — is what lets the

@@ -5,8 +5,8 @@
 // reported" from "replica set dead" from "you asked for a list that
 // does not exist". Status gives every failure a distinct, comparable
 // code, and Expected<T> carries either a value or the Status that
-// explains its absence — uniformly across LocalBackend and
-// ClusterBackend, so application code is backend-agnostic.
+// explains its absence — uniformly across every Backend, so
+// application code is backend-agnostic.
 //
 // The error-code contract (every submit/query entry point of the
 // client surface obeys it):

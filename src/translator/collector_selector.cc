@@ -9,9 +9,7 @@ CollectorSelector::CollectorSelector(PartitionPolicy policy,
                                      std::uint32_t shards_per_host)
     : policy_(policy),
       num_collectors_(num_collectors == 0 ? 1 : num_collectors),
-      shards_per_host_(shards_per_host == 0 ? 1 : shards_per_host) {
-  stats_.per_collector.resize(num_collectors_, 0);
-}
+      shards_per_host_(shards_per_host == 0 ? 1 : shards_per_host) {}
 
 std::uint32_t CollectorSelector::host_hash(
     const proto::TelemetryKey& key) const {
@@ -51,93 +49,33 @@ std::uint32_t CollectorSelector::host_local_list(std::uint32_t list_id) const {
   return common::list_local_id(list_id, num_collectors_);
 }
 
-std::vector<std::uint32_t> CollectorSelector::route(
-    const proto::Report& report, std::uint32_t dst_ip) {
-  std::vector<std::uint32_t> out;
-  ++stats_.routed;
-
+HostRange CollectorSelector::route(const proto::Report& report,
+                                   std::uint32_t dst_ip) const {
   switch (policy_) {
     case PartitionPolicy::kByDestinationIp:
-      out.push_back(dst_ip % num_collectors_);
-      break;
-
-    case PartitionPolicy::kByKeyHash:
-      std::visit(
-          [&](const auto& r) {
-            using T = std::decay_t<decltype(r)>;
-            if constexpr (std::is_same_v<T, proto::KeyWriteReport> ||
-                          std::is_same_v<T, proto::KeyIncrementReport> ||
-                          std::is_same_v<T, proto::PostcardReport>) {
-              out.push_back(host_hash(r.key));
-            } else if constexpr (std::is_same_v<T, proto::AppendReport>) {
-              // Lists partition whole: a list's entries must stay
-              // contiguous on one collector.
-              out.push_back(common::list_partition(r.list_id, num_collectors_));
-            } else {
-              out.push_back(0);  // NACKs etc.: default collector
-            }
-          },
-          report);
-      break;
-
+      return {dst_ip % num_collectors_, 1};
     case PartitionPolicy::kReplicate:
-      for (std::uint32_t c = 0; c < num_collectors_; ++c) out.push_back(c);
-      stats_.replicated_copies += num_collectors_ - 1;
+      return {0, num_collectors_};
+    case PartitionPolicy::kByKeyHash:
       break;
   }
-
-  for (std::uint32_t c : out) stats_.per_collector[c]++;
-  return out;
-}
-
-std::vector<ClusterRoute> CollectorSelector::route_cluster(
-    const proto::Report& report, std::uint32_t dst_ip) {
-  // Keyed reports under kByKeyHash resolve both tiers with a single
-  // interleaved pass over the key bytes instead of one CRC per tier.
-  if (policy_ == PartitionPolicy::kByKeyHash) {
-    const proto::TelemetryKey* key = std::visit(
-        [](const auto& r) -> const proto::TelemetryKey* {
-          using T = std::decay_t<decltype(r)>;
-          if constexpr (std::is_same_v<T, proto::KeyWriteReport> ||
-                        std::is_same_v<T, proto::KeyIncrementReport> ||
-                        std::is_same_v<T, proto::PostcardReport>) {
-            return &r.key;
-          } else {
-            return nullptr;
-          }
-        },
-        report);
-    if (key != nullptr) {
-      const common::HostShard hs = common::host_shard_of_key(
-          key->span(), num_collectors_, shards_per_host_);
-      ++stats_.routed;
-      stats_.per_collector[hs.host]++;
-      return {ClusterRoute{hs.host, hs.shard}};
-    }
-  }
-
-  const std::vector<std::uint32_t> hosts = route(report, dst_ip);
-
-  // The shard tier only looks at the key (or the host-local list id),
-  // so it is identical for every host copy under kReplicate.
-  std::uint32_t shard = 0;
-  std::visit(
-      [&](const auto& r) {
+  const std::uint32_t host = std::visit(
+      [&](const auto& r) -> std::uint32_t {
         using T = std::decay_t<decltype(r)>;
         if constexpr (std::is_same_v<T, proto::KeyWriteReport> ||
                       std::is_same_v<T, proto::KeyIncrementReport> ||
                       std::is_same_v<T, proto::PostcardReport>) {
-          shard = shard_within_host(r.key);
+          return host_hash(r.key);
         } else if constexpr (std::is_same_v<T, proto::AppendReport>) {
-          shard = shard_within_host_of_list(host_local_list(r.list_id));
+          // Lists partition whole: a list's entries must stay
+          // contiguous on one collector.
+          return common::list_partition(r.list_id, num_collectors_);
+        } else {
+          return 0;  // NACKs etc.: default collector
         }
       },
       report);
-
-  std::vector<ClusterRoute> out;
-  out.reserve(hosts.size());
-  for (std::uint32_t host : hosts) out.push_back(ClusterRoute{host, shard});
-  return out;
+  return {host, 1};
 }
 
 }  // namespace dta::translator

@@ -14,21 +14,24 @@
 //   * kReplicate — resiliency: every report goes to all collectors
 //     (redundant collection survives a collector failure).
 // Append reports partition by list id so each list stays contiguous on
-// one collector.
+// one collector. One collector is the one-partition case of every
+// policy.
 //
-// Two-level routing: when each collector host itself runs a sharded
-// CollectorRuntime, route_cluster() composes the host-level policy with
-// the intra-host shard router (common/shard_math.h) into one (host,
-// shard) decision, so kByKeyHash, kByDestinationIp and kReplicate all
-// compose with intra-host sharding without any second routing pass.
+// Two-level placement: when each collector host runs a sharded
+// CollectorRuntime, route() picks the host and nothing else; the host's
+// CollectorRuntime::submit places the report on a shard by key CRC
+// (common/shard_math.h). shard_within_host() is the query side's copy
+// of that decision, so every policy composes with intra-host sharding.
+//
+// The selector is an immutable value: routing counts nothing (each
+// host's reports_in already counts what it received) and is safe to
+// call from any thread.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "dta/wire.h"
-#include "translator/crc_unit.h"
 
 namespace dta::translator {
 
@@ -38,21 +41,11 @@ enum class PartitionPolicy : std::uint8_t {
   kReplicate,
 };
 
-struct SelectorStats {
-  std::uint64_t routed = 0;
-  std::uint64_t replicated_copies = 0;
-  std::vector<std::uint64_t> per_collector;
-};
-
-// One routing decision of the two-level router: a collector host and the
-// shard within that host's runtime.
-struct ClusterRoute {
-  std::uint32_t host = 0;
-  std::uint32_t shard = 0;
-  bool operator==(const ClusterRoute& o) const {
-    return host == o.host && shard == o.shard;
-  }
-  bool operator!=(const ClusterRoute& o) const { return !(*this == o); }
+// The hosts a report reaches: [first, first + count). Every host under
+// kReplicate, exactly one otherwise.
+struct HostRange {
+  std::uint32_t first = 0;
+  std::uint32_t count = 1;
 };
 
 class CollectorSelector {
@@ -60,20 +53,12 @@ class CollectorSelector {
   CollectorSelector(PartitionPolicy policy, std::uint32_t num_collectors,
                     std::uint32_t shards_per_host = 1);
 
-  // Returns the collector indexes the report must reach (size 1 except
-  // under kReplicate). `dst_ip` is the report's IP destination, used by
-  // kByDestinationIp (maps IPs round-robin onto the collector set).
-  std::vector<std::uint32_t> route(const proto::Report& report,
-                                   std::uint32_t dst_ip);
+  // The collectors the report must reach. `dst_ip` is the report's IP
+  // destination, used by kByDestinationIp (maps IPs round-robin onto
+  // the collector set).
+  HostRange route(const proto::Report& report, std::uint32_t dst_ip) const;
 
-  // Two-level routing: the hosts from route(), each paired with the
-  // shard the host's runtime will place the report on. Under kReplicate
-  // every copy lands on the same shard index of its host (the shard
-  // router only sees the key).
-  std::vector<ClusterRoute> route_cluster(const proto::Report& report,
-                                          std::uint32_t dst_ip);
-
-  // --- stat-free probes for the query path ----------------------------------
+  // --- probes for the query path --------------------------------------------
   // The host that owns a key/list, when the policy determines one
   // (kByKeyHash); nullopt when ownership is not derivable from the
   // report alone (kReplicate: any live host; kByDestinationIp: the
@@ -81,7 +66,8 @@ class CollectorSelector {
   std::optional<std::uint32_t> owner_host(const proto::TelemetryKey& key) const;
   std::optional<std::uint32_t> owner_host_of_list(std::uint32_t list_id) const;
 
-  // Intra-host placement (always key/list-determined).
+  // Intra-host placement (always key/list-determined): the shard the
+  // host's CollectorRuntime::submit put the report on.
   std::uint32_t shard_within_host(const proto::TelemetryKey& key) const;
   std::uint32_t shard_within_host_of_list(std::uint32_t host_local_list) const;
 
@@ -93,7 +79,6 @@ class CollectorSelector {
   PartitionPolicy policy() const { return policy_; }
   std::uint32_t num_collectors() const { return num_collectors_; }
   std::uint32_t shards_per_host() const { return shards_per_host_; }
-  const SelectorStats& stats() const { return stats_; }
 
  private:
   std::uint32_t host_hash(const proto::TelemetryKey& key) const;
@@ -101,7 +86,6 @@ class CollectorSelector {
   PartitionPolicy policy_;
   std::uint32_t num_collectors_;
   std::uint32_t shards_per_host_;
-  SelectorStats stats_;
 };
 
 }  // namespace dta::translator

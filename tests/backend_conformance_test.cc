@@ -1,7 +1,8 @@
 // Backend-conformance kit: every dta::Client scenario holds over all
-// four Backend kinds — LocalBackend (direct execution), ClusterBackend
-// (replicated hosts), FabricBackend (the real UDP/translator/RoCE wire
-// loop) and ReplayBackend (recording decorator) — and the record/replay
+// four Backend kinds — Local (Client::local's one-host ClusterBackend,
+// direct execution), Cluster (replicated hosts), Fabric (the real
+// UDP/translator/RoCE wire loop) and Replay (recording decorator) —
+// and the record/replay
 // differential: a trace recorded from any backend replays into a fresh
 // backend with identical client-visible results, and two replays of the
 // same trace produce byte-identical store state.
@@ -372,9 +373,23 @@ TEST_P(BackendConformanceTest, FailoverAndUnavailability) {
   }
   ASSERT_TRUE(client.flush().ok());
 
-  if (GetParam() != BackendKind::kCluster) {
-    // Single-collector backends have no host to fail — typed, not UB.
+  if (GetParam() == BackendKind::kFabric) {
+    // A Fabric is one wire-path collector with no host to fail — typed,
+    // not UB.
     EXPECT_EQ(client.fail_host(0).code(), StatusCode::kUnsupported);
+    return;
+  }
+  if (GetParam() != BackendKind::kCluster) {
+    // One host (Local, and Replay over it): with it dead nothing is
+    // left to answer — kUnavailable for point, batch and event queries.
+    ASSERT_TRUE(client.fail_host(0).ok());
+    EXPECT_EQ(table.get(reports::mixed_key(1)).code(),
+              StatusCode::kUnavailable);
+    EXPECT_EQ(table.get_many({reports::mixed_key(1)}).code(),
+              StatusCode::kUnavailable);
+    EXPECT_EQ(client.events(0).max(1).run().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(client.stats().live_hosts, 0u);
+    EXPECT_EQ(client.fail_host(1).code(), StatusCode::kInvalidArgument);
     return;
   }
 
@@ -650,7 +665,7 @@ TEST(BackendDifferentialTest, OneTraceIdenticalResultsAcrossAllBackends) {
   const auto workload = conformance_workload(600);
   const auto probes = conformance_probes();
 
-  ReplayBackend recorder(std::make_unique<LocalBackend>(config));
+  ReplayBackend recorder(testing::make_local_backend(config));
   submit_workload(recorder, workload);
   // Serialize + decode round-trip: the replayed records are the ones
   // that went through the wire format, not the in-memory ones.
@@ -681,7 +696,7 @@ TEST_P(BackendConformanceTest, ReplayDeterminismByteIdenticalStores) {
   const auto config = conformance_host_config();
   const auto workload = conformance_workload(400);
 
-  ReplayBackend recorder(std::make_unique<LocalBackend>(config));
+  ReplayBackend recorder(testing::make_local_backend(config));
   submit_workload(recorder, workload);
   const auto records = recorder.records();
 
@@ -695,8 +710,9 @@ TEST_P(BackendConformanceTest, ReplayDeterminismByteIdenticalStores) {
 
 // The wire path computes the same bytes as direct execution: a trace
 // replayed through the Fabric leaves the single-shard stores
-// byte-identical to LocalBackend's, with Append entries written one by
-// one (batch size 1) and packed into batched WRITEs (16, the default).
+// byte-identical to the Local backend's, with Append entries written
+// one by one (batch size 1) and packed into batched WRITEs (16, the
+// default).
 TEST(BackendDifferentialTest, WireAndDirectStoresByteIdentical) {
   const auto workload = conformance_workload(400);
   for (const std::uint32_t append_batch : {1u, 16u}) {
@@ -704,7 +720,7 @@ TEST(BackendDifferentialTest, WireAndDirectStoresByteIdentical) {
     auto config = conformance_host_config(collector::ThreadMode::kInline, 1);
     config.append_batch_size = append_batch;
 
-    ReplayBackend recorder(std::make_unique<LocalBackend>(config));
+    ReplayBackend recorder(testing::make_local_backend(config));
     submit_workload(recorder, workload);
     const auto records = recorder.records();
 

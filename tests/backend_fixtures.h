@@ -4,11 +4,12 @@
 // compare across backends.
 //
 // Four kinds:
-//   kLocal   — sharded CollectorRuntime, direct verb execution
-//   kCluster — 2 hosts x M shards behind the two-level router
+//   kLocal   — Client::local's backend: a one-host ClusterBackend
+//              (sharded CollectorRuntime, direct verb execution)
+//   kCluster — 2 hosts x M shards, each report routed by policy
 //   kFabric  — the wire-fidelity path (reporter UDP -> translator ->
 //              RoCE -> collector NIC), one host, one shard
-//   kReplay  — ReplayBackend recording over a LocalBackend
+//   kReplay  — ReplayBackend recording over a one-host ClusterBackend
 #pragma once
 
 #include <cstring>
@@ -70,13 +71,20 @@ inline collector::CollectorRuntimeConfig conformance_host_config(
   return config;
 }
 
+// The backend Client::local builds: one host, key-hash placement.
+inline std::unique_ptr<Backend> make_local_backend(
+    const collector::CollectorRuntimeConfig& config) {
+  return std::make_unique<ClusterBackend>(ClusterRuntimeConfig{
+      config, 1, translator::PartitionPolicy::kByKeyHash});
+}
+
 inline std::unique_ptr<Backend> make_backend(
     BackendKind kind, const collector::CollectorRuntimeConfig& config,
     translator::PartitionPolicy policy =
         translator::PartitionPolicy::kReplicate) {
   switch (kind) {
     case BackendKind::kLocal:
-      return std::make_unique<LocalBackend>(config);
+      return make_local_backend(config);
     case BackendKind::kCluster: {
       ClusterRuntimeConfig cluster;
       cluster.num_hosts = 2;
@@ -90,8 +98,7 @@ inline std::unique_ptr<Backend> make_backend(
       return std::make_unique<FabricBackend>(
           FabricBackend::fabric_config_from(config));
     case BackendKind::kReplay:
-      return std::make_unique<ReplayBackend>(
-          std::make_unique<LocalBackend>(config));
+      return std::make_unique<ReplayBackend>(make_local_backend(config));
   }
   return nullptr;
 }
@@ -135,13 +142,6 @@ inline std::vector<common::Bytes> store_images(Backend& backend) {
   std::vector<common::Bytes> out;
   if (auto* replay = dynamic_cast<ReplayBackend*>(&backend)) {
     return store_images(replay->inner());
-  }
-  if (auto* local = dynamic_cast<LocalBackend*>(&backend)) {
-    auto& runtime = local->runtime();
-    for (std::uint32_t s = 0; s < runtime.num_shards(); ++s) {
-      append_snapshot_images(*runtime.snapshot_shard_fresh(s), out);
-    }
-    return out;
   }
   if (auto* cluster = dynamic_cast<ClusterBackend*>(&backend)) {
     auto& runtime = cluster->cluster();

@@ -1,8 +1,9 @@
 // dtalib v2 acceptance tests: every primitive round-trips through the
-// typed dta::Client facade identically against LocalBackend (sharded
-// CollectorRuntime) and ClusterBackend (N hosts x M shards, replica
-// failover), and every failure mode of the error model comes back as a
-// distinct dta::Status code — no bools, no optionals, no asserts/UB.
+// typed dta::Client facade identically against Client::local (one
+// host, sharded CollectorRuntime) and Client::cluster (N hosts x M
+// shards, replica failover), and every failure mode of the error model
+// comes back as a distinct dta::Status code — no bools, no optionals,
+// no asserts/UB.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -488,8 +489,17 @@ TEST_P(ClientApiTest, FailoverAndUnavailability) {
   ASSERT_TRUE(client.flush().ok());
 
   if (GetParam() == BackendKind::kLocal) {
-    // A local backend has no host to fail — typed error, not UB.
-    EXPECT_EQ(client.fail_host(0).code(), StatusCode::kUnsupported);
+    // One host is the one-partition cluster: with it dead nothing is
+    // left to answer — a typed kUnavailable for point, batch and event
+    // queries, not UB.
+    ASSERT_TRUE(client.fail_host(0).ok());
+    EXPECT_EQ(table.get(reports::mixed_key(1)).code(),
+              StatusCode::kUnavailable);
+    EXPECT_EQ(table.get_many({reports::mixed_key(1)}).code(),
+              StatusCode::kUnavailable);
+    EXPECT_EQ(client.events(0).max(1).run().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(client.stats().live_hosts, 0u);
+    EXPECT_EQ(client.fail_host(1).code(), StatusCode::kInvalidArgument);
     return;
   }
 

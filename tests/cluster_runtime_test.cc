@@ -8,6 +8,7 @@
 // Client::cluster_runtime().
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <thread>
 
@@ -56,6 +57,20 @@ ClusterRuntimeConfig cluster_config(
 }
 
 // ------------------------------------------------------------ scale-out
+
+TEST(ClusterRuntime, ConfigReportsTheGeometryThatRuns) {
+  // Zero hosts or shards run as one; config() and the backend's
+  // host_config() say so, for a cluster and for Client::local alike.
+  const ClusterRuntime cluster(cluster_config(0, 0));
+  EXPECT_EQ(cluster.config().num_hosts, 1u);
+  EXPECT_EQ(cluster.config().host.num_shards, 1u);
+  EXPECT_EQ(cluster.num_hosts(), 1u);
+  EXPECT_EQ(cluster.shards_per_host(), 1u);
+
+  Client client = Client::local(cluster_config(1, 0).host);
+  EXPECT_EQ(client.backend().host_config().num_shards, 1u);
+  EXPECT_EQ(client.local_runtime()->num_shards(), 1u);
+}
 
 TEST(ClusterRuntime, AggregateRateScalesHostsTimesShards) {
   // §7's scaling claim composed across both tiers: every shard of every
@@ -419,6 +434,100 @@ TEST(ClusterRuntime, QueriesRunConcurrentlyWithThreadedIngest) {
   EXPECT_EQ(hits, static_cast<int>(pending.size()));
   client.stop();
   EXPECT_EQ(client.stats().ingest.reports_in, 2u * 1000u);  // both replicas
+}
+
+TEST(ClusterRuntime, FailHostRacesIngestAndQueries) {
+  // The TSan target for the per-host failed flags: one thread fails
+  // host 1 while a second submits and a third runs point and batch
+  // gets, each reading the flags. Every call ends in a value or a
+  // typed Status, and the two survivors end up holding every key.
+  Client client = Client::cluster(cluster_config(
+      3, 2, translator::PartitionPolicy::kReplicate,
+      collector::ThreadMode::kThreaded));
+  auto table = client.keywrite();
+  constexpr std::uint64_t kPreloaded = 100;
+  constexpr std::uint64_t kKeys = 600;
+  const auto value_of = [](std::uint64_t id) {
+    return static_cast<std::uint32_t>(id * 7 + 1);
+  };
+  for (std::uint64_t id = 0; id < kPreloaded; ++id) {
+    ASSERT_TRUE(table.put_u32(key_of(id), value_of(id)).ok());
+  }
+  ASSERT_TRUE(client.flush().ok());
+
+  // Relaxed progress flags: the test itself adds no happens-before edge
+  // between the threads, so any unsynchronized flag access shows. Each
+  // of the submitter and the querier waits, before its last stretch,
+  // until host 1 is failed, so both overlap the failure.
+  std::atomic<std::uint64_t> submitted{0};
+  std::atomic<std::uint64_t> queried{0};
+  std::atomic<bool> host_failed{false};
+  const auto await_failure = [&] {
+    while (!host_failed.load(std::memory_order_relaxed)) {
+      std::this_thread::yield();
+    }
+  };
+  std::atomic<int> bad_submits{0};
+  std::atomic<int> bad_reads{0};
+  const auto expect_read = [&](const Expected<std::uint32_t>& value,
+                               std::uint64_t id) {
+    const bool typed = value.ok() || value.code() == StatusCode::kNotFound ||
+                       value.code() == StatusCode::kConflict;
+    if (!typed || (value.ok() && *value != value_of(id))) {
+      bad_reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  Status killed;
+  std::thread killer([&] {
+    while (submitted.load(std::memory_order_relaxed) < 100 ||
+           queried.load(std::memory_order_relaxed) < 20) {
+      std::this_thread::yield();
+    }
+    killed = client.fail_host(1);
+    host_failed.store(true, std::memory_order_relaxed);
+  });
+  std::thread submitter([&] {
+    for (std::uint64_t id = kPreloaded; id < kKeys; ++id) {
+      if (id == kKeys - 100) await_failure();
+      if (!table.put_u32(key_of(id), value_of(id)).ok()) {
+        bad_submits.fetch_add(1, std::memory_order_relaxed);
+      }
+      submitted.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::thread querier([&] {
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      if (i == 150) await_failure();
+      const std::uint64_t id = i % kPreloaded;
+      expect_read(table.get_u32(key_of(id)), id);
+      const auto batch =
+          table.get_many({key_of(id), key_of((id + 1) % kPreloaded)});
+      if (!batch.ok() || batch->size() != 2) {
+        bad_reads.fetch_add(1, std::memory_order_relaxed);
+      }
+      queried.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  submitter.join();
+  querier.join();
+  killer.join();
+  EXPECT_TRUE(killed.ok()) << killed.to_string();
+  EXPECT_EQ(bad_submits.load(), 0);
+  EXPECT_EQ(bad_reads.load(), 0);
+
+  ASSERT_TRUE(client.flush().ok());
+  EXPECT_EQ(client.stats().live_hosts, 2u);
+  ClusterRuntime& cluster = *client.cluster_runtime();
+  EXPECT_TRUE(cluster.is_failed(1));
+  EXPECT_EQ(cluster.host(0).stats().reports_in, kKeys);
+  EXPECT_EQ(cluster.host(2).stats().reports_in, kKeys);
+  EXPECT_LE(cluster.host(1).stats().reports_in, kKeys - 100);
+  int hits = 0;
+  for (std::uint64_t id = 0; id < kKeys; ++id) {
+    const auto value = table.get_u32(key_of(id));
+    if (value.ok() && *value == value_of(id)) ++hits;
+  }
+  EXPECT_EQ(hits, static_cast<int>(kKeys));
 }
 
 // ------------------------------------------------------ worker pinning

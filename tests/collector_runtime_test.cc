@@ -1,9 +1,10 @@
 // Sharded collector runtime tests, driven through the dta::Client
-// facade (LocalBackend): routing stability, cross-shard query merge,
-// batch/shutdown flushing, and equivalence of a 1-shard runtime with
-// the unsharded store path. Reports are built by the shared typed
-// builders (dta/report_builders.h); internals (shard stats, store
-// memory) are reached through Client::local_runtime().
+// facade (Client::local, a one-host ClusterBackend): routing
+// stability, cross-shard query merge, batch/shutdown flushing, and
+// equivalence of a 1-shard runtime with the unsharded store path.
+// Reports are built by the shared typed builders
+// (dta/report_builders.h); internals (shard stats, store memory) are
+// reached through Client::local_runtime().
 #include <gtest/gtest.h>
 
 #include <set>

@@ -221,9 +221,9 @@ TEST(Selector, KeyHashIsDeterministicAndBalanced) {
     r.key = key_of(k);
     const auto first = selector.route(r, 0);
     const auto second = selector.route(r, 99);  // dst ip must not matter
-    ASSERT_EQ(first.size(), 1u);
-    EXPECT_EQ(first, second);
-    counts[first[0]]++;
+    ASSERT_EQ(first.count, 1u);
+    EXPECT_EQ(first.first, second.first);
+    counts[first.first]++;
   }
   for (int c : counts) {
     EXPECT_GT(c, 2200);  // ~2500 each
@@ -237,8 +237,8 @@ TEST(Selector, AppendPartitionsByList) {
     proto::AppendReport r;
     r.list_id = list;
     const auto route = selector.route(r, 0);
-    ASSERT_EQ(route.size(), 1u);
-    EXPECT_EQ(route[0], list % 3);
+    ASSERT_EQ(route.count, 1u);
+    EXPECT_EQ(route.first, list % 3);
   }
 }
 
@@ -247,16 +247,16 @@ TEST(Selector, ReplicateReachesAll) {
   proto::KeyWriteReport r;
   r.key = key_of(1);
   const auto route = selector.route(r, 0);
-  EXPECT_EQ(route, (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(selector.stats().replicated_copies, 2u);
+  EXPECT_EQ(route.first, 0u);
+  EXPECT_EQ(route.count, 3u);
 }
 
 TEST(Selector, DestinationIpPolicy) {
   CollectorSelector selector(PartitionPolicy::kByDestinationIp, 2);
   proto::KeyWriteReport r;
   r.key = key_of(1);
-  EXPECT_EQ(selector.route(r, 10)[0], 0u);
-  EXPECT_EQ(selector.route(r, 11)[0], 1u);
+  EXPECT_EQ(selector.route(r, 10).first, 0u);
+  EXPECT_EQ(selector.route(r, 11).first, 1u);
 }
 
 TEST(Selector, ShardingIndependentOfSlotHashes) {
@@ -268,7 +268,7 @@ TEST(Selector, ShardingIndependentOfSlotHashes) {
     proto::KeyWriteReport a, b;
     a.key = key_of(k);
     b.key = key_of(k + 1);
-    if (selector.route(a, 0)[0] == selector.route(b, 0)[0]) {
+    if (selector.route(a, 0).first == selector.route(b, 0).first) {
       ++same_shard;
       if (slot_index(0, a.key, 4096) == slot_index(0, b.key, 4096)) {
         ++same_slot;

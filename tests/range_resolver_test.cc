@@ -94,9 +94,7 @@ internal::IndexVersions pinned_indexes(Backend& backend) {
           runtime.index_shard(s, runtime.snapshot_shard(s)->generation()));
     }
   };
-  if (auto* local = dynamic_cast<LocalBackend*>(&backend)) {
-    pin_host(local->runtime());
-  } else if (auto* cluster = dynamic_cast<ClusterBackend*>(&backend)) {
+  if (auto* cluster = dynamic_cast<ClusterBackend*>(&backend)) {
     for (std::uint32_t h = 0; h < cluster->cluster().num_hosts(); ++h) {
       if (!cluster->cluster().is_failed(h)) pin_host(cluster->cluster().host(h));
     }
@@ -280,7 +278,9 @@ void expect_resolver_matches_reference(
 TEST(RangeResolverTest, LocalMatchesReference) {
   for (const std::uint32_t shards : {2u, 4u}) {
     SCOPED_TRACE("Local, " + std::to_string(shards) + " shards");
-    LocalBackend backend(small_store_config(shards));
+    ClusterBackend backend(ClusterRuntimeConfig{
+        small_store_config(shards), 1,
+        translator::PartitionPolicy::kByKeyHash});
     const Workload workload = submit_workload(backend, 11 + shards);
     expect_resolver_matches_reference(
         backend, workload,
