@@ -501,18 +501,6 @@ std::uint32_t ClusterBackend::num_lists() const {
   return per_host;
 }
 
-ClientStats ClusterBackend::stats() const {
-  ClusterStats cs = cluster_.cluster_stats();
-  ClientStats out;
-  out.ingest = cs.ingest;
-  out.translation = cs.translation;
-  out.num_hosts = cluster_.num_hosts();
-  out.live_hosts = cs.live_hosts;
-  out.per_host = std::move(cs.per_host);
-  out.per_tenant = std::move(cs.per_tenant);
-  return out;
-}
-
 double ClusterBackend::modeled_verbs_per_sec() const {
   return cluster_.modeled_aggregate_verbs_per_sec();
 }

@@ -62,18 +62,6 @@ namespace dta {
 // The canonical telemetry key of a flow (13B wire 5-tuple).
 proto::TelemetryKey flow_key(const net::FiveTuple& flow);
 
-// Uniform stats over every backend: totals across live hosts plus the
-// per-host breakdown (one row for a one-host client) and the per-tenant
-// serving-plane rows (admission counters + ingest attribution).
-struct ClientStats {
-  collector::CollectorRuntimeStats ingest;
-  collector::TranslationStats translation;
-  std::uint32_t num_hosts = 1;
-  std::uint32_t live_hosts = 1;
-  std::vector<ClusterHostStats> per_host;
-  std::vector<TenantStatsRow> per_tenant;
-};
-
 // The one validation gate every Backend runs before a report touches
 // its router: a distinct Status per failure class (geometry mismatch,
 // empty key, redundancy out of range, unknown list, ...). Exported so
@@ -387,7 +375,7 @@ class ClusterBackend final : public Backend {
                                     const QueryOptions& opts) override;
   const collector::CollectorRuntimeConfig& host_config() const override;
   std::uint32_t num_lists() const override;
-  ClientStats stats() const override;
+  ClientStats stats() const override { return cluster_.stats(); }
   double modeled_verbs_per_sec() const override;
   TenantRegistry& tenants() override { return cluster_.tenants(); }
   Status fail_host(std::uint32_t host) override;

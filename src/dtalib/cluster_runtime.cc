@@ -57,25 +57,10 @@ void ClusterRuntime::fail_host(std::uint32_t host) {
   hosts_[host]->invalidate_snapshots();
 }
 
-std::uint32_t ClusterRuntime::live_hosts() const {
-  std::uint32_t live = 0;
-  for (std::uint32_t h = 0; h < hosts_.size(); ++h) {
-    if (!is_failed(h)) ++live;
-  }
-  return live;
-}
-
-collector::CollectorRuntimeStats ClusterRuntime::stats() const {
-  collector::CollectorRuntimeStats total;
-  for (std::uint32_t h = 0; h < hosts_.size(); ++h) {
-    if (is_failed(h)) continue;
-    total += hosts_[h]->stats();
-  }
-  return total;
-}
-
-ClusterStats ClusterRuntime::cluster_stats() const {
-  ClusterStats out;
+ClientStats ClusterRuntime::stats() const {
+  ClientStats out;
+  out.num_hosts = num_hosts();
+  out.live_hosts = 0;  // counted below
   out.per_host.reserve(hosts_.size());
   for (std::uint32_t h = 0; h < hosts_.size(); ++h) {
     ClusterHostStats host;

@@ -3,9 +3,10 @@
 //
 // The collection ceiling is the collector NIC message rate; DTA raises
 // it by partitioning reports, and this class composes the two partition
-// dimensions: N collector *hosts* (each its own NIC/QP set and
-// translator-side RDMA connection) x M *shards* per host (the intra-
-// host CollectorRuntime tier). The translator-side selector
+// dimensions: N collector *hosts* (each its own NIC/QP set) x M
+// *shards* per host (the intra-host CollectorRuntime tier; each shard
+// executes its verbs directly on its own queue pair, so no path holds a
+// translator-side RDMA connection). The translator-side selector
 // (translator::CollectorSelector) picks the host by partition policy —
 // kByKeyHash, kByDestinationIp or kReplicate — and the host's
 // CollectorRuntime::submit picks the shard by key CRC, so every policy
@@ -35,7 +36,7 @@
 
 namespace dta {
 
-// Per-host stats row of ClusterStats: ingest counters + the host's
+// Per-host stats row of ClientStats: ingest counters + the host's
 // aggregated translator-engine counters, plus liveness — the whole
 // observable state of one collector host, so callers stop poking
 // host(h) internals one by one.
@@ -46,19 +47,20 @@ struct ClusterHostStats {
   bool failed = false;
 };
 
-// Cluster-wide stats: totals over *live* hosts (the scale-out headline
-// excludes dead capacity) plus the per-host breakdown over every host,
-// dead ones included (their pre-failure counters stay readable).
-struct ClusterStats {
+// Uniform stats over every backend (dta::Client::stats()): totals over
+// *live* hosts (the scale-out headline excludes dead capacity) plus the
+// per-host breakdown over every host, dead ones included (their
+// pre-failure counters stay readable; one row for a one-host client).
+struct ClientStats {
   collector::CollectorRuntimeStats ingest;
   collector::TranslationStats translation;
-  std::uint32_t live_hosts = 0;
+  std::uint32_t num_hosts = 1;
+  std::uint32_t live_hosts = 1;
   std::vector<ClusterHostStats> per_host;
   // One row per tenant ever seen: serving-plane admission counters
   // (submits/queries admitted and shed) from the tenant registry, plus
   // the collector-tier ingest attributed to the tenant across every
-  // host (dead ones included — their pre-failure counters stay
-  // readable).
+  // host (dead ones included).
   std::vector<TenantStatsRow> per_tenant;
 };
 
@@ -102,7 +104,6 @@ class ClusterRuntime {
   // host must not keep answering through pre-failure cache entries.
   void fail_host(std::uint32_t host);
   bool is_failed(std::uint32_t host) const { return failed_[host].load(); }
-  std::uint32_t live_hosts() const;
 
   collector::CollectorRuntime& host(std::uint32_t h) { return *hosts_[h]; }
   std::uint32_t num_hosts() const {
@@ -129,7 +130,7 @@ class ClusterRuntime {
 
   // The cluster's tenant plane: quotas, admission counters, per-tenant
   // query defaults. ClusterBackend enforces against this instance so
-  // cluster_stats() can report genuine per-tenant rows.
+  // stats() can report genuine per-tenant rows.
   TenantRegistry& tenants() { return tenants_; }
   const TenantRegistry& tenants() const { return tenants_; }
 
@@ -138,11 +139,8 @@ class ClusterRuntime {
   // Aggregate stats and modeled capacity over *live* hosts: the
   // scale-out headline is the sum of every live shard's NIC rate, so a
   // kByKeyHash cluster of N x M shards models ~N*M times a 1x1
-  // deployment. stats() is the legacy ingest-only view; cluster_stats()
-  // adds the per-host translator-engine counters and breakdown (the
-  // dta::Client::stats() source).
-  collector::CollectorRuntimeStats stats() const;
-  ClusterStats cluster_stats() const;
+  // deployment. stats() is what dta::Client::stats() returns.
+  ClientStats stats() const;
   double modeled_aggregate_verbs_per_sec() const;
 
  private:

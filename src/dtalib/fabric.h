@@ -1,6 +1,4 @@
-// dta::Fabric — the public entry point of the library.
-//
-// Wires the full paper topology in one object:
+// dta::Fabric — the paper's wire topology in one object:
 //
 //     Reporters --(UDP/DTA, 100G link)--> Translator
 //         --(RoCEv2, 100G link)--> Collector NIC --> registered memory
@@ -10,9 +8,10 @@
 // telemetry reports in and run queries against the collector stores;
 // benches read the modeled throughput from the component counters.
 //
-// Fabric is the single-collector wire-fidelity tier; MultiFabric places
-// several of these behind the host-level router, and ClusterRuntime is
-// the N-hosts x M-shards scale tier on the same routing math.
+// num_reporters switches share the translator's one ingress link in
+// front of one collector. FabricBackend serves a Fabric through
+// dta::Client; ClusterRuntime is the multi-collector topology (N hosts
+// x M shards, direct verb execution).
 #pragma once
 
 #include <memory>
@@ -61,10 +60,6 @@ class Fabric {
   // Drains translator-side aggregation state (postcard cache, append
   // batches).
   void flush();
-
-  // Virtual time bookkeeping.
-  common::VirtualClock& clock() { return clock_; }
-  void advance_time(common::VirtualNs delta) { clock_.advance(delta); }
 
   // Component access.
   collector::Collector& collector() { return *collector_; }

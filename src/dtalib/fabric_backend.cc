@@ -18,8 +18,12 @@ std::uint32_t submit_ops(const proto::ParsedDta& parsed) {
   return 1;
 }
 
-collector::CollectorRuntimeConfig host_config_from(
-    const FabricConfig& config) {
+// The geometry the wire runs and host_config() reports: one shard,
+// inline, with the store setups, NIC and translator batching of
+// `config`; the rest of a runtime config has no meaning on the wire and
+// stays at its default.
+collector::CollectorRuntimeConfig wire_host_config(
+    const collector::CollectorRuntimeConfig& config) {
   collector::CollectorRuntimeConfig out;
   out.num_shards = 1;
   out.keywrite = config.keywrite;
@@ -27,30 +31,25 @@ collector::CollectorRuntimeConfig host_config_from(
   out.append = config.append;
   out.keyincrement = config.keyincrement;
   out.nic = config.nic;
-  out.append_batch_size = config.translator.append_batch_size;
-  out.postcard_cache_slots = config.translator.postcard_cache_slots;
+  out.append_batch_size = config.append_batch_size;
+  out.postcard_cache_slots = config.postcard_cache_slots;
   out.thread_mode = collector::ThreadMode::kInline;
   return out;
 }
 
 }  // namespace
 
-FabricConfig FabricBackend::fabric_config_from(
-    const collector::CollectorRuntimeConfig& config) {
-  FabricConfig out;
-  out.keywrite = config.keywrite;
-  out.postcarding = config.postcarding;
-  out.append = config.append;
-  out.keyincrement = config.keyincrement;
-  out.nic = config.nic;
-  out.translator.append_batch_size = config.append_batch_size;
-  out.translator.postcard_cache_slots = config.postcard_cache_slots;
-  return out;
-}
-
-FabricBackend::FabricBackend(FabricConfig config)
-    : fabric_(std::make_unique<Fabric>(config)),
-      host_config_(host_config_from(config)) {
+FabricBackend::FabricBackend(const collector::CollectorRuntimeConfig& config)
+    : host_config_(wire_host_config(config)) {
+  FabricConfig fabric;
+  fabric.keywrite = host_config_.keywrite;
+  fabric.postcarding = host_config_.postcarding;
+  fabric.append = host_config_.append;
+  fabric.keyincrement = host_config_.keyincrement;
+  fabric.nic = host_config_.nic;
+  fabric.translator.append_batch_size = host_config_.append_batch_size;
+  fabric.translator.postcard_cache_slots = host_config_.postcard_cache_slots;
+  fabric_ = std::make_unique<Fabric>(std::move(fabric));
   staged_append_.assign(num_lists(), 0);
   index_ = index_builder_.publish();  // empty version at generation 0
 }
@@ -263,9 +262,7 @@ ClientStats FabricBackend::stats() const {
     out.translation.append_dropped_bad_list = ap->stats().dropped_bad_list;
   }
 
-  out.num_hosts = 1;
-  out.live_hosts = 1;
-  ClusterHostStats host;
+  ClusterHostStats host;  // one host, live: the ClientStats defaults
   host.ingest = out.ingest;
   host.translation = out.translation;
   out.per_host.push_back(std::move(host));

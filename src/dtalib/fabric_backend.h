@@ -34,14 +34,10 @@ namespace dta {
 
 class FabricBackend : public Backend {
  public:
-  explicit FabricBackend(FabricConfig config);
-
-  // The store geometry of `config` as a FabricConfig (num_shards
-  // collapses to 1; the wire path has no sharding). The conformance
-  // fixtures use this to build a Fabric with the same stores as a
-  // one-host ClusterBackend.
-  static FabricConfig fabric_config_from(
-      const collector::CollectorRuntimeConfig& config);
+  // A Fabric with the stores, NIC and translator batching of `config`,
+  // so it holds the same stores as a one-host ClusterBackend built from
+  // the same config (the wire path has no sharding or worker threads).
+  explicit FabricBackend(const collector::CollectorRuntimeConfig& config);
 
   Status submit(proto::ParsedDta parsed, const ReportOptions& opts) override;
   Status flush() override;

@@ -140,22 +140,6 @@ void Translator::handle_ack(const rdma::Aeth& aeth,
   crafter_.handle_ack(aeth, responder_expected_psn);
 }
 
-std::uint32_t Translator::add_host_connection(
-    const rdma::ConnectAccept& accept) {
-  host_crafters_.push_back(std::make_unique<RdmaCrafter>(
-      config_.endpoints, accept.responder_qpn, accept.start_psn));
-  return static_cast<std::uint32_t>(host_crafters_.size());
-}
-
-RdmaCrafter& Translator::host_crafter(std::uint32_t host) {
-  return host == 0 ? crafter_ : *host_crafters_[host - 1];
-}
-
-void Translator::handle_host_ack(std::uint32_t host, const rdma::Aeth& aeth,
-                                 std::uint32_t responder_expected_psn) {
-  host_crafter(host).handle_ack(aeth, responder_expected_psn);
-}
-
 void Translator::flush(common::VirtualNs now) {
   std::vector<RdmaOp> ops;
   if (postcarding_) {

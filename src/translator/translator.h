@@ -83,23 +83,6 @@ class Translator {
   // ACK/NAK feedback from the collector NIC (PSN resynchronization).
   void handle_ack(const rdma::Aeth& aeth, std::uint32_t responder_expected_psn);
 
-  // --- multi-collector connections (§7) -------------------------------------
-  // In a two-tier deployment the translator holds one RDMA connection —
-  // a RoCE crafter with its own destination QPN and PSN tracker — per
-  // collector host. QP state lives only here, never at reporters, so
-  // adding a host costs a few bytes of switch SRAM. Host 0 is the
-  // connection made at construction; each add_host_connection() consumes
-  // another collector's CM accept and returns its host index.
-  std::uint32_t add_host_connection(const rdma::ConnectAccept& accept);
-  std::uint32_t num_host_connections() const {
-    return 1 + static_cast<std::uint32_t>(host_crafters_.size());
-  }
-  RdmaCrafter& host_crafter(std::uint32_t host);
-  // Per-host ACK/NAK feedback: resynchronizes that host's PSN tracker
-  // only (host 0 is equivalent to handle_ack()).
-  void handle_host_ack(std::uint32_t host, const rdma::Aeth& aeth,
-                       std::uint32_t responder_expected_psn);
-
   // Drains the postcard cache and append batch buffers.
   void flush(common::VirtualNs now);
 
@@ -119,8 +102,6 @@ class Translator {
 
   TranslatorConfig config_;
   RdmaCrafter crafter_;
-  // Connections to collector hosts 1..N-1 (host 0 is crafter_).
-  std::vector<std::unique_ptr<RdmaCrafter>> host_crafters_;
   RateLimiter rate_limiter_;
   std::unique_ptr<KeyWriteEngine> keywrite_;
   std::unique_ptr<KeyIncrementEngine> keyincrement_;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <variant>
@@ -729,6 +730,53 @@ TEST(BackendDifferentialTest, WireAndDirectStoresByteIdentical) {
     ASSERT_TRUE(ReplayBackend::replay(records, *local).ok());
     ASSERT_TRUE(ReplayBackend::replay(records, *fabric).ok());
     EXPECT_TRUE(images_equal(store_images(*local), store_images(*fabric)));
+  }
+}
+
+// The wire path per host: each host of a 2-host, 1-shard ClusterBackend
+// holds byte-identical stores to a FabricBackend fed exactly the reports
+// the cluster's selector routes to that host, with Append list ids
+// folded to the host-local space first as ClusterRuntime::submit folds
+// them. Under kByKeyHash each host gets its partition; under kReplicate
+// both get everything.
+TEST(BackendDifferentialTest, ClusterHostsMatchPerHostWireFabrics) {
+  const auto config =
+      conformance_host_config(collector::ThreadMode::kInline, 1);
+  const auto workload = conformance_workload(400);
+  for (const auto policy : {translator::PartitionPolicy::kByKeyHash,
+                            translator::PartitionPolicy::kReplicate}) {
+    SCOPED_TRACE(policy == translator::PartitionPolicy::kByKeyHash
+                     ? "kByKeyHash"
+                     : "kReplicate");
+    ClusterBackend cluster(ClusterRuntimeConfig{config, 2, policy});
+    submit_workload(cluster, workload);
+
+    const translator::CollectorSelector& selector =
+        cluster.cluster().selector();
+    std::vector<std::unique_ptr<FabricBackend>> wires;
+    for (std::uint32_t h = 0; h < 2; ++h) {
+      wires.push_back(std::make_unique<FabricBackend>(config));
+    }
+    for (proto::ParsedDta parsed : workload) {
+      const translator::HostRange hosts = selector.route(parsed.report, 0);
+      if (auto* ap = std::get_if<proto::AppendReport>(&parsed.report)) {
+        ap->list_id = selector.host_local_list(ap->list_id);
+      }
+      for (std::uint32_t h = hosts.first; h < hosts.first + hosts.count; ++h) {
+        ASSERT_TRUE(wires[h]->submit(parsed, ReportOptions{}).ok());
+      }
+    }
+
+    // One shard per host: the cluster's image is host 0's regions, then
+    // host 1's.
+    const auto images = store_images(cluster);
+    const std::size_t per_host = images.size() / 2;
+    for (std::uint32_t h = 0; h < 2; ++h) {
+      const std::vector<Bytes> host_image(images.begin() + h * per_host,
+                                          images.begin() + (h + 1) * per_host);
+      EXPECT_TRUE(images_equal(host_image, store_images(*wires[h])))
+          << "host " << h;
+    }
   }
 }
 

@@ -95,8 +95,7 @@ inline std::unique_ptr<Backend> make_backend(
     case BackendKind::kFabric:
       // The Fabric is inherently synchronous and single-shard; the
       // thread mode and shard count of `config` do not apply to it.
-      return std::make_unique<FabricBackend>(
-          FabricBackend::fabric_config_from(config));
+      return std::make_unique<FabricBackend>(config);
     case BackendKind::kReplay:
       return std::make_unique<ReplayBackend>(make_local_backend(config));
   }

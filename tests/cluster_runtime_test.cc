@@ -1,11 +1,11 @@
 // ClusterRuntime tests, driven through the dta::Client facade
 // (ClusterBackend): two-level scale-out (hosts x shards), replica
-// failover after a collector death, the async snapshot-based query
-// tier (point/range/event queries, concurrent with ingest — the TSan
-// target), worker pinning, and the translator's per-host connections.
-// Reports are built by the shared typed builders; cluster internals
-// (selector, snapshot caches, per-shard stats) are reached through
-// Client::cluster_runtime().
+// failover after a collector death, the stats rollup over live and dead
+// hosts, the async snapshot-based query tier (point/range/event
+// queries, concurrent with ingest — the TSan target) and worker
+// pinning. Reports are built by the shared typed builders; cluster
+// internals (selector, snapshot caches, per-shard stats) are reached
+// through Client::cluster_runtime().
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 
 #include "dta/report_builders.h"
 #include "dtalib/client.h"
-#include "translator/translator.h"
 
 namespace dta {
 namespace {
@@ -185,6 +184,27 @@ TEST(ClusterRuntime, ByDestinationIpEventsReadTheAddressedHost) {
   }
 }
 
+TEST(ClusterRuntime, KeyHashAppendListLandsWholeOnItsOwner) {
+  // Append lists partition whole under kByKeyHash: every entry of a
+  // list reaches the host that owns it, and nothing reaches the other.
+  Client client = Client::cluster(cluster_config(2, 2));
+  ClusterRuntime& cluster = *client.cluster_runtime();
+  const auto owner = cluster.selector().owner_host_of_list(3);
+  ASSERT_TRUE(owner.has_value());
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(client.list(3).append_u32(i).ok());
+  }
+  ASSERT_TRUE(client.flush().ok());
+  EXPECT_EQ(cluster.host(*owner).stats().reports_in, 20u);
+  EXPECT_EQ(cluster.host(1 - *owner).stats().reports_in, 0u);
+  const auto events = client.events(3).max(20).run();
+  ASSERT_TRUE(events.ok());
+  ASSERT_EQ(events->entries.size(), 20u);
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    EXPECT_EQ(common::load_u32(events->entries[i].data()), i);
+  }
+}
+
 // ----------------------------------------------------------- failover
 
 TEST(ClusterRuntime, ReplicatePointQuerySurvivesHostDeath) {
@@ -226,6 +246,37 @@ TEST(ClusterRuntime, ReplicatePointQuerySurvivesHostDeath) {
   }
   ASSERT_TRUE(healthy.flush().ok());
   EXPECT_LT(client.modeled_verbs_per_sec(), healthy.modeled_verbs_per_sec());
+}
+
+TEST(ClusterRuntime, StatsTotalLiveHostsAndKeepDeadHostRows) {
+  // Totals cover live hosts only; the dead host keeps its row with its
+  // pre-failure counters.
+  Client client = Client::cluster(cluster_config(
+      2, 2, translator::PartitionPolicy::kReplicate));
+  for (std::uint64_t id = 0; id < 30; ++id) {
+    ASSERT_TRUE(client.keywrite().put_u32(key_of(id), 1).ok());
+  }
+  ASSERT_TRUE(client.flush().ok());
+  ASSERT_TRUE(client.fail_host(0).ok());
+  for (std::uint64_t id = 30; id < 40; ++id) {
+    ASSERT_TRUE(client.keywrite().put_u32(key_of(id), 1).ok());
+  }
+  ASSERT_TRUE(client.flush().ok());
+
+  const ClientStats stats = client.stats();
+  EXPECT_EQ(stats.num_hosts, 2u);
+  EXPECT_EQ(stats.live_hosts, 1u);
+  ASSERT_EQ(stats.per_host.size(), 2u);
+  EXPECT_TRUE(stats.per_host[0].failed);
+  EXPECT_EQ(stats.per_host[0].ingest.reports_in, 30u);
+  EXPECT_FALSE(stats.per_host[1].failed);
+  EXPECT_EQ(stats.per_host[1].ingest.reports_in, 40u);
+  EXPECT_EQ(stats.ingest.reports_in, stats.per_host[1].ingest.reports_in);
+  EXPECT_EQ(stats.translation.keywrite_reports,
+            stats.per_host[1].translation.keywrite_reports);
+  // Tenant attribution counts every host, the dead one included.
+  ASSERT_EQ(stats.per_tenant.size(), 1u);
+  EXPECT_EQ(stats.per_tenant[0].ingest_reports, 70u);
 }
 
 TEST(ClusterRuntime, ReplicateEventQueryFailsOver) {
@@ -559,59 +610,6 @@ TEST(ClusterRuntime, UnpinnedIsTheDefaultNoOp) {
   ASSERT_TRUE(client.flush().ok());
   ClusterRuntime& cluster = *client.cluster_runtime();
   EXPECT_EQ(cluster.host(0).pipeline().stats().workers_pinned, 0u);
-}
-
-// ------------------------------------- translator per-host connections
-
-TEST(Translator, PerHostConnectionsKeepIndependentPsns) {
-  // Two collector hosts, one translator: each connection tracks its own
-  // destination QPN and PSN, and ACK feedback resynchronizes only the
-  // host it came from.
-  collector::RdmaService host0, host1;
-  collector::KeyWriteSetup kw;
-  kw.num_slots = 1 << 10;
-  host0.enable_keywrite(kw);
-  host1.enable_keywrite(kw);
-  rdma::ConnectRequest req;
-  req.requester_qpn = 0x70;
-  req.start_psn = 0x1000;
-  const auto accept0 = host0.accept(req);
-  req.start_psn = 0x2000;
-  const auto accept1 = host1.accept(req);
-
-  translator::Translator translator(translator::TranslatorConfig{},
-                                    accept0.responder_qpn, accept0.start_psn,
-                                    accept0);
-  const std::uint32_t h1 = translator.add_host_connection(accept1);
-  ASSERT_EQ(h1, 1u);
-  EXPECT_EQ(translator.num_host_connections(), 2u);
-
-  translator::RdmaOp op;
-  op.kind = translator::RdmaOp::Kind::kWrite;
-  op.remote_va = accept0.regions[0].base_va;
-  op.rkey = accept0.regions[0].rkey;
-  op.payload = Bytes(8, 0xAB);
-
-  const std::uint32_t psn0 = translator.host_crafter(0).next_psn();
-  const std::uint32_t psn1 = translator.host_crafter(1).next_psn();
-  EXPECT_EQ(psn0, 0x1000u);
-  EXPECT_EQ(psn1, 0x2000u);
-
-  translator.host_crafter(0).craft(op);
-  translator.host_crafter(0).craft(op);
-  op.remote_va = accept1.regions[0].base_va;
-  op.rkey = accept1.regions[0].rkey;
-  translator.host_crafter(1).craft(op);
-
-  EXPECT_EQ(translator.host_crafter(0).next_psn(), psn0 + 2);
-  EXPECT_EQ(translator.host_crafter(1).next_psn(), psn1 + 1);
-
-  // A sequence-error NAK from host 1 resyncs host 1 only.
-  rdma::Aeth nak;
-  nak.syndrome = rdma::AethSyndrome::kPsnSeqNak;
-  translator.handle_host_ack(1, nak, /*responder_expected_psn=*/0x2000);
-  EXPECT_EQ(translator.host_crafter(1).next_psn(), 0x2000u);
-  EXPECT_EQ(translator.host_crafter(0).next_psn(), psn0 + 2);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // End-to-end tests through the full fabric: reporter UDP encapsulation,
 // 100G link, translator parse + translate, RoCE link, NIC verb
 // execution, and collector-side queries — the complete Figure 1 data
-// flow, including loss and reordering behaviour.
+// flow, with many reporters on the translator's ingress link, and loss
+// and reordering behaviour.
 #include <gtest/gtest.h>
 
 #include "dtalib/fabric.h"
@@ -316,6 +317,108 @@ TEST(FabricE2E, ModeledRateReflectsNicCeiling) {
   // All verbs arrive essentially at t=0 (fabric clock does not advance
   // between reports), so the NIC's modeled rate converges to its ceiling.
   EXPECT_NEAR(fabric.modeled_verbs_per_sec(), 10e6, 0.5e6);
+}
+
+// ------------------------------------------------------ many reporters
+// num_reporters switches share the translator's one ingress link: the
+// Figure 1 topology at fabric scale.
+
+FabricConfig reporters_config(std::uint32_t reporters) {
+  FabricConfig config = full_config();
+  config.num_reporters = reporters;
+  return config;
+}
+
+TEST(FabricE2E, ManyReportersAllCollected) {
+  Fabric fabric(reporters_config(32));
+  for (std::uint32_t sw = 0; sw < 32; ++sw) {
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      proto::KeyWriteReport r;
+      r.key = key_of(sw * 100 + i);
+      r.redundancy = 2;
+      common::put_u32(r.data, sw * 100 + i);
+      fabric.report(r, sw);
+    }
+  }
+  fabric.flush();
+
+  int hits = 0;
+  for (std::uint32_t sw = 0; sw < 32; ++sw) {
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      const auto result = fabric.collector().service().keywrite()->query(
+          key_of(sw * 100 + i), 2);
+      if (result.status == collector::QueryStatus::kHit &&
+          common::load_u32(result.value.data()) == sw * 100 + i) {
+        ++hits;
+      }
+    }
+  }
+  EXPECT_EQ(hits, 320);
+  EXPECT_EQ(fabric.translator().stats().dta_reports_in, 320u);
+}
+
+TEST(FabricE2E, InterleavedPostcardsFromDifferentSwitches) {
+  // Each switch on a flow's path reports its own postcard — the cross-
+  // switch aggregation case: hop i arrives from reporter i.
+  Fabric fabric(reporters_config(5));
+  for (std::uint32_t flow = 0; flow < 50; ++flow) {
+    for (std::uint8_t hop = 0; hop < 5; ++hop) {
+      proto::PostcardReport r;
+      r.key = key_of(flow);
+      r.hop = hop;
+      r.path_len = 5;
+      r.redundancy = 1;
+      r.value = (flow + hop) % 1024;
+      fabric.report(r, hop);  // reporter per hop
+    }
+  }
+  fabric.flush();
+
+  int found = 0;
+  for (std::uint32_t flow = 0; flow < 50; ++flow) {
+    const auto result =
+        fabric.collector().service().postcarding()->query(key_of(flow), 1);
+    if (result.found && result.hop_values.size() == 5) ++found;
+  }
+  EXPECT_GE(found, 49);
+}
+
+TEST(FabricE2E, CountersAggregateAcrossSwitches) {
+  // Network-wide aggregation: every switch increments the same key
+  // (Key-Increment's raison d'être).
+  Fabric fabric(reporters_config(8));
+  for (std::uint32_t sw = 0; sw < 8; ++sw) {
+    proto::KeyIncrementReport r;
+    r.key = key_of(7);
+    r.redundancy = 2;
+    r.counter = 5;
+    fabric.report(r, sw);
+  }
+  EXPECT_EQ(fabric.collector().service().keyincrement()->query(key_of(7), 2),
+            40u);
+}
+
+TEST(FabricE2E, AlternatingReportersInterleaveInOnePostcardRow) {
+  // Two reporters emit alternately, one flow each, and the translator
+  // sees their frames in the order they were sent: with a one-row
+  // postcard cache every postcard evicts the other reporter's flow.
+  // Per-reporter bursts would evict only once.
+  FabricConfig config = reporters_config(2);
+  config.translator.postcard_cache_slots = 1;
+  Fabric fabric(config);
+  for (int round = 0; round < 10; ++round) {
+    for (std::uint32_t sw = 0; sw < 2; ++sw) {
+      proto::PostcardReport r;
+      r.key = key_of(sw);  // flow per reporter -> collides in the 1-row cache
+      r.hop = static_cast<std::uint8_t>(round % 5);
+      r.path_len = 5;
+      r.redundancy = 1;
+      r.value = 1;
+      fabric.report(r, sw);
+    }
+  }
+  fabric.flush();
+  EXPECT_GE(fabric.translator().postcarding()->stats().early_emissions, 10u);
 }
 
 }  // namespace

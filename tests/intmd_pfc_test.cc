@@ -1,8 +1,8 @@
-// Tests for multi-collector deployments (§7), the INT-MD embedded-mode
-// protocol walk, and PFC lossless transport (§7).
+// Tests for the INT-MD embedded-mode protocol walk and PFC lossless
+// transport (§7).
 #include <gtest/gtest.h>
 
-#include "dtalib/multi_fabric.h"
+#include "dtalib/fabric.h"
 #include "net/pfc.h"
 #include "telemetry/int_md.h"
 
@@ -20,122 +20,6 @@ TelemetryKey key_of(std::uint64_t id) {
   Bytes b;
   common::put_u64(b, z);
   return TelemetryKey::from(ByteSpan(b));
-}
-
-MultiFabricConfig multi_config(std::uint32_t collectors,
-                               translator::PartitionPolicy policy) {
-  MultiFabricConfig config;
-  collector::KeyWriteSetup kw;
-  kw.num_slots = 1 << 14;
-  kw.value_bytes = 4;
-  config.base.keywrite = kw;
-  collector::AppendSetup ap;
-  ap.num_lists = 8;
-  ap.entries_per_list = 256;
-  ap.entry_bytes = 4;
-  config.base.append = ap;
-  config.base.translator.append_batch_size = 1;
-  config.num_collectors = collectors;
-  config.policy = policy;
-  return config;
-}
-
-// ------------------------------------------------------------ MultiFabric
-
-TEST(MultiFabric, ShardedKeysLandOnTheirCollector) {
-  MultiFabric mf(
-      multi_config(3, translator::PartitionPolicy::kByKeyHash));
-  for (std::uint64_t k = 0; k < 300; ++k) {
-    proto::KeyWriteReport r;
-    r.key = key_of(k);
-    r.redundancy = 2;
-    common::put_u32(r.data, static_cast<std::uint32_t>(k));
-    mf.report(r);
-  }
-  int hits = 0;
-  for (std::uint64_t k = 0; k < 300; ++k) {
-    proto::KeyWriteReport probe;
-    probe.key = key_of(k);
-    const std::uint32_t shard = mf.shard_of(probe);
-    const auto result =
-        mf.collector(shard).service().keywrite()->query(key_of(k), 2);
-    if (result.status == collector::QueryStatus::kHit &&
-        common::load_u32(result.value.data()) == k) {
-      ++hits;
-    }
-  }
-  EXPECT_EQ(hits, 300);
-}
-
-TEST(MultiFabric, ShardsActuallySpread) {
-  MultiFabric mf(multi_config(4, translator::PartitionPolicy::kByKeyHash));
-  for (std::uint64_t k = 0; k < 400; ++k) {
-    proto::KeyWriteReport r;
-    r.key = key_of(k);
-    r.redundancy = 1;
-    common::put_u32(r.data, 1);
-    mf.report(r);
-  }
-  for (std::uint32_t c = 0; c < 4; ++c) {
-    EXPECT_GT(mf.collector(c).stats().verbs_executed, 50u) << "shard " << c;
-  }
-}
-
-TEST(MultiFabric, ReplicationSurvivesCollectorFailure) {
-  MultiFabric mf(multi_config(2, translator::PartitionPolicy::kReplicate));
-  // Collector 0 dies mid-run.
-  for (std::uint64_t k = 0; k < 100; ++k) {
-    if (k == 50) mf.fail_collector(0);
-    proto::KeyWriteReport r;
-    r.key = key_of(k);
-    r.redundancy = 2;
-    common::put_u32(r.data, static_cast<std::uint32_t>(k));
-    mf.report(r);
-  }
-  // Every key is answerable from the surviving collector.
-  int hits = 0;
-  for (std::uint64_t k = 0; k < 100; ++k) {
-    const auto result =
-        mf.collector(1).service().keywrite()->query(key_of(k), 2);
-    if (result.status == collector::QueryStatus::kHit) ++hits;
-  }
-  EXPECT_EQ(hits, 100);
-  // The dead collector only has the first half.
-  int dead_hits = 0;
-  for (std::uint64_t k = 50; k < 100; ++k) {
-    if (mf.collector(0).service().keywrite()->query(key_of(k), 2).status ==
-        collector::QueryStatus::kHit) {
-      ++dead_hits;
-    }
-  }
-  EXPECT_EQ(dead_hits, 0);
-}
-
-TEST(MultiFabric, AppendListsPartitionWhole) {
-  MultiFabric mf(multi_config(2, translator::PartitionPolicy::kByKeyHash));
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    proto::AppendReport r;
-    r.list_id = 3;  // odd list -> collector 1
-    r.entry_size = 4;
-    Bytes e;
-    common::put_u32(e, i);
-    r.entries.push_back(std::move(e));
-    mf.report(r);
-  }
-  EXPECT_EQ(mf.collector(1).stats().verbs_executed, 20u);
-  EXPECT_EQ(mf.collector(0).stats().verbs_executed, 0u);
-  auto* store = mf.collector(1).service().append();
-  EXPECT_EQ(common::load_u32(store->poll(3).data()), 0u);
-}
-
-TEST(MultiFabric, AggregateRateScalesWithCollectors) {
-  MultiFabric two(multi_config(2, translator::PartitionPolicy::kByKeyHash));
-  MultiFabric four(multi_config(4, translator::PartitionPolicy::kByKeyHash));
-  EXPECT_DOUBLE_EQ(four.aggregate_message_rate(),
-                   2 * two.aggregate_message_rate());
-  four.fail_collector(0);
-  EXPECT_LT(four.aggregate_message_rate(),
-            2 * two.aggregate_message_rate());
 }
 
 // ----------------------------------------------------------------- INT-MD

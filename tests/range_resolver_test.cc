@@ -323,8 +323,7 @@ TEST(RangeResolverTest, ClusterMatchesReference) {
 }
 
 TEST(RangeResolverTest, FabricMatchesReference) {
-  FabricBackend backend(
-      FabricBackend::fabric_config_from(small_store_config(1)));
+  FabricBackend backend(small_store_config(1));
   const Workload workload = submit_workload(backend, 51);
   expect_resolver_matches_reference(
       backend, workload, [](const TelemetryKey&) { return 0u; }, 61);
