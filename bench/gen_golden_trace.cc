@@ -1,6 +1,7 @@
 // Regenerates the committed golden traces under tests/data/.
 //
-//   gen_golden_trace [out_dir]        (default: tests/data)
+//   gen_golden_trace [out_dir]        (default: tests/data; created
+//                                      when missing)
 //
 // Fixtures are deterministic — synthesized from the traffic model with
 // fixed seeds and logical timestamps, recorded through a ReplayBackend
@@ -15,7 +16,9 @@
 //   keywrite_2k.dtatrace      Key-Write only, matched to the fig10
 //                             bench geometry (--replay smoke input)
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "dtalib/replay_backend.h"
 #include "telemetry/trace.h"
@@ -53,6 +56,12 @@ int write_fixture(ReplayBackend& recorder,
 
 int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : "tests/data";
+  std::error_code error;
+  std::filesystem::create_directories(out_dir, error);
+  if (error) {
+    std::fprintf(stderr, "%s: %s\n", out_dir.c_str(), error.message().c_str());
+    return 1;
+  }
 
   {
     ReplayBackend recorder(dta::testing::make_local_backend(

@@ -21,9 +21,10 @@ std::uint32_t log2_of(std::uint32_t pow2) {
 
 }  // namespace
 
-DirtyTracker::DirtyTracker(std::uint32_t chunk_bytes)
+DirtyTracker::DirtyTracker(std::uint32_t chunk_bytes, double full_copy_ratio)
     : chunk_bytes_(round_chunk(chunk_bytes)),
-      chunk_shift_(log2_of(chunk_bytes_)) {}
+      chunk_shift_(log2_of(chunk_bytes_)),
+      full_copy_ratio_(full_copy_ratio) {}
 
 void DirtyTracker::track(const rdma::MemoryRegion* region) {
   if (!region || region->length() == 0) return;
@@ -33,7 +34,13 @@ void DirtyTracker::track(const rdma::MemoryRegion* region) {
       (region->length() + chunk_bytes_ - 1) >> chunk_shift_;
   tracked.bits.assign((tracked.num_chunks + 63) / 64, 0);
   tracked_bytes_ += region->length();
+  tracked_chunks_ += tracked.num_chunks;
   tracked_.push_back(std::move(tracked));
+  cap_ = static_cast<std::uint64_t>(std::clamp(full_copy_ratio_, 0.0, 1.0) *
+                                    static_cast<double>(tracked_chunks_));
+  // No list can outgrow its region or the cap, so marks never allocate.
+  // Reserved pages stay untouched until a mark writes them.
+  for (Tracked& t : tracked_) t.list.reserve(std::min(t.num_chunks, cap_));
 }
 
 DirtyTracker::Tracked* DirtyTracker::find(std::uint64_t va, std::size_t len) {
@@ -69,10 +76,14 @@ void DirtyTracker::mark(std::uint64_t va, std::size_t len) {
   for (std::uint64_t chunk = first; chunk <= last; ++chunk) {
     const std::uint64_t mask = 1ull << (chunk & 63);
     std::uint64_t& word = tracked->bits[chunk >> 6];
-    if (!(word & mask)) {
-      word |= mask;
-      ++tracked->dirty_chunks;
+    if (word & mask) continue;
+    if (listed_ == cap_) {
+      mark_all();
+      return;
     }
+    word |= mask;
+    tracked->list.push_back(static_cast<std::uint32_t>(chunk));
+    ++listed_;
   }
 }
 
@@ -83,10 +94,12 @@ void DirtyTracker::mark_all() {
 
 void DirtyTracker::clear() {
   saturated_ = false;
+  listed_ = 0;
+  // Every set bit is listed (a saturating mark sets no bit), so zeroing
+  // the listed chunks' words clears the bitmap.
   for (Tracked& tracked : tracked_) {
-    if (tracked.dirty_chunks == 0) continue;
-    std::fill(tracked.bits.begin(), tracked.bits.end(), 0);
-    tracked.dirty_chunks = 0;
+    for (const std::uint32_t chunk : tracked.list) tracked.bits[chunk >> 6] = 0;
+    tracked.list.clear();
   }
 }
 
@@ -94,8 +107,8 @@ std::uint64_t DirtyTracker::dirty_bytes() const {
   if (saturated_) return tracked_bytes_;
   std::uint64_t total = 0;
   for (const Tracked& tracked : tracked_) {
-    total += std::min<std::uint64_t>(
-        tracked.dirty_chunks << chunk_shift_, tracked.region->length());
+    total += std::min<std::uint64_t>(tracked.list.size() << chunk_shift_,
+                                     tracked.region->length());
   }
   return total;
 }
@@ -108,10 +121,20 @@ double DirtyTracker::dirty_ratio() const {
 
 std::vector<DirtyTracker::Range> DirtyTracker::dirty_ranges(
     const rdma::MemoryRegion* region) const {
-  std::vector<Range> ranges;
+  std::vector<Range> runs;
   for_each_dirty_range(region, [&](std::uint64_t offset, std::uint64_t len) {
-    ranges.emplace_back(offset, len);
+    runs.emplace_back(offset, len);
   });
+  std::sort(runs.begin(), runs.end());
+  std::vector<Range> ranges;
+  for (const Range& run : runs) {
+    if (!ranges.empty() &&
+        ranges.back().first + ranges.back().second == run.first) {
+      ranges.back().second += run.second;
+    } else {
+      ranges.push_back(run);
+    }
+  }
   return ranges;
 }
 

@@ -6,8 +6,8 @@
 // linearly with the store even when an op batch dirtied a handful of
 // slots. The tracker records which fixed-size chunks of each registered
 // store region were written since the last snapshot consume, so a
-// refresh can copy only the dirtied bytes — the quiesce window then
-// scales with mutation, not store size.
+// refresh can copy only the dirtied bytes — the refresh then scales
+// with mutation, not store size.
 //
 // Granularity: regions are divided into chunks of `chunk_bytes`
 // (rounded up to a power of two, min 64 B). One bit per chunk; the
@@ -17,11 +17,19 @@
 // region saturates the tracker (mark_all), so unknown writes degrade to
 // a full copy instead of a missed patch.
 //
-// Thread safety: none — by design. Marks happen on the shard's ingest
-// thread (worker or inline caller); reads and clear() happen only
-// inside a quiesce window (worker parked behind the pipeline's hold
-// barrier), whose handshake orders them against the marks. The tracker
-// must never be read while the shard is ingesting.
+// Dirty list: each chunk's clean→dirty transition also appends its
+// index to a per-region list, reserved up front, so a refresh walks and
+// clear() resets only the chunks that changed, never every bitmap word
+// of a large region. The lists hold at most `full_copy_ratio` of the
+// tracked chunks; one more dirty chunk saturates the tracker, because
+// past that share one full memcpy beats the chunk loop. A ratio of 1 or
+// more never saturates through the cap.
+//
+// Thread safety: none — by design. Marks, reads and clear() all happen
+// on the shard's ingest thread (worker or inline caller): the snapshot
+// refresh reads and clears the tracker inside a writer job the ingest
+// pipeline runs between drain passes. Other threads read it only behind
+// a flush barrier, with the shard idle.
 #pragma once
 
 #include <algorithm>
@@ -36,7 +44,7 @@ namespace dta::collector {
 struct DirtyTrackerStats {
   std::uint64_t marks = 0;         // mark() calls since construction
   std::uint64_t bytes_marked = 0;  // sum of marked extents (pre-dedup)
-  std::uint64_t saturations = 0;   // mark_all / out-of-range fallbacks
+  std::uint64_t saturations = 0;   // mark_all / out-of-range / cap fallbacks
 };
 
 class DirtyTracker {
@@ -47,22 +55,26 @@ class DirtyTracker {
   // 64 B default: one cache line, the granularity ingest writes at (an
   // 8 B slot, a 32 B postcard chunk, a 64 B append batch), so a refresh
   // copies what was written rather than the 4 KiB page around it.
-  explicit DirtyTracker(std::uint32_t chunk_bytes = 64);
+  // `full_copy_ratio` caps the dirty list (see the header comment).
+  explicit DirtyTracker(std::uint32_t chunk_bytes = 64,
+                        double full_copy_ratio = 1.0);
 
-  // Registers a region for tracking. Null regions are ignored. Call
-  // before any mark (the shard tracks its store regions at setup).
+  // Registers a region for tracking and reserves its dirty list. Null
+  // regions are ignored. Call before any mark (the shard tracks its
+  // store regions at setup).
   void track(const rdma::MemoryRegion* region);
 
   // Marks the chunks covering [va, va + len) dirty. A range outside
-  // every tracked region saturates the tracker instead (safety: the
-  // next refresh falls back to a full copy).
+  // every tracked region, or a chunk past the list cap, saturates the
+  // tracker instead (the next refresh falls back to a full copy).
   void mark(std::uint64_t va, std::size_t len);
 
   // Everything dirty; the next refresh must full-copy.
   void mark_all();
 
-  // Resets all chunks to clean. The snapshot refresher calls this once
-  // its copy has consumed the dirty set (inside the quiesce window).
+  // Resets every listed chunk to clean and empties the lists. The
+  // snapshot refresh calls this once its copy has consumed the dirty
+  // set.
   void clear();
 
   std::uint32_t chunk_bytes() const { return chunk_bytes_; }
@@ -75,16 +87,17 @@ class DirtyTracker {
   // dirty_bytes / tracked_bytes (0 when nothing is tracked).
   double dirty_ratio() const;
 
-  // Calls fn(offset, length) for each coalesced dirty byte range of
-  // `region`, in ascending order, clamped to its length. A saturated
+  // Calls fn(offset, length) for each dirty byte range of `region`,
+  // clamped to its length: chunks in the order they turned dirty, with
+  // chunks that follow each other in that order coalesced. A saturated
   // tracker — or an untracked region — reports one range covering the
   // whole region, so consumers degrade to a full copy rather than ever
-  // missing a write. Allocation-free: the snapshot refresher patches
-  // from it inside the quiesce window.
+  // missing a write. Allocation-free: the snapshot refresh patches from
+  // it inside a writer job.
   template <typename Fn>
   void for_each_dirty_range(const rdma::MemoryRegion* region, Fn&& fn) const;
 
-  // The same ranges, collected.
+  // The same ranges, sorted by offset and fully coalesced.
   std::vector<Range> dirty_ranges(const rdma::MemoryRegion* region) const;
 
   const DirtyTrackerStats& stats() const { return stats_; }
@@ -93,8 +106,8 @@ class DirtyTracker {
   struct Tracked {
     const rdma::MemoryRegion* region = nullptr;
     std::vector<std::uint64_t> bits;  // one bit per chunk
+    std::vector<std::uint32_t> list;  // chunks in the order they turned dirty
     std::uint64_t num_chunks = 0;
-    std::uint64_t dirty_chunks = 0;
   };
 
   Tracked* find(std::uint64_t va, std::size_t len);
@@ -102,7 +115,11 @@ class DirtyTracker {
 
   std::uint32_t chunk_bytes_;
   std::uint32_t chunk_shift_;
+  double full_copy_ratio_;
   std::uint64_t tracked_bytes_ = 0;
+  std::uint64_t tracked_chunks_ = 0;
+  std::uint64_t listed_ = 0;  // entries across every list
+  std::uint64_t cap_ = 0;     // listed_ past this saturates
   bool saturated_ = false;
   std::vector<Tracked> tracked_;
   DirtyTrackerStats stats_;
@@ -118,51 +135,24 @@ void DirtyTracker::for_each_dirty_range(const rdma::MemoryRegion* region,
     fn(std::uint64_t{0}, length);
     return;
   }
-  if (tracked->dirty_chunks == 0) return;
-
-  // Run walk, one 64-bit word at a time: clean words are skipped, full
-  // words extend the open run, and inside a mixed word each run edge is
-  // one count-trailing-zeros on the word (or its complement, while a
-  // run is open). Bits past num_chunks are never set, so a run open at
-  // the last word ends there and is clamped to the region length.
-  bool in_run = false;
-  std::uint64_t run_start = 0;
-  const auto close_run = [&](std::uint64_t end_chunk) {
-    const std::uint64_t begin = run_start << chunk_shift_;
-    fn(begin, std::min(end_chunk << chunk_shift_, length) - begin);
-    in_run = false;
+  // [run_begin, run_end) in chunks; empty while no run is open. The
+  // last chunk may overhang the region, so every run is clamped.
+  std::uint64_t run_begin = 0;
+  std::uint64_t run_end = 0;
+  const auto emit = [&] {
+    const std::uint64_t begin = run_begin << chunk_shift_;
+    fn(begin, std::min(run_end << chunk_shift_, length) - begin);
   };
-  for (std::uint64_t w = 0; w < tracked->bits.size(); ++w) {
-    const std::uint64_t word = tracked->bits[w];
-    const std::uint64_t base = w << 6;
-    if (word == 0) {
-      if (in_run) close_run(base);
+  for (const std::uint32_t chunk : tracked->list) {
+    if (chunk == run_end && run_end != run_begin) {
+      ++run_end;
       continue;
     }
-    if (word == ~std::uint64_t{0}) {
-      if (!in_run) {
-        run_start = base;
-        in_run = true;
-      }
-      continue;
-    }
-    std::uint64_t unseen = ~std::uint64_t{0};  // bit positions still ahead
-    for (;;) {
-      // An open run ends at the next clear bit; a closed one starts at
-      // the next set bit.
-      const std::uint64_t edges = (in_run ? ~word : word) & unseen;
-      if (edges == 0) break;
-      const unsigned bit = static_cast<unsigned>(__builtin_ctzll(edges));
-      if (in_run) {
-        close_run(base + bit);
-      } else {
-        run_start = base + bit;
-        in_run = true;
-      }
-      unseen = ~std::uint64_t{0} << bit;
-    }
+    if (run_end != run_begin) emit();
+    run_begin = chunk;
+    run_end = std::uint64_t{chunk} + 1;
   }
-  if (in_run) close_run(tracked->num_chunks);
+  if (run_end != run_begin) emit();
 }
 
 }  // namespace dta::collector

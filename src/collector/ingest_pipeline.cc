@@ -78,7 +78,7 @@ void IngestPipeline::submit(std::uint32_t shard, proto::ParsedDta parsed) {
   }
   // Counted only once the report is enqueued (or inline-ingested): the
   // snapshot cache stamps covers_seq from this counter, and a stamp
-  // must never claim a report a concurrent quiesce drain could not yet
+  // must never claim a report a concurrent writer job's drain could not yet
   // have observed.
   lane.submitted.fetch_add(1, std::memory_order_release);
 }
@@ -88,7 +88,7 @@ std::uint64_t IngestPipeline::submitted(std::uint32_t shard) const {
 }
 
 std::uint64_t IngestPipeline::quiesces(std::uint32_t shard) const {
-  return lanes_[shard]->quiesces.load(std::memory_order_relaxed);
+  return lanes_[shard]->jobs_requested.load(std::memory_order_relaxed);
 }
 
 std::uint64_t IngestPipeline::request_flush(std::uint32_t shard) {
@@ -131,40 +131,34 @@ void IngestPipeline::flush_shard(std::uint32_t shard) {
   await_flush(shard, request_flush(shard));
 }
 
-void IngestPipeline::begin_quiesce(std::uint32_t shard) {
-  lanes_[shard]->quiesces.fetch_add(1, std::memory_order_relaxed);
+void IngestPipeline::post_job(std::uint32_t shard, void (*fn)(void*) noexcept,
+                              void* arg) {
+  ShardLane& lane = *lanes_[shard];
   if (!threaded_ || stopped_.load(std::memory_order_acquire)) {
     // Single-threaded contract: the caller is the only thread touching
-    // the shard, so a plain flush is a complete quiesce.
+    // the shard, so it is the writer.
+    lane.jobs_requested.fetch_add(1, std::memory_order_relaxed);
     shards_[shard]->flush();
+    fn(arg);
     return;
   }
-  ShardLane& lane = *lanes_[shard];
-  // `hold` before the request: the acq_rel increment publishes it, so a
-  // worker that grants this request is guaranteed to observe the hold
-  // and park. A dedicated request counter (not the flush counters)
-  // keeps concurrent flush() callers from being mistaken for holders.
-  lane.hold.store(true, std::memory_order_relaxed);
+  lane.job_fn = fn;
+  lane.job_arg = arg;
   const std::uint64_t target =
-      lane.holds_requested.fetch_add(1, std::memory_order_acq_rel) + 1;
-  while (lane.holds_granted.load(std::memory_order_acquire) < target) {
+      lane.jobs_requested.fetch_add(1, std::memory_order_acq_rel) + 1;
+  while (lane.jobs_done.load(std::memory_order_acquire) < target) {
     if (lane.worker_done.load(std::memory_order_acquire)) {
-      // stop() raced this request and the worker exited without seeing
-      // it. The worker can never write again, so completing the
-      // barrier on this thread is race-free (callers of a stopped
-      // pipeline are serialized per shard by the snapshot cache).
-      shards_[shard]->flush();
+      // stop() raced the post. The worker can never write again, and
+      // its acks precede worker_done, so this re-read tells whether it
+      // ran the job before exiting; if not, the caller runs it.
+      if (lane.jobs_done.load(std::memory_order_acquire) < target) {
+        shards_[shard]->flush();
+        fn(arg);
+      }
       return;
     }
     std::this_thread::yield();
   }
-}
-
-void IngestPipeline::end_quiesce(std::uint32_t shard) {
-  // Always clear the hold in threaded mode — even if stop() completed
-  // meanwhile — so a worker parked on it is never stranded.
-  if (!threaded_) return;
-  lanes_[shard]->hold.store(false, std::memory_order_release);
 }
 
 void IngestPipeline::stop() {
@@ -201,10 +195,10 @@ void IngestPipeline::worker_loop(std::uint32_t shard) {
   proto::ParsedDta parsed;
   // Pops and ingests what was queued when the pass began; returns
   // whether anything ran. The bound keeps a producer that refills the
-  // queue as fast as it drains from starving flush and quiesce
-  // requests. It loses nothing a request waits for: those reports were
-  // pushed before the request's counter was bumped, so a pass started
-  // after observing the request counts them in its size().
+  // queue as fast as it drains from starving flush and job requests.
+  // It loses nothing a request waits for: those reports were pushed
+  // before the request's counter was bumped, so a pass started after
+  // observing the request counts them in its size().
   const auto drain = [&lane, target, &parsed] {
     std::size_t budget = lane.queue.size();
     const bool any = budget != 0;
@@ -229,41 +223,28 @@ void IngestPipeline::worker_loop(std::uint32_t shard) {
       lane.flushes_done.store(requested, std::memory_order_release);
       idle = false;
     }
-    // Honour quiesce requests: drain + flush (the holder's snapshot
-    // must cover everything submitted before its request), grant, then
-    // park until the holder finishes copying. While parked this worker
-    // writes nothing, so the copy cannot tear; flush() callers on the
-    // producer side simply wait out the window.
-    const std::uint64_t holds =
-        lane.holds_requested.load(std::memory_order_acquire);
-    if (lane.holds_granted.load(std::memory_order_relaxed) < holds) {
+    // Honour a writer job the same way: drain + flush (the job must see
+    // everything submitted before its post), run it, ack. The poster
+    // waits for the ack and posts serially, so one job is outstanding
+    // at most, and the ack's release publishes the job's writes.
+    const std::uint64_t jobs =
+        lane.jobs_requested.load(std::memory_order_acquire);
+    if (lane.jobs_done.load(std::memory_order_relaxed) < jobs) {
       drain();
       target->flush();
-      lane.holds_granted.store(holds, std::memory_order_release);
-      // Park until the holder clears `hold` — or a *newer* quiesce
-      // request arrives (its holder serialized behind the previous
-      // end_quiesce, so the copy window is over and re-draining is
-      // safe); without that escape a back-to-back quiesce could re-set
-      // `hold` before this loop ever observed it cleared. Deliberately
-      // no stop_ escape: unparking on stop would let the final flush
-      // below race a holder mid-copy, and every holder clears its hold.
-      while (lane.hold.load(std::memory_order_acquire) &&
-             lane.holds_requested.load(std::memory_order_acquire) <= holds) {
-        std::this_thread::yield();
-      }
+      lane.job_fn(lane.job_arg);
+      lane.jobs_done.store(jobs, std::memory_order_release);
       idle = false;
     }
     if (stop_.load(std::memory_order_acquire)) {
-      // Exit only once fully quiet: queue drained, every flush and
-      // quiesce request honoured, no open hold window. A request that
-      // races past this check is caught by the holder's worker_done
-      // fallback in begin_quiesce.
+      // Exit only once fully quiet: queue drained, every flush and job
+      // request honoured. A job posted past this check is caught by the
+      // poster's worker_done fallback in post_job.
       if (lane.queue.empty() &&
           lane.flushes_done.load(std::memory_order_relaxed) >=
               lane.flushes_requested.load(std::memory_order_acquire) &&
-          lane.holds_granted.load(std::memory_order_relaxed) >=
-              lane.holds_requested.load(std::memory_order_acquire) &&
-          !lane.hold.load(std::memory_order_acquire)) {
+          lane.jobs_done.load(std::memory_order_relaxed) >=
+              lane.jobs_requested.load(std::memory_order_acquire)) {
         target->flush();  // final drain of aggregation state
         lane.worker_done.store(true, std::memory_order_release);
         return;

@@ -22,13 +22,14 @@
 //   * flush()/flush_shard() — queue drained, translator aggregation
 //     state written back, and the release/acquire handshake on the
 //     flush counters publishes the worker's store writes to the caller;
-//   * begin_quiesce()/end_quiesce() — the stronger form the snapshot
-//     tier uses: same drain + flush, after which the worker *parks*
-//     until end_quiesce, so the caller can copy store memory without
-//     racing later batches. Quiesce requests on one shard must be
-//     serialized by the caller (SnapshotCache's per-shard mutex does
-//     this); quiesces on different shards may overlap, and may run from
-//     any thread while the producer keeps submitting.
+//   * run_writer_job() — the form the snapshot tier uses while the
+//     producer keeps submitting: the shard's writer (its worker, or the
+//     caller when inline or stopped) drains, flushes and runs the job
+//     between two drain passes, so the job reads store memory on the
+//     core that wrote it and no batch races it. Jobs on one shard must
+//     be serialized by the caller (SnapshotCache's per-shard mutex does
+//     this); jobs on different shards may overlap, and may be posted
+//     from any thread.
 #pragma once
 
 #include <atomic>
@@ -99,26 +100,34 @@ class IngestPipeline {
   // running.
   void flush_shard(std::uint32_t shard);
 
-  // Quiesce window for shard `shard`: drains + flushes it, then parks
-  // its worker until end_quiesce. Between the two calls nothing writes
-  // the shard's store memory, so a snapshot copy is race-free even
-  // while the producer keeps submitting (new reports just queue up).
-  // Callers serialize per shard; see the threading contract above.
-  void begin_quiesce(std::uint32_t shard);
-  void end_quiesce(std::uint32_t shard);
+  // Runs `job()` as shard `shard`'s writer and returns once it has run.
+  // The worker drains every report submitted before the call, flushes
+  // the shard's aggregation state, runs the job between two drain
+  // passes and acks; inline or stopped pipelines flush and run it on
+  // the caller. Either way the job sees every report submitted before
+  // the call and nothing else writes the shard while it runs. Posting
+  // allocates nothing (the worker calls back through a pointer to
+  // `job`); the job must not throw. Callers serialize jobs per shard;
+  // see the threading contract above. stop() may race a post: the job
+  // still runs exactly once.
+  template <typename Job>
+  void run_writer_job(std::uint32_t shard, Job& job) {
+    post_job(shard, [](void* arg) noexcept { (*static_cast<Job*>(arg))(); },
+             &job);
+  }
 
   // Count of reports ever submitted to shard `shard` (readable from any
   // thread; the snapshot cache's read-your-submits stamp).
   std::uint64_t submitted(std::uint32_t shard) const;
 
-  // Count of quiesce windows ever opened on shard `shard` (any mode,
-  // including the inline and post-stop fallbacks). Bounded-staleness
-  // serving is asserted against this: a snapshot served within budget
-  // must not have opened a window.
+  // Count of writer jobs ever run on shard `shard` (any mode, including
+  // the inline and post-stop fallbacks). Bounded-staleness serving is
+  // asserted against this: a snapshot served within budget must not
+  // have run a job.
   std::uint64_t quiesces(std::uint32_t shard) const;
 
   // Drains, flushes and joins the workers. Idempotent; the destructor
-  // calls it. Do not stop() while a quiesce window is open.
+  // calls it.
   void stop();
 
   bool threaded() const { return threaded_; }
@@ -141,18 +150,17 @@ class IngestPipeline {
     alignas(64) std::atomic<std::uint64_t> submitted{0};
     alignas(64) std::atomic<std::uint64_t> flushes_requested{0};
     std::atomic<std::uint64_t> flushes_done{0};
-    // Quiesce handshake: the holder bumps holds_requested and waits for
-    // holds_granted; the worker grants (after drain + flush) and then
-    // parks while `hold` is set.
-    std::atomic<std::uint64_t> holds_requested{0};
-    std::atomic<std::uint64_t> holds_granted{0};
-    // Total quiesce windows opened (all modes; holds_requested only
-    // counts the threaded handshake).
-    std::atomic<std::uint64_t> quiesces{0};
-    std::atomic<bool> hold{false};
+    // Writer-job handshake: the poster stores the job, bumps
+    // jobs_requested (counting every job, in every mode) and waits for
+    // jobs_done; the worker runs the job after its drain + flush and
+    // acks. The job fields are published by the request's release.
+    void (*job_fn)(void*) noexcept = nullptr;
+    void* job_arg = nullptr;
+    std::atomic<std::uint64_t> jobs_requested{0};
+    std::atomic<std::uint64_t> jobs_done{0};
     // Set by the worker right before it returns (it can never write
-    // store memory again): the holder's escape hatch when stop() races
-    // a quiesce request the worker exited without seeing.
+    // store memory again): the poster's escape hatch when stop() races
+    // a job the worker exited without seeing.
     std::atomic<bool> worker_done{false};
     // Set once the constructor has applied (or skipped) affinity, so
     // the worker's first-touch pass runs on the right core.
@@ -160,6 +168,7 @@ class IngestPipeline {
   };
 
   void worker_loop(std::uint32_t shard);
+  void post_job(std::uint32_t shard, void (*fn)(void*) noexcept, void* arg);
   std::uint64_t request_flush(std::uint32_t shard);
   void await_flush(std::uint32_t shard, std::uint64_t target);
 

@@ -27,6 +27,7 @@ CollectorRuntime::CollectorRuntime(CollectorRuntimeConfig config)
     sc.append_batch_size = config_.append_batch_size;
     sc.postcard_cache_slots = config_.postcard_cache_slots;
     sc.snapshot_chunk_bytes = config_.snapshot_chunk_bytes;
+    sc.snapshot_full_copy_ratio = config_.snapshot_full_copy_ratio;
     if (config_.keywrite) {
       KeyWriteSetup kw = *config_.keywrite;
       kw.num_slots = slice(kw.num_slots, n, 1024);
@@ -72,10 +73,7 @@ CollectorRuntime::CollectorRuntime(CollectorRuntimeConfig config)
   pc.pin_workers = config_.pin_workers;
   pc.worker_cores = config_.worker_cores;
   pipeline_ = std::make_unique<IngestPipeline>(std::move(shard_ptrs), pc);
-  SnapshotCacheConfig cache_config;
-  cache_config.full_copy_dirty_ratio = config_.snapshot_full_copy_ratio;
-  snapshot_cache_ =
-      std::make_unique<SnapshotCache>(shards_.size(), cache_config);
+  snapshot_cache_ = std::make_unique<SnapshotCache>(shards_.size());
 }
 
 CollectorRuntime::~CollectorRuntime() { stop(); }
@@ -121,9 +119,8 @@ std::shared_ptr<const StoreSnapshot> CollectorRuntime::snapshot_shard(
     std::uint32_t i) {
   // Fast path: an atomic generation compare against the cached copy —
   // no barrier, no memcpy, shared by every query until the shard's
-  // store memory actually changes. The miss path quiesces the shard
-  // behind the pipeline's hold barrier (worker parked for the copy) and
-  // republishes.
+  // store memory actually changes. The miss path has the shard's worker
+  // patch the copy in a writer job and republishes.
   if (auto hit = snapshot_cache_->lookup(i, shards_[i]->generation(),
                                          pipeline_->submitted(i))) {
     return hit;
@@ -141,7 +138,7 @@ std::shared_ptr<const StoreSnapshot> CollectorRuntime::snapshot_shard_bounded(
     const SnapshotStalenessBudget& budget) {
   // Exactly-current first (a plain hit beats a stale one), then the
   // staleness budget — a within-budget snapshot is served with no
-  // refresh and no quiesce — then the refresh slow path.
+  // refresh and no writer job — then the refresh slow path.
   SnapshotCache& cache = *snapshot_cache_;
   const std::uint64_t generation = shards_[i]->generation();
   const std::uint64_t submitted = pipeline_->submitted(i);

@@ -60,10 +60,11 @@ struct CollectorRuntimeConfig {
   // Snapshot tier. Refresh patches only the chunks ingest dirtied since
   // the last refresh (snapshot_chunk_bytes granularity, rounded up to a
   // power of two) instead of recopying whole stores; past
-  // snapshot_full_copy_ratio dirty it falls back to one full memcpy.
-  // The staleness budget lets snapshot_shard_bounded serve a cached
-  // snapshot within the budget without any refresh or quiesce (disabled
-  // by default: zero budget means exact freshness).
+  // snapshot_full_copy_ratio of the chunks dirty it falls back to one
+  // full memcpy (at 1 or more, never). The staleness budget lets
+  // snapshot_shard_bounded serve a cached snapshot within the budget
+  // without any refresh (disabled by default: zero budget means exact
+  // freshness).
   std::uint32_t snapshot_chunk_bytes = 64;
   double snapshot_full_copy_ratio = 0.5;
   SnapshotStalenessBudget staleness_budget;
@@ -118,14 +119,14 @@ class CollectorRuntime {
   // snapshot is safe to query from any thread while ingest continues —
   // the seam the async cluster query tier resolves its futures from.
   // With a threaded pipeline this may be called from any thread (misses
-  // quiesce the shard behind the worker hold barrier); with an inline
-  // pipeline, call it from the control thread only.
+  // have the shard's worker patch the copy in a writer job); with an
+  // inline pipeline, call it from the control thread only.
   std::shared_ptr<const StoreSnapshot> snapshot_shard(std::uint32_t i);
 
   // Bounded-staleness variant: like snapshot_shard, but a cached
   // snapshot whose generation lag and age fit the configured
   // staleness_budget is served as-is — stale, but within budget — with
-  // no refresh and no quiesce at all. A non-zero `min_covers_seq`
+  // no refresh and no writer job at all. A non-zero `min_covers_seq`
   // (typically pipeline().submitted(i)) is the read-your-submits
   // override: a cached snapshot that does not cover it is never served
   // stale, budget or not. With the budget disabled (the default) this

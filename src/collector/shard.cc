@@ -51,7 +51,7 @@ CollectorShard::CollectorShard(std::uint32_t index, const ShardConfig& config)
     : index_(index),
       op_batch_size_(config.op_batch_size == 0 ? 1 : config.op_batch_size),
       service_(config.nic),
-      dirty_(config.snapshot_chunk_bytes) {
+      dirty_(config.snapshot_chunk_bytes, config.snapshot_full_copy_ratio) {
   // Store regions ask for transparent huge pages (MADV_HUGEPAGE on the
   // 2 MiB-aligned interior; the paper puts all RDMA-registered memory
   // on huge pages). Best-effort, no-op off-Linux.
@@ -242,8 +242,8 @@ void CollectorShard::deliver_batch() {
   }
   // The batch is in store memory; stamp a new generation. Release pairs
   // with the acquire in generation() so a reader that observes the new
-  // stamp also observes the batch's writes (the flush/quiesce handshake
-  // is what actually publishes them to snapshot takers).
+  // stamp also observes the batch's writes (the flush and writer-job
+  // handshakes are what actually publish them to snapshot takers).
   generation_.fetch_add(1, std::memory_order_release);
 }
 

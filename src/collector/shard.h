@@ -50,8 +50,10 @@ struct ShardConfig {
   // (derived from the shard worker's core by the runtime; -1: unbound).
   int numa_node = -1;
   // Dirty-chunk granularity for incremental snapshot refresh (rounded
-  // up to a power of two, min 64 B).
+  // up to a power of two, min 64 B), and the share of chunks past which
+  // the dirty tracker saturates into a full copy.
   std::uint32_t snapshot_chunk_bytes = 64;
+  double snapshot_full_copy_ratio = 0.5;
 };
 
 struct ShardStats {
@@ -126,10 +128,10 @@ class CollectorShard {
   }
 
   // Dirty-chunk set accumulated since the last snapshot consume: the
-  // delivery loop marks every executed op's byte extent. Written on the
-  // ingest thread; read and cleared by the snapshot refresher only
-  // inside a quiesce window (the hold-barrier handshake orders the
-  // two).
+  // delivery loop marks every executed op's byte extent. Written, read
+  // and cleared on the ingest thread only: the snapshot refresh reads
+  // and clears it inside a writer job (IngestPipeline::run_writer_job),
+  // which runs there. Other threads read it behind a flush barrier.
   DirtyTracker& dirty_tracker() DTA_LIFETIMEBOUND { return dirty_; }
   const DirtyTracker& dirty_tracker() const DTA_LIFETIMEBOUND {
     return dirty_;
@@ -157,7 +159,7 @@ class CollectorShard {
 
   // Cumulative entries delivered per shard-local append list — the
   // event-cursor heads. Written by the ingest thread; read by the
-  // snapshot refresher inside a quiesce window only.
+  // snapshot refresh inside a writer job only.
   const std::vector<std::uint64_t>& append_delivered() const
       DTA_LIFETIMEBOUND {
     return append_delivered_;

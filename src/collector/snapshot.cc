@@ -7,99 +7,93 @@
 
 namespace dta::collector {
 
-std::unique_ptr<rdma::MemoryRegion> StoreSnapshot::copy_region(
-    const rdma::MemoryRegion* src) {
-  // Same base VA and rkey as the live region: the store arithmetic
-  // (base + slot * slot_size) carries over unchanged. A copy of an
-  // advised region is advised too, before the memcpy first touches it.
-  auto copy = std::make_unique<rdma::MemoryRegion>(
-      src->base_va(), src->length(), src->rkey(), src->access(),
-      src->hugepage_advised());
-  std::memcpy(copy->data(), src->data(), src->length());
-  return copy;
+namespace {
+
+// A zeroed region with the live one's base VA and rkey, so the store
+// arithmetic (base + slot * slot_size) carries over unchanged. It asks
+// for huge pages when the live regions did, before any copy touches it.
+std::unique_ptr<rdma::MemoryRegion> region_like(const rdma::MemoryRegion* live,
+                                                bool hugepages) {
+  return std::make_unique<rdma::MemoryRegion>(
+      live->base_va(), live->length(), live->rkey(), live->access(),
+      hugepages);
 }
 
-StoreSnapshot::StoreSnapshot(const RdmaService& service,
-                             std::uint64_t generation)
-    : generation_(generation) {
+}  // namespace
+
+StoreSnapshot::StoreSnapshot(Unfilled, const RdmaService& service) {
+  // The domain's hint, not the live regions' advice flags: a pinned
+  // worker's first-touch pass rewrites those while this may run.
+  const bool huge = service.nic().pd().hugepage_hint();
   if (service.keywrite()) {
     const KeyWriteSetup& setup = *service.keywrite_setup();
-    kw_mem_ = copy_region(service.keywrite_region());
+    kw_mem_ = region_like(service.keywrite_region(), huge);
     keywrite_ = std::make_unique<KeyWriteStore>(
         kw_mem_.get(), service.keywrite()->num_slots(), setup.value_bytes,
         setup.checksum_bits);
   }
   if (service.postcarding()) {
     const PostcardingSetup& setup = *service.postcarding_setup();
-    pc_mem_ = copy_region(service.postcarding_region());
+    pc_mem_ = region_like(service.postcarding_region(), huge);
     postcarding_ = std::make_unique<PostcardingStore>(
         pc_mem_.get(), service.postcarding()->num_chunks(),
         service.postcarding()->hops(), setup.value_space);
   }
   if (service.append()) {
     const AppendStore& live = *service.append();
-    ap_mem_ = copy_region(service.append_region());
+    ap_mem_ = region_like(service.append_region(), huge);
     append_ = std::make_unique<AppendStore>(ap_mem_.get(), live.num_lists(),
                                             live.entries_per_list(),
                                             live.entry_bytes());
-    // Freeze the polling positions: snapshot reads start where the live
-    // consumers stood at snapshot time.
-    for (std::uint32_t list = 0; list < live.num_lists(); ++list) {
-      append_->set_tail(list, live.tail(list));
-    }
+    append_heads_.assign(live.num_lists(), 0);
   }
   if (service.keyincrement()) {
-    ki_mem_ = copy_region(service.keyincrement_region());
+    ki_mem_ = region_like(service.keyincrement_region(), huge);
     keyincrement_ = std::make_unique<KeyIncrementStore>(
         ki_mem_.get(), service.keyincrement()->num_slots());
   }
 }
 
-std::unique_ptr<StoreSnapshot> StoreSnapshot::clone(
+StoreSnapshot::StoreSnapshot(const RdmaService& service,
+                             std::uint64_t generation)
+    : StoreSnapshot(Unfilled{}, service) {
+  refresh_from(service, generation, nullptr);
+}
+
+std::shared_ptr<StoreSnapshot> StoreSnapshot::allocate(
+    const RdmaService& service) {
+  // Not make_shared: the shell constructor is private.
+  return std::shared_ptr<StoreSnapshot>(new StoreSnapshot(Unfilled{}, service));
+}
+
+std::shared_ptr<StoreSnapshot> StoreSnapshot::clone(
     const RdmaService& service) const {
-  // Not make_unique: the shell constructor is private.
-  std::unique_ptr<StoreSnapshot> out(new StoreSnapshot(generation_));
-  if (keywrite_) {
-    const KeyWriteSetup& setup = *service.keywrite_setup();
-    out->kw_mem_ = out->copy_region(kw_mem_.get());
-    out->keywrite_ = std::make_unique<KeyWriteStore>(
-        out->kw_mem_.get(), keywrite_->num_slots(), setup.value_bytes,
-        setup.checksum_bits);
-  }
-  if (postcarding_) {
-    const PostcardingSetup& setup = *service.postcarding_setup();
-    out->pc_mem_ = out->copy_region(pc_mem_.get());
-    out->postcarding_ = std::make_unique<PostcardingStore>(
-        out->pc_mem_.get(), postcarding_->num_chunks(), postcarding_->hops(),
-        setup.value_space);
-  }
+  std::shared_ptr<StoreSnapshot> out = allocate(service);
+  const auto copy = [](rdma::MemoryRegion* dst, const rdma::MemoryRegion* src) {
+    if (dst) std::memcpy(dst->data(), src->data(), src->length());
+  };
+  copy(out->kw_mem_.get(), kw_mem_.get());
+  copy(out->pc_mem_.get(), pc_mem_.get());
+  copy(out->ap_mem_.get(), ap_mem_.get());
+  copy(out->ki_mem_.get(), ki_mem_.get());
   if (append_) {
-    out->ap_mem_ = out->copy_region(ap_mem_.get());
-    out->append_ = std::make_unique<AppendStore>(
-        out->ap_mem_.get(), append_->num_lists(), append_->entries_per_list(),
-        append_->entry_bytes());
     for (std::uint32_t list = 0; list < append_->num_lists(); ++list) {
       out->append_->set_tail(list, append_->tail(list));
     }
   }
-  if (keyincrement_) {
-    out->ki_mem_ = out->copy_region(ki_mem_.get());
-    out->keyincrement_ = std::make_unique<KeyIncrementStore>(
-        out->ki_mem_.get(), keyincrement_->num_slots());
-  }
   out->append_heads_ = append_heads_;
+  out->generation_ = generation_;
   return out;
 }
 
 std::uint64_t StoreSnapshot::refresh_from(const RdmaService& service,
                                           std::uint64_t generation,
-                                          const DirtyTracker& dirty,
-                                          bool full_copy) {
+                                          const DirtyTracker* dirty) {
   std::uint64_t copied = 0;
   const auto patch = [&](rdma::MemoryRegion* dst,
                          const rdma::MemoryRegion* live) {
     if (!dst || !live) return;
-    if (full_copy || dst->length() != live->length()) {
+    if (!dirty || dst->length() != live->length()) {
       // min() guards the mismatch branch itself: if the geometry
       // invariant ever breaks, degrade to a short copy, not a heap
       // overflow.
@@ -108,7 +102,7 @@ std::uint64_t StoreSnapshot::refresh_from(const RdmaService& service,
       copied += length;
       return;
     }
-    dirty.for_each_dirty_range(
+    dirty->for_each_dirty_range(
         live, [&](std::uint64_t offset, std::uint64_t length) {
           std::memcpy(dst->data() + offset, live->data() + offset, length);
           copied += length;
@@ -119,8 +113,8 @@ std::uint64_t StoreSnapshot::refresh_from(const RdmaService& service,
   patch(ap_mem_.get(), service.append_region());
   patch(ki_mem_.get(), service.keyincrement_region());
   if (append_ && service.append()) {
-    // Re-freeze the polling positions at refresh time, exactly like the
-    // full-copy constructor does.
+    // Freeze the polling positions: snapshot reads start where the live
+    // consumers stood at refresh time.
     const AppendStore& live = *service.append();
     for (std::uint32_t list = 0; list < live.num_lists(); ++list) {
       append_->set_tail(list, live.tail(list));

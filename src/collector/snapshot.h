@@ -31,13 +31,21 @@ class DirtyTracker;
 
 class StoreSnapshot {
  public:
-  // Copies every enabled store of `service`. Call only while the shard
-  // is quiesced (CollectorRuntime::snapshot_shard provides the barrier).
-  // `generation` is the shard's store-memory generation at copy time;
-  // the SnapshotCache compares it against the live counter to decide
-  // whether this snapshot is still current.
+  // Copies every enabled store of `service`. Call only while nothing
+  // writes the shard's store memory (behind a flush barrier with the
+  // shard idle, or inside a writer job). `generation` is the shard's
+  // store-memory generation at copy time; the SnapshotCache compares it
+  // against the live counter to decide whether this snapshot is still
+  // current.
   explicit StoreSnapshot(const RdmaService& service,
                          std::uint64_t generation = 0);
+
+  // An unfilled snapshot shaped like `service`: regions allocated (and
+  // advised like the live ones), stores built over them, contents zero
+  // until refresh_from(..., nullptr) copies them. Reads only `service`'s
+  // immutable geometry, so it may run while the shard ingests: it does
+  // every allocation a refresh needs, leaving the copy to the writer.
+  static std::shared_ptr<StoreSnapshot> allocate(const RdmaService& service);
 
   // The shard generation this snapshot reflects.
   std::uint64_t generation() const { return generation_; }
@@ -45,22 +53,23 @@ class StoreSnapshot {
   StoreSnapshot(const StoreSnapshot&) = delete;
   StoreSnapshot& operator=(const StoreSnapshot&) = delete;
 
-  // Deep copy of this snapshot: buffers memcpy'd from *this* (immutable,
-  // so the copy is race-free even while the shard ingests — the
-  // SnapshotCache clones pinned snapshots *outside* the quiesce window),
-  // stores rebuilt from `service`'s immutable setups. `service` must be
-  // the service this snapshot was built from.
-  std::unique_ptr<StoreSnapshot> clone(const RdmaService& service) const;
+  // Deep copy of this snapshot: an allocate() shell filled from *this*
+  // (immutable, so the copy is race-free even while the shard ingests —
+  // the SnapshotCache clones pinned snapshots on the reader, outside the
+  // writer job). `service` must be the service this snapshot was built
+  // from.
+  std::shared_ptr<StoreSnapshot> clone(const RdmaService& service) const;
 
-  // Incremental refresh: copies `dirty`'s chunk ranges (or everything,
-  // when `full_copy` is set) from `service`'s live regions into this
-  // snapshot's buffers, re-freezes the Append consumer positions, and
-  // restamps the generation. Call only inside a quiesce window, and
-  // only on a snapshot no reader can reach (the SnapshotCache's pin
-  // protocol guarantees both). Returns the bytes copied.
+  // Refresh: copies `dirty`'s chunk ranges — everything when `dirty` is
+  // null — from `service`'s live regions into this snapshot's buffers,
+  // re-freezes the Append consumer positions, and restamps the
+  // generation. Allocates nothing and cannot throw. Call only while
+  // nothing writes the shard (inside a writer job), and only on a
+  // snapshot no reader can reach (the SnapshotCache's pin protocol
+  // guarantees that). Returns the bytes copied.
   std::uint64_t refresh_from(const RdmaService& service,
                              std::uint64_t generation,
-                             const DirtyTracker& dirty, bool full_copy);
+                             const DirtyTracker* dirty);
 
   // The copied regions (nullptr when the primitive is disabled) — the
   // byte-for-byte oracle the incremental-vs-full property sweep
@@ -130,13 +139,15 @@ class StoreSnapshot {
 
   // --- event cursor ---------------------------------------------------------
   // Cumulative per-list delivered-entry counts captured at snapshot
-  // time (CollectorShard::append_delivered, read inside the quiesce
-  // window). Together with append_read_range these give cursor-based
+  // time (CollectorShard::append_delivered, read inside the writer
+  // job). Together with append_read_range these give cursor-based
   // event reads: absolute position p lives at ring slot
   // p % entries_per_list as long as it is within the last
-  // entries_per_list delivered entries.
-  void set_append_heads(std::vector<std::uint64_t> heads) {
-    append_heads_ = std::move(heads);
+  // entries_per_list delivered entries. Copies into the snapshot's own
+  // heads, which allocate() and clone() size to the store's list count,
+  // so setting that many heads allocates nothing.
+  void set_append_heads(const std::vector<std::uint64_t>& heads) {
+    append_heads_.assign(heads.begin(), heads.end());
   }
   std::uint64_t append_head(std::uint32_t local_list) const {
     return local_list < append_heads_.size() ? append_heads_[local_list] : 0;
@@ -153,13 +164,11 @@ class StoreSnapshot {
                                                std::uint64_t count) const;
 
  private:
-  // Empty shell for clone(): regions and stores are filled in by hand.
-  explicit StoreSnapshot(std::uint64_t generation) : generation_(generation) {}
+  // The allocate() shell.
+  struct Unfilled {};
+  StoreSnapshot(Unfilled, const RdmaService& service);
 
-  std::unique_ptr<rdma::MemoryRegion> copy_region(
-      const rdma::MemoryRegion* src);
-
-  std::uint64_t generation_;
+  std::uint64_t generation_ = 0;
   std::vector<std::uint64_t> append_heads_;
   std::unique_ptr<rdma::MemoryRegion> kw_mem_, pc_mem_, ap_mem_, ki_mem_;
   std::unique_ptr<KeyWriteStore> keywrite_;

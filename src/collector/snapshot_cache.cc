@@ -7,25 +7,7 @@
 
 namespace dta::collector {
 
-namespace {
-
-// Total registered store bytes — what a full-copy refresh memcpys.
-std::uint64_t store_footprint(const RdmaService& service) {
-  std::uint64_t total = 0;
-  const rdma::MemoryRegion* regions[] = {
-      service.keywrite_region(), service.postcarding_region(),
-      service.append_region(), service.keyincrement_region()};
-  for (const auto* region : regions) {
-    if (region) total += region->length();
-  }
-  return total;
-}
-
-}  // namespace
-
-SnapshotCache::SnapshotCache(std::size_t num_shards,
-                             SnapshotCacheConfig config)
-    : config_(config) {
+SnapshotCache::SnapshotCache(std::size_t num_shards) {
   entries_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     entries_.push_back(std::make_unique<Entry>());
@@ -130,15 +112,19 @@ SnapshotCache::SnapshotPtr SnapshotCache::refresh(std::uint32_t shard_index,
     return hit;
   }
 
-  // Stamp the submitted count *before* the quiesce: every report counted
-  // here is drained and committed by the barrier, so `covers` is a
-  // sound lower bound (reports racing in during the quiesce are simply
-  // not covered and will miss the cache later).
+  // Stamp the submitted count *before* the writer job: every report
+  // counted here is drained and committed before the job runs, so
+  // `covers` is a sound lower bound (reports racing in meanwhile are
+  // simply not covered and will miss the cache later).
   const std::uint64_t covers_seq = pipeline.submitted(shard_index);
 
+  // The choice of target and every allocation stay on this thread: the
+  // writer job below only copies.
   std::shared_ptr<StoreSnapshot> target;
-  const bool incremental = entry.writable != nullptr;
-  if (incremental) {
+  const bool first = entry.writable == nullptr;
+  if (first) {
+    target = StoreSnapshot::allocate(shard.service());
+  } else {
     const StampedPtr old =
         std::atomic_load_explicit(&entry.record, std::memory_order_acquire);
     std::int64_t expected = 0;
@@ -150,40 +136,31 @@ SnapshotCache::SnapshotPtr SnapshotCache::refresh(std::uint32_t shard_index,
       target = entry.writable;
     } else {
       // A reader still pins the previous snapshot: copy-on-write. The
-      // clone reads only the immutable previous snapshot, so it runs
-      // *outside* the quiesce window — the worker keeps ingesting while
-      // we pay the full-size copy, and only the chunk patch below
-      // stalls it.
+      // clone reads only the immutable previous snapshot, so the worker
+      // keeps ingesting while this thread pays the full-size copy; only
+      // the chunk patch runs on the writer.
       target = entry.writable->clone(shard.service());
       cow_clones_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  pipeline.begin_quiesce(shard_index);
+  // On the writer, between drain passes: patch the dirty chunks (or
+  // copy everything), capture the event-cursor heads for the generation
+  // the snapshot reflects, and consume the dirty set.
+  bool full = false;
   std::uint64_t copied = 0;
-  if (incremental) {
-    const DirtyTracker& dirty = shard.dirty_tracker();
-    const bool full = dirty.saturated() ||
-                      dirty.dirty_ratio() > config_.full_copy_dirty_ratio;
-    copied = target->refresh_from(shard.service(), shard.generation(), dirty,
-                                  full);
-    (full ? full_refreshes_ : incremental_refreshes_)
-        .fetch_add(1, std::memory_order_relaxed);
-  } else {
-    target = std::make_shared<StoreSnapshot>(shard.service(),
-                                             shard.generation());
-    copied = store_footprint(shard.service());
-    full_refreshes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Event-cursor heads travel with the snapshot: captured inside the
-  // window, so they are exact for the generation the snapshot reflects.
-  target->set_append_heads(shard.append_delivered());
-  // The new publication covers everything delivered so far; the dirty
-  // set is consumed (still inside the window — the worker must not be
-  // marking while we clear).
-  shard.dirty_tracker().clear();
-  pipeline.end_quiesce(shard_index);
+  auto job = [&]() noexcept {
+    DirtyTracker& dirty = shard.dirty_tracker();
+    full = first || dirty.saturated();
+    copied = target->refresh_from(shard.service(), shard.generation(),
+                                  full ? nullptr : &dirty);
+    target->set_append_heads(shard.append_delivered());
+    dirty.clear();
+  };
+  pipeline.run_writer_job(shard_index, job);
 
+  (full ? full_refreshes_ : incremental_refreshes_)
+      .fetch_add(1, std::memory_order_relaxed);
   quiesce_bytes_copied_.fetch_add(copied, std::memory_order_relaxed);
   misses_.fetch_add(1, std::memory_order_relaxed);
   return publish(entry, std::move(target), covers_seq);
@@ -194,11 +171,13 @@ SnapshotCache::SnapshotPtr SnapshotCache::copy_fresh(std::uint32_t shard_index,
                                                      CollectorShard& shard) {
   Entry& entry = *entries_[shard_index];
   MutexLock lock(entry.refresh_mu);
-  pipeline.begin_quiesce(shard_index);
-  auto snap = std::make_shared<StoreSnapshot>(shard.service(),
-                                              shard.generation());
-  snap->set_append_heads(shard.append_delivered());
-  pipeline.end_quiesce(shard_index);
+  std::shared_ptr<StoreSnapshot> snap =
+      StoreSnapshot::allocate(shard.service());
+  auto job = [&]() noexcept {
+    snap->refresh_from(shard.service(), shard.generation(), nullptr);
+    snap->set_append_heads(shard.append_delivered());
+  };
+  pipeline.run_writer_job(shard_index, job);
   return snap;
 }
 

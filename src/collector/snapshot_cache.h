@@ -25,19 +25,21 @@
 //     not yet committed to an op batch — read-your-submits).
 //   * lookup_bounded() is the bounded-staleness fast path: a snapshot
 //     whose generation lag and age fit a SnapshotStalenessBudget is
-//     served as-is — no refresh, no quiesce — unless the caller passes
-//     a covers_seq floor the record does not reach (read-your-submits
-//     overrides any budget).
-//   * refresh() is the slow path, serialized per shard by a mutex. It
-//     quiesces the shard through the ingest pipeline's hold barrier
-//     (drain + flush + worker parked) and, instead of recopying the
-//     whole store, patches only the chunks the shard's DirtyTracker
-//     accumulated since the last refresh — in place when no reader
-//     pins the previous snapshot, into a copy-on-write clone (taken
-//     *outside* the quiesce window, from the immutable previous
-//     snapshot) when one does. First builds, saturated trackers and
-//     high dirty ratios fall back to a full copy. Either way the
-//     quiesce window scales with dirtied bytes, not store size.
+//     served as-is — no refresh, no writer job — unless the caller
+//     passes a covers_seq floor the record does not reach
+//     (read-your-submits overrides any budget).
+//   * refresh() is the slow path, serialized per shard by a mutex. On
+//     the calling thread it picks the target — the published snapshot,
+//     claimed for in-place patching when no reader pins it, or else a
+//     copy-on-write clone of it — and does every allocation, including
+//     a first build's regions. It then posts a writer job through the
+//     ingest pipeline: the shard's worker, between two drain passes,
+//     copies only the chunks its DirtyTracker listed since the last
+//     refresh (everything on a first build or a saturated tracker),
+//     captures the append heads and clears the dirty set. The copy
+//     reads the source lines on the core that wrote them, and the
+//     worker stalls for the dirtied bytes, not the store size. The
+//     caller then publishes.
 //
 // Pin protocol: every snapshot handed out is a handle whose deleter
 // releases a per-record pin count. refresh() claims a record for
@@ -50,7 +52,7 @@
 //
 // Thread safety: lookup/lookup_bounded/refresh/copy_fresh may be called
 // from any thread when the pipeline is threaded; with an inline
-// pipeline the quiesce runs on the caller, so callers must serialize
+// pipeline the writer job runs on the caller, so callers must serialize
 // with ingest (the single-control-thread contract that mode already
 // has).
 #pragma once
@@ -69,8 +71,9 @@ class CollectorShard;
 class IngestPipeline;
 
 // How stale a cached snapshot may be and still be served without any
-// refresh or quiesce. A zero field leaves that dimension unconstrained;
-// a budget with both fields zero is disabled (exact freshness only).
+// refresh or writer job. A zero field leaves that dimension
+// unconstrained; a budget with both fields zero is disabled (exact
+// freshness only).
 // `generations` bounds the shard-generation lag (how many delivered op
 // batches the snapshot may be behind); `age_us` bounds the wall age
 // (monotonic clock, stamped when the snapshot was published).
@@ -80,12 +83,6 @@ struct SnapshotStalenessBudget {
   bool enabled() const { return generations > 0 || age_us > 0; }
 };
 
-struct SnapshotCacheConfig {
-  // Dirty ratio above which refresh falls back to one full memcpy (the
-  // chunk loop stops paying for itself when most of the store moved).
-  double full_copy_dirty_ratio = 0.5;
-};
-
 struct SnapshotCacheStats {
   std::uint64_t hits = 0;        // queries served from the current copy
   std::uint64_t stale_hits = 0;  // served stale within a staleness budget
@@ -93,12 +90,12 @@ struct SnapshotCacheStats {
   std::uint64_t invalidations = 0;
   // Refresh breakdown: chunk-patched vs full-copy refreshes, and how
   // many patches had to clone first because a reader pinned the
-  // previous snapshot (the copy-on-write path; the clone itself runs
-  // outside the quiesce window).
+  // previous snapshot (the copy-on-write path; the clone itself runs on
+  // the reader, outside the writer job).
   std::uint64_t incremental_refreshes = 0;
   std::uint64_t full_refreshes = 0;
   std::uint64_t cow_clones = 0;
-  // Bytes memcpy'd inside quiesce windows by refreshes — the number
+  // Bytes memcpy'd inside writer jobs by refreshes — the number
   // incremental refresh exists to shrink.
   std::uint64_t quiesce_bytes_copied = 0;
 };
@@ -107,8 +104,7 @@ class SnapshotCache {
  public:
   using SnapshotPtr = std::shared_ptr<const StoreSnapshot>;
 
-  explicit SnapshotCache(std::size_t num_shards,
-                         SnapshotCacheConfig config = {});
+  explicit SnapshotCache(std::size_t num_shards);
 
   // Lock-free fast path: returns the cached snapshot when it is still
   // current — its generation matches `generation` and no reports were
@@ -120,24 +116,24 @@ class SnapshotCache {
   // Bounded-staleness fast path: returns the cached snapshot when its
   // generation lag (against `generation`, the live shard generation)
   // and its age fit `budget` — even though it is stale — without
-  // triggering any refresh or quiesce. A non-zero `min_covers_seq` is
-  // the read-your-submits override: a record that does not cover it is
-  // never served, budget or not. nullptr = outside budget or empty.
+  // triggering any refresh or writer job. A non-zero `min_covers_seq`
+  // is the read-your-submits override: a record that does not cover it
+  // is never served, budget or not. nullptr = outside budget or empty.
   SnapshotPtr lookup_bounded(std::uint32_t shard, std::uint64_t generation,
                              const SnapshotStalenessBudget& budget,
                              std::uint64_t min_covers_seq = 0);
 
-  // Slow path: quiesce shard `shard` behind the pipeline's hold
-  // barrier, bring the cached copy current (incrementally where
-  // possible), publish and return it. Double-checks under the per-shard
-  // mutex, so concurrent misses coalesce into one refresh.
+  // Slow path: bring the cached copy current through a writer job on
+  // shard `shard` (incrementally where possible), publish and return
+  // it. Double-checks under the per-shard mutex, so concurrent misses
+  // coalesce into one refresh.
   SnapshotPtr refresh(std::uint32_t shard_index, IngestPipeline& pipeline,
                       CollectorShard& shard);
 
-  // Uncached full copy behind the same per-shard serialization (the
-  // bench baseline; also keeps a fresh copy safe next to concurrent
-  // cached queries). Does not publish into the cache and does not
-  // consume the dirty set.
+  // Uncached full copy, by a writer job behind the same per-shard
+  // serialization (the bench baseline; also keeps a fresh copy safe
+  // next to concurrent cached queries). Does not publish into the cache
+  // and does not consume the dirty set.
   SnapshotPtr copy_fresh(std::uint32_t shard_index, IngestPipeline& pipeline,
                          CollectorShard& shard);
 
@@ -201,7 +197,6 @@ class SnapshotCache {
                       std::uint64_t covers_seq)
       DTA_REQUIRES(entry.refresh_mu);
 
-  SnapshotCacheConfig config_;
   std::vector<std::unique_ptr<Entry>> entries_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> stale_hits_{0};

@@ -3,9 +3,10 @@
 // annotations attach to.
 //
 // The snapshot cache's pin/poison CAS publishing, the ingest pipeline's
-// quiesce barriers, the index publisher's defer-publish catch-up and
-// the tenant registry's admission buckets all carry locking invariants
-// that TSan can only check on the interleavings a test happens to hit.
+// flush and writer-job barriers, the index publisher's defer-publish
+// catch-up and the tenant registry's admission buckets all carry locking
+// invariants that TSan can only check on the interleavings a test
+// happens to hit.
 // These macros let clang prove them on *every* build:
 //
 //   clang++ -Wthread-safety -Werror    (the CI static-analysis job)

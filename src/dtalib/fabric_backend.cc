@@ -117,9 +117,10 @@ Expected<Backend::SnapshotPtr> FabricBackend::acquire_locked(
   }
   // The fabric path is synchronous, so a snapshot built now covers
   // every accepted submit — rebuild only when one landed since the
-  // last build (the flush is the quiesce barrier: postcard cache rows
-  // and append batches are delivered before the copy, exactly like the
-  // shard hold barrier under ClusterBackend).
+  // last build (the flush is the barrier: postcard cache rows and
+  // append batches are delivered before the copy, exactly like the
+  // flush a shard worker runs before a snapshot's writer job under
+  // ClusterBackend).
   if (!snapshot_ || snapshot_covers_ != submitted_) {
     fabric_->flush();
     // Fold the staged index delta first, so the published index

@@ -48,6 +48,7 @@ class Nic {
   explicit Nic(NicParams params = {});
 
   ProtectionDomain& pd() { return pd_; }
+  const ProtectionDomain& pd() const { return pd_; }
 
   QueuePair* create_qp();
   QueuePair* find_qp(std::uint32_t qpn);

@@ -54,7 +54,7 @@ class AppendEngine {
               std::vector<RdmaOp>& out);
 
   // Flushes partially filled batches (end-of-run drain and every
-  // snapshot quiesce; emits short writes, which the ring tolerates —
+  // snapshot refresh; emits short writes, which the ring tolerates —
   // the batch that then reaches the ring end is emitted short too, so
   // no write crosses into the next list).
   void flush_all(std::vector<RdmaOp>& out);

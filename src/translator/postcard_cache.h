@@ -63,7 +63,7 @@ class PostcardCache {
   void ingest(const proto::PostcardReport& report, std::vector<RdmaOp>& out);
 
   // Flushes every resident row, in ascending row order. Every snapshot
-  // quiesce calls this, so it costs O(resident rows), not O(cache_slots).
+  // refresh calls this, so it costs O(resident rows), not O(cache_slots).
   void flush_all(std::vector<RdmaOp>& out);
 
   const PostcardCacheStats& stats() const { return stats_; }

@@ -1,7 +1,8 @@
 // DirtyTracker unit tests: chunk marking, coalesced range readout,
-// saturation fallbacks, the slot→byte-range helpers the four store
-// types expose, and the shard-level integration (delivered op batches
-// mark exactly the slots the engines wrote).
+// saturation fallbacks, the dirty list (re-listing after clear(), the
+// full-copy cap), the slot→byte-range helpers the four store types
+// expose, and the shard-level integration (delivered op batches mark
+// exactly the slots the engines wrote).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,6 +183,128 @@ TEST(DirtyTracker, SaturationDegradesToFullCopy) {
   tracker.mark_all();
   EXPECT_TRUE(tracker.saturated());
   EXPECT_DOUBLE_EQ(tracker.dirty_ratio(), 1.0);
+}
+
+TEST(DirtyTracker, ClearedChunksReenterTheList) {
+  // One tracker reused across rounds: clear() must leave no stale bit,
+  // or a chunk marked again after it would never re-enter the list and
+  // its next write would be missed by the refresh.
+  constexpr std::uint64_t kChunk = 64;
+  constexpr std::uint64_t kChunks = 300;
+  rdma::ProtectionDomain pd;
+  rdma::MemoryRegion* region =
+      pd.register_region(kChunks * kChunk, rdma::kRemoteWrite);
+  DirtyTracker tracker(kChunk);
+  tracker.track(region);
+  common::Rng rng(common::test_seed(0xC1EA));
+  for (int round = 0; round < 50; ++round) {
+    std::vector<bool> dirty(kChunks, false);
+    // Every round marks chunk 7 and its word neighbour 8, so both are
+    // re-marked after each clear().
+    for (const std::uint64_t chunk : {std::uint64_t{7}, std::uint64_t{8}}) {
+      dirty[chunk] = true;
+      tracker.mark(region->base_va() + chunk * kChunk, 1);
+    }
+    for (int i = 0; i < 40; ++i) {
+      const std::uint64_t chunk = rng.next_below(kChunks);
+      dirty[chunk] = true;
+      tracker.mark(region->base_va() + chunk * kChunk + 3, 5);
+    }
+    ASSERT_EQ(tracker.dirty_ranges(region),
+              reference_ranges(dirty, kChunk, kChunks * kChunk))
+        << "round " << round;
+    const std::uint64_t listed = static_cast<std::uint64_t>(
+        std::count(dirty.begin(), dirty.end(), true));
+    EXPECT_EQ(tracker.dirty_bytes(), listed * kChunk) << "round " << round;
+    tracker.clear();
+    EXPECT_EQ(tracker.dirty_bytes(), 0u);
+    EXPECT_TRUE(tracker.dirty_ranges(region).empty());
+  }
+  EXPECT_FALSE(tracker.saturated());
+}
+
+TEST(DirtyTracker, PassingTheCapSaturates) {
+  // 64 chunks at ratio 0.25: the list holds 16, the 17th saturates.
+  rdma::ProtectionDomain pd;
+  rdma::MemoryRegion* region = pd.register_region(64 * 64, rdma::kRemoteWrite);
+  DirtyTracker tracker(64, 0.25);
+  tracker.track(region);
+  for (std::uint64_t chunk = 0; chunk < 16; ++chunk) {
+    tracker.mark(region->base_va() + chunk * 64, 8);
+  }
+  tracker.mark(region->base_va(), 64);  // already listed: no entry used
+  EXPECT_FALSE(tracker.saturated());
+  EXPECT_EQ(tracker.dirty_bytes(), 16u * 64);
+  tracker.mark(region->base_va() + 40 * 64, 8);
+  EXPECT_TRUE(tracker.saturated());
+  EXPECT_EQ(tracker.stats().saturations, 1u);
+  const std::vector<DirtyTracker::Range> whole = {{0, 64 * 64}};
+  EXPECT_EQ(tracker.dirty_ranges(region), whole);
+  tracker.clear();
+  EXPECT_FALSE(tracker.saturated());
+  EXPECT_TRUE(tracker.dirty_ranges(region).empty());
+  // The cap applies afresh after clear().
+  tracker.mark(region->base_va() + 40 * 64, 8);
+  EXPECT_EQ(tracker.dirty_bytes(), 64u);
+}
+
+TEST(DirtyTracker, PassingTheCapForcesOneFullRefresh) {
+  CollectorRuntimeConfig config;
+  config.num_shards = 1;
+  config.thread_mode = ThreadMode::kInline;
+  config.op_batch_size = 1;  // deliver (and mark) immediately
+  config.snapshot_full_copy_ratio = 0.05;
+  KeyWriteSetup kw;
+  kw.num_slots = 1 << 12;  // 512 chunks of 64 B: the cap is 25
+  kw.value_bytes = 4;
+  config.keywrite = kw;
+  CollectorRuntime runtime(config);
+  const DirtyTracker& tracker = runtime.shard(0).dirty_tracker();
+  (void)runtime.snapshot_shard(0);  // first build: a full copy
+  ASSERT_EQ(runtime.snapshot_cache().stats().full_refreshes, 1u);
+
+  // Below the cap a refresh patches chunks.
+  runtime.submit(reports::keywrite_u32(key_of(0), 1));
+  ASSERT_FALSE(tracker.saturated());
+  (void)runtime.snapshot_shard(0);
+  EXPECT_EQ(runtime.snapshot_cache().stats().incremental_refreshes, 1u);
+
+  // Dirty one report at a time until the list passes the cap.
+  std::uint64_t id = 1;
+  while (!tracker.saturated()) {
+    ASSERT_LE(tracker.dirty_ratio(), config.snapshot_full_copy_ratio);
+    ASSERT_LT(id, 1000u) << "the tracker never saturated";
+    runtime.submit(reports::keywrite_u32(key_of(id++), 1));
+  }
+  const auto snap = runtime.snapshot_shard(0);
+  const auto stats = runtime.snapshot_cache().stats();
+  EXPECT_EQ(stats.full_refreshes, 2u);
+  EXPECT_EQ(stats.incremental_refreshes, 1u);
+  EXPECT_FALSE(tracker.saturated()) << "the refresh consumes the dirty set";
+  const auto fresh = runtime.snapshot_shard_fresh(0);
+  const auto* a = snap->keywrite_mem();
+  const auto* b = fresh->keywrite_mem();
+  ASSERT_EQ(a->length(), b->length());
+  EXPECT_TRUE(std::equal(a->data(), a->data() + a->length(), b->data()));
+}
+
+TEST(DirtyTracker, RatioAboveOneNeverSaturatesThroughTheCap) {
+  rdma::ProtectionDomain pd;
+  rdma::MemoryRegion* region = pd.register_region(100 * 64 + 9,
+                                                  rdma::kRemoteWrite);
+  for (const double ratio : {1.0, 1.1}) {
+    DirtyTracker tracker(64, ratio);
+    tracker.track(region);
+    // Every chunk, last first, one at a time.
+    for (std::uint64_t chunk = 101; chunk-- > 0;) {
+      tracker.mark(region->base_va() + chunk * 64, 1);
+    }
+    EXPECT_FALSE(tracker.saturated()) << "ratio " << ratio;
+    EXPECT_EQ(tracker.stats().saturations, 0u) << "ratio " << ratio;
+    const std::vector<DirtyTracker::Range> whole = {{0, region->length()}};
+    EXPECT_EQ(tracker.dirty_ranges(region), whole) << "ratio " << ratio;
+    EXPECT_DOUBLE_EQ(tracker.dirty_ratio(), 1.0) << "ratio " << ratio;
+  }
 }
 
 TEST(DirtyTracker, UntrackedRegionReportsFullRange) {

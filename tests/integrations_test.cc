@@ -116,7 +116,9 @@ TEST(DShark, AllObserversAgreeOnGrouper) {
 
   DSharkSummary other_packet = at_tor;
   other_packet.tcp_seq = 1235;
-  // Not required to differ, but over many packets groupers must spread.
+  // Not required to differ, but always in range, and over many packets
+  // groupers must spread.
+  EXPECT_LT(other_packet.grouper_of(16), 16u);
   int spread[4] = {};
   for (std::uint32_t seq = 0; seq < 1000; ++seq) {
     DSharkSummary s = at_tor;

@@ -1,9 +1,10 @@
 // Snapshot-cache tests: generation-stamped snapshot reuse between
-// flushes, read-your-submits across cache hits, the quiesce (worker
-// hold-barrier) protocol under concurrent ingest+query load — the TSan
-// headline test: many query threads against one flushing shard, where
-// no query may ever observe a torn or stale-beyond-one-generation
-// snapshot — and the NUMA placement bookkeeping on the shard regions.
+// flushes, read-your-submits across cache hits, the refresh's writer
+// job (the shard worker patches the snapshot between drain passes)
+// under concurrent ingest+query load — the TSan headline test: many
+// query threads against one flushing shard, where no query may ever
+// observe a torn or stale-beyond-one-generation snapshot — and the NUMA
+// placement bookkeeping on the shard regions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,7 +216,7 @@ TEST(SnapshotCache, ConcurrentQueriesSeeFreshUntornSnapshots) {
     for (std::uint64_t id = 0; id < kKeys; ++id) {
       runtime.submit(paired_report(id, round));
     }
-    // Pin the round into the cache (quiesce + copy) before announcing
+    // Pin the round into the cache (writer job + copy) before announcing
     // it: every snapshot acquired after the announcement includes it.
     const auto snap = runtime.snapshot_shard(0);
     EXPECT_GE(snap->generation(), round > 1 ? 1u : 0u);
@@ -238,7 +239,7 @@ TEST(SnapshotCache, ConcurrentQueriesSeeFreshUntornSnapshots) {
 TEST(SnapshotCache, ExactReadsReturnUnderSaturatingProducer) {
   // A producer that keeps the shard's queue full must not starve
   // exact-freshness reads: each worker drain pass stops at the depth it
-  // started with, so a quiesce waits a pass or two, not for an empty
+  // started with, so a writer job waits a pass or two, not for an empty
   // queue. The producer only moves pre-built reports into the queue, so
   // when it has a core of its own it outruns the eight-replica worker
   // and the queue stays full until it runs dry; a starved read would
@@ -303,8 +304,9 @@ TEST(SnapshotCache, ExactReadsReturnUnderSaturatingProducer) {
 
 TEST(SnapshotCache, StopRacingSnapshotAcquisitionIsSafe) {
   // stop() may land while another thread is inside snapshot_shard: the
-  // worker must not exit with an unanswered quiesce (hang) or run its
-  // final flush during a copy (tear). Loop a few races; TSan watches.
+  // worker must not exit with an unanswered writer job (hang) or run
+  // its final flush during a copy (tear). Loop a few races; TSan
+  // watches.
   for (int iteration = 0; iteration < 5; ++iteration) {
     CollectorRuntime runtime(
         cache_config(ThreadMode::kThreaded, /*value_bytes=*/8, /*op_batch=*/4));
@@ -385,8 +387,8 @@ TEST(SnapshotCache, IncrementalRefreshCopiesOnlyDirtiedBytes) {
       runtime.snapshot_cache().stats().quiesce_bytes_copied;
   EXPECT_GE(after_build, store_bytes);
 
-  // One report dirties one chunk: the next refresh must quiesce-copy a
-  // tiny fraction of the store, not all of it.
+  // One report dirties one chunk: the next refresh's writer job must
+  // copy a tiny fraction of the store, not all of it.
   runtime.submit(small_report(7777, 2));
   runtime.flush();
   (void)runtime.snapshot_shard(0);
@@ -458,7 +460,7 @@ TEST(SnapshotCache, WithinBudgetServesWithoutQuiesce) {
   EXPECT_GE(quiesces_after_build, 1u);
 
   // The store changes; a bounded acquisition within budget serves the
-  // stale snapshot without opening a quiesce window or refreshing.
+  // stale snapshot without running a writer job or refreshing.
   runtime.submit(small_report(2, 2));
   runtime.flush();
   const std::uint64_t quiesces_before = runtime.pipeline().quiesces(0);

@@ -222,7 +222,9 @@ TEST(Marple, TcpTimeoutsOnlyOnTcp) {
   MarpleGenerator gen(mc, &trace);
   for (int i = 0; i < 20000; ++i) {
     auto r = gen.step();
-    if (r.tcp_timeout) EXPECT_EQ(r.tcp_timeout->flow.protocol, 6);
+    if (r.tcp_timeout) {
+      EXPECT_EQ(r.tcp_timeout->flow.protocol, 6);
+    }
   }
 }
 

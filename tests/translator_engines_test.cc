@@ -213,7 +213,9 @@ TEST_F(PostcardCacheTest, EmitsAfterFullPath) {
   std::vector<RdmaOp> ops;
   for (std::uint8_t hop = 0; hop < 5; ++hop) {
     cache.ingest(card(1, hop, 100 + hop), ops);
-    if (hop < 4) EXPECT_TRUE(ops.empty()) << "premature emit at hop " << hop;
+    if (hop < 4) {
+      EXPECT_TRUE(ops.empty()) << "premature emit at hop " << hop;
+    }
   }
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].payload.size(), 32u);
