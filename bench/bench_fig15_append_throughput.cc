@@ -50,7 +50,7 @@ RunResult run(std::uint32_t batch, std::uint64_t entries_per_list) {
   const double seconds = timer.seconds();
 
   RunResult result;
-  const auto& st = fabric.translator().append()->stats();
+  const auto& st = fabric.translator().engines().append()->stats();
   result.entries_per_write = static_cast<double>(st.entries_in) /
                              static_cast<double>(st.writes_emitted);
   result.software_rate = static_cast<double>(total) / seconds;

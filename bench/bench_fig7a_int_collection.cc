@@ -74,7 +74,7 @@ int main() {
         fabric.report_direct(reports::wrap(r));
       }
     }
-    const auto& st = fabric.translator().postcarding()->stats();
+    const auto& st = fabric.translator().engines().postcarding()->stats();
     pc_success = static_cast<double>(st.full_emissions) /
                  (st.full_emissions + st.early_emissions);
   }
@@ -101,7 +101,7 @@ int main() {
       r.entries.push_back(std::move(e));
       fabric.report_direct(reports::wrap(r));
     }
-    const auto& st = fabric.translator().append()->stats();
+    const auto& st = fabric.translator().engines().append()->stats();
     ap_batch_efficiency = static_cast<double>(st.entries_in) /
                           static_cast<double>(st.writes_emitted);
   }

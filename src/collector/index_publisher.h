@@ -3,11 +3,11 @@
 // ShardIndexVersion per shard.
 //
 // Writer side: CollectorShard::deliver_batch enqueues one IndexDelta
-// per delivered op batch — a lock, a vector push, an unlock. The
-// builder does NOT run per batch; deltas accumulate until
-// `publish_batch` of them are queued (the defer-publish window), and
-// then the shard worker that filled the window folds all of them at
-// once and publishes one version. That fold is ingest work: it probes
+// (the batch's keys and generation) per delivered op batch — a lock, a
+// vector push, an unlock. The builder does NOT run per batch; deltas
+// accumulate until `publish_batch` of them are queued (the
+// defer-publish window), and then the shard worker that filled the
+// window folds all of them at once and publishes one version. That fold is ingest work: it probes
 // every window key against the leaves, 16 keys in lockstep so their
 // cache misses overlap, and beyond that costs what the window changed
 // (the keys it sorts plus the leaves it adds a key or a mask bit to).

@@ -160,14 +160,7 @@ void CollectorRuntime::invalidate_snapshots() {
 
 CollectorRuntimeStats CollectorRuntime::stats() const {
   CollectorRuntimeStats total;
-  for (const auto& shard : shards_) {
-    const ShardStats& s = shard->stats();
-    total.reports_in += s.reports_in;
-    total.ops_batched += s.ops_batched;
-    total.batch_flushes += s.batch_flushes;
-    total.verbs_executed += s.verbs_executed;
-    total.verbs_failed += s.verbs_failed;
-  }
+  for (const auto& shard : shards_) total += shard->stats();
   return total;
 }
 
@@ -184,7 +177,7 @@ std::unordered_map<TenantId, std::uint64_t> CollectorRuntime::tenant_ingest()
 
 TranslationStats CollectorRuntime::translation_stats() const {
   TranslationStats total;
-  for (const auto& shard : shards_) total += shard->translation_stats();
+  for (const auto& shard : shards_) total += shard->engines().stats();
   return total;
 }
 

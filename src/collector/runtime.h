@@ -70,22 +70,8 @@ struct CollectorRuntimeConfig {
   SnapshotStalenessBudget staleness_budget;
 };
 
-struct CollectorRuntimeStats {
-  std::uint64_t reports_in = 0;
-  std::uint64_t ops_batched = 0;
-  std::uint64_t batch_flushes = 0;
-  std::uint64_t verbs_executed = 0;
-  std::uint64_t verbs_failed = 0;
-
-  CollectorRuntimeStats& operator+=(const CollectorRuntimeStats& o) {
-    reports_in += o.reports_in;
-    ops_batched += o.ops_batched;
-    batch_flushes += o.batch_flushes;
-    verbs_executed += o.verbs_executed;
-    verbs_failed += o.verbs_failed;
-    return *this;
-  }
-};
+// The runtime's ingest counters: every shard's ShardStats, summed.
+using CollectorRuntimeStats = ShardStats;
 
 class CollectorRuntime {
  public:

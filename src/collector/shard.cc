@@ -4,48 +4,16 @@
 
 namespace dta::collector {
 
-TranslationStats& TranslationStats::operator+=(const TranslationStats& o) {
-  keywrite_reports += o.keywrite_reports;
-  keywrite_writes += o.keywrite_writes;
-  truncated_values += o.truncated_values;
-  keyincrement_reports += o.keyincrement_reports;
-  fetch_adds += o.fetch_adds;
-  postcards_in += o.postcards_in;
-  postcard_writes += o.postcard_writes;
-  append_entries_in += o.append_entries_in;
-  append_writes += o.append_writes;
-  append_bytes_written += o.append_bytes_written;
-  append_dropped_bad_list += o.append_dropped_bad_list;
-  return *this;
+namespace {
+
+// The index membership bit of a keyed primitive's report.
+std::uint8_t index_primitive(proto::PrimitiveOp op) {
+  if (op == proto::PrimitiveOp::kKeyWrite) return kIndexKeyWrite;
+  if (op == proto::PrimitiveOp::kKeyIncrement) return kIndexKeyIncrement;
+  return kIndexPostcarding;
 }
 
-TranslationStats CollectorShard::translation_stats() const {
-  TranslationStats out;
-  if (keywrite_) {
-    const auto& s = keywrite_->stats();
-    out.keywrite_reports = s.reports;
-    out.keywrite_writes = s.writes_emitted;
-    out.truncated_values = s.truncated_values;
-  }
-  if (keyincrement_) {
-    const auto& s = keyincrement_->stats();
-    out.keyincrement_reports = s.reports;
-    out.fetch_adds = s.fetch_adds_emitted;
-  }
-  if (postcarding_) {
-    const auto& s = postcarding_->stats();
-    out.postcards_in = s.postcards_in;
-    out.postcard_writes = s.writes_emitted;
-  }
-  if (append_) {
-    const auto& s = append_->stats();
-    out.append_entries_in = s.entries_in;
-    out.append_writes = s.writes_emitted;
-    out.append_bytes_written = s.bytes_written;
-    out.append_dropped_bad_list = s.dropped_bad_list;
-  }
-  return out;
-}
+}  // namespace
 
 CollectorShard::CollectorShard(std::uint32_t index, const ShardConfig& config)
     : index_(index),
@@ -73,88 +41,37 @@ CollectorShard::CollectorShard(std::uint32_t index, const ShardConfig& config)
   request.requester_qpn = 0x70 + index;
   request.start_psn = 0x1000;
   const rdma::ConnectAccept accept = service_.accept(request);
-
-  for (const auto& region : accept.regions) {
-    switch (region.kind) {
-      case rdma::RegionKind::kKeyWrite:
-        keywrite_ = std::make_unique<translator::KeyWriteEngine>(
-            translator::KeyWriteGeometry::from_advert(region));
-        break;
-      case rdma::RegionKind::kPostcarding:
-        postcarding_ = std::make_unique<translator::PostcardCache>(
-            translator::PostcardingGeometry::from_advert(region),
-            config.postcard_cache_slots);
-        break;
-      case rdma::RegionKind::kAppend:
-        append_ = std::make_unique<translator::AppendEngine>(
-            translator::AppendGeometry::from_advert(region),
-            config.append_batch_size);
-        break;
-      case rdma::RegionKind::kKeyIncrement:
-        keyincrement_ = std::make_unique<translator::KeyIncrementEngine>(
-            translator::KeyIncrementGeometry::from_advert(region));
-        break;
-    }
-  }
+  engines_ = translator::EngineSet(accept, config.postcard_cache_slots,
+                                   config.append_batch_size);
 
   // Every registered store region is chunk-tracked so snapshot refresh
-  // can copy only what the delivered batches actually dirtied.
+  // can copy only what the delivered batches actually dirtied. The
+  // tracker starts saturated: the first refresh is a full copy anyway,
+  // so the writes that fill the stores before it list no chunk.
   dirty_.track(service_.keywrite_region());
   dirty_.track(service_.postcarding_region());
   dirty_.track(service_.append_region());
   dirty_.track(service_.keyincrement_region());
-
-  // Append geometry for the event-cursor heads: the delivery loop
-  // reverse-maps each append-region WRITE to its list by offset.
-  if (service_.append() != nullptr) {
-    const AppendStore& store = *service_.append();
-    append_base_va_ = service_.append_region()->base_va();
-    append_region_len_ = service_.append_region()->length();
-    append_entry_bytes_ = store.entry_bytes();
-    append_list_stride_ =
-        store.entries_per_list() * static_cast<std::uint64_t>(
-                                       append_entry_bytes_);
-    append_batch_counts_.assign(store.num_lists(), 0);
-    append_delivered_.assign(store.num_lists(), 0);
-  }
+  dirty_.mark_all();
 }
 
 void CollectorShard::ingest(const proto::ParsedDta& parsed) {
   ++stats_.reports_in;
   ++tenant_reports_in_[parsed.header.tenant];
-  const bool immediate = parsed.header.immediate;
   const std::size_t before = pending_.size();
-
-  if (const auto* kw = std::get_if<proto::KeyWriteReport>(&parsed.report)) {
-    if (keywrite_) {
-      stage_key(kw->key, kIndexKeyWrite);
-      keywrite_->translate(*kw, immediate, pending_);
-    }
-  } else if (const auto* ki =
-                 std::get_if<proto::KeyIncrementReport>(&parsed.report)) {
-    if (keyincrement_) {
-      stage_key(ki->key, kIndexKeyIncrement);
-      keyincrement_->translate(*ki, pending_);
-    }
-  } else if (const auto* pc =
-                 std::get_if<proto::PostcardReport>(&parsed.report)) {
-    if (postcarding_) {
-      stage_key(pc->key, kIndexPostcarding);
-      postcarding_->ingest(*pc, pending_);
-    }
-  } else if (const auto* ap =
-                 std::get_if<proto::AppendReport>(&parsed.report)) {
-    if (append_) append_->ingest(*ap, immediate, pending_);
+  const translator::EngineSet::Translated translated =
+      engines_.translate(parsed, pending_);
+  if (translated.key != nullptr && index_sink_ != nullptr) {
+    staged_keys_.push_back({*translated.key, index_primitive(translated.op)});
   }
-
   stats_.ops_batched += pending_.size() - before;
   if (pending_.size() >= op_batch_size_) deliver_batch();
 }
 
 void CollectorShard::flush() {
   const std::size_t before = pending_.size();
-  if (postcarding_) postcarding_->flush_all(pending_);
-  if (append_) append_->flush_all(pending_);
+  engines_.flush_postcards(pending_);
+  engines_.flush_appends(pending_);
   stats_.ops_batched += pending_.size() - before;
   deliver_batch();
 }
@@ -189,18 +106,6 @@ void CollectorShard::deliver_batch() {
     switch (op.kind) {
       case translator::RdmaOp::Kind::kWrite:
         dirty_.mark(op.remote_va, op.payload.size());
-        // Reverse-map append-region writes to their list: the engine
-        // emits per-list batch writes, so payload / entry_bytes is an
-        // exact delivered-entry count (the event-cursor head advance).
-        if (append_entry_bytes_ != 0 && op.remote_va >= append_base_va_ &&
-            op.remote_va < append_base_va_ + append_region_len_) {
-          const std::uint64_t list =
-              (op.remote_va - append_base_va_) / append_list_stride_;
-          if (list < append_batch_counts_.size()) {
-            append_batch_counts_[list] +=
-                op.payload.size() / append_entry_bytes_;
-          }
-        }
         outcome = nic.execute_write(qp, op.remote_va, op.rkey, op.payload,
                                     op.immediate);
         break;
@@ -221,18 +126,10 @@ void CollectorShard::deliver_batch() {
     }
   }
   pending_.clear();
-  // Fold this batch's append counts into the cumulative heads and hand
-  // the index its delta — before the generation bump, so an observer of
-  // the new generation always finds the matching delta enqueued.
-  IndexDelta delta;
-  for (std::size_t list = 0; list < append_batch_counts_.size(); ++list) {
-    if (append_batch_counts_[list] == 0) continue;
-    append_delivered_[list] += append_batch_counts_[list];
-    delta.append_deltas.emplace_back(static_cast<std::uint32_t>(list),
-                                     append_batch_counts_[list]);
-    append_batch_counts_[list] = 0;
-  }
+  // Hand the index its delta before the generation bump, so an observer
+  // of the new generation always finds the matching delta enqueued.
   if (index_sink_ != nullptr) {
+    IndexDelta delta;
     delta.generation = generation_.load(std::memory_order_relaxed) + 1;
     // Copied out at the batch's size: staged_keys_ keeps its capacity,
     // so the next batch stages without regrowing it from empty.

@@ -5,18 +5,18 @@
 // writes reports straight into memory; to scale that past one core the
 // runtime partitions the key space N-way (CRC of the telemetry key) and
 // gives each partition an independent service. Each shard owns its own
-// translator engines — the single-writer-per-QP property that makes
-// DTA's QP-sharing ablation favourable is preserved per shard — and
-// coalesces translator-emitted RDMA ops into batches that it executes
-// directly on its queue pair (Nic::execute_write / execute_fetch_add),
-// so the per-batch bookkeeping (index delta, generation bump) is paid
-// once per doorbell, not once per verb. The RoCE frame round-trip lives
-// in FabricBackend, the wire-fidelity path.
+// translator::EngineSet, the one the wire translator runs — the
+// single-writer-per-QP property that makes DTA's QP-sharing ablation
+// favourable is preserved per shard — and coalesces the emitted RDMA
+// ops into batches that it executes directly on its queue pair
+// (Nic::execute_write / execute_fetch_add), so the per-batch
+// bookkeeping (index delta, generation bump) is paid once per doorbell,
+// not once per verb. The RoCE frame round-trip lives in FabricBackend,
+// the wire-fidelity path.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -26,10 +26,7 @@
 #include "collector/shard_index.h"
 #include "common/lifetime_annotations.h"
 #include "dta/tenant.h"
-#include "translator/append_engine.h"
-#include "translator/keyincrement_engine.h"
-#include "translator/keywrite_engine.h"
-#include "translator/postcard_cache.h"
+#include "translator/engine_set.h"
 
 namespace dta::collector {
 
@@ -62,28 +59,19 @@ struct ShardStats {
   std::uint64_t batch_flushes = 0;  // "doorbells": one per delivered batch
   std::uint64_t verbs_executed = 0;
   std::uint64_t verbs_failed = 0;
+
+  ShardStats& operator+=(const ShardStats& o) {
+    reports_in += o.reports_in;
+    ops_batched += o.ops_batched;
+    batch_flushes += o.batch_flushes;
+    verbs_executed += o.verbs_executed;
+    verbs_failed += o.verbs_failed;
+    return *this;
+  }
 };
 
-// Aggregated view of the shard's translator-engine counters (the
-// per-primitive translation layer the shard runs in front of its NIC).
-// One addable struct, so the runtime and cluster tiers can sum it
-// across shards and hosts instead of callers poking each engine.
-// Read behind a flush barrier, like ShardStats.
-struct TranslationStats {
-  std::uint64_t keywrite_reports = 0;
-  std::uint64_t keywrite_writes = 0;
-  std::uint64_t truncated_values = 0;
-  std::uint64_t keyincrement_reports = 0;
-  std::uint64_t fetch_adds = 0;
-  std::uint64_t postcards_in = 0;
-  std::uint64_t postcard_writes = 0;
-  std::uint64_t append_entries_in = 0;
-  std::uint64_t append_writes = 0;
-  std::uint64_t append_bytes_written = 0;
-  std::uint64_t append_dropped_bad_list = 0;
-
-  TranslationStats& operator+=(const TranslationStats& o);
-};
+// The engine set's counters, summed across shards and hosts.
+using TranslationStats = translator::TranslationStats;
 
 class CollectorShard {
  public:
@@ -114,9 +102,13 @@ class CollectorShard {
     return tenant_reports_in_;
   }
 
-  // Snapshot of this shard's translator-engine counters (disabled
-  // primitives contribute zeros). Read behind a flush barrier.
-  TranslationStats translation_stats() const;
+  // The shard's translator engines: their counters (stats()) and the
+  // Append engine's event-cursor heads (append_heads()), both read
+  // behind a flush barrier or inside a writer job, where every emitted
+  // op has been delivered.
+  const translator::EngineSet& engines() const DTA_LIFETIMEBOUND {
+    return engines_;
+  }
 
   // Store-memory generation: bumped once per delivered op batch (the
   // only moments store memory changes), so generation equality means
@@ -128,7 +120,8 @@ class CollectorShard {
   }
 
   // Dirty-chunk set accumulated since the last snapshot consume: the
-  // delivery loop marks every executed op's byte extent. Written, read
+  // delivery loop marks every executed op's byte extent. Saturated
+  // (everything dirty) until the first consume. Written, read
   // and cleared on the ingest thread only: the snapshot refresh reads
   // and clears it inside a writer job (IngestPipeline::run_writer_job),
   // which runs there. Other threads read it behind a flush barrier.
@@ -150,49 +143,24 @@ class CollectorShard {
   // Secondary-index feed: when set, every delivered op batch hands the
   // sink one IndexDelta — the telemetry keys the batch's reports
   // carried (staged at translate time; store memory cannot recover
-  // them) plus per-list append entry counts — stamped with the
-  // generation the delivery produces. The delta is enqueued *before*
-  // the generation bump, so an observer of generation G always finds
-  // delta G already queued. Call before ingesting (not thread-safe
-  // against the worker).
+  // them) — stamped with the generation the delivery produces. The
+  // delta is enqueued *before* the generation bump, so an observer of
+  // generation G always finds delta G already queued. Call before
+  // ingesting (not thread-safe against the worker).
   void set_index_sink(IndexSink* sink) { index_sink_ = sink; }
-
-  // Cumulative entries delivered per shard-local append list — the
-  // event-cursor heads. Written by the ingest thread; read by the
-  // snapshot refresh inside a writer job only.
-  const std::vector<std::uint64_t>& append_delivered() const
-      DTA_LIFETIMEBOUND {
-    return append_delivered_;
-  }
 
  private:
   void deliver_batch();
 
-  // Stages one translated report's key for the next IndexDelta. Only
-  // active with a sink attached — otherwise nothing drains the stage.
-  void stage_key(const proto::TelemetryKey& key, std::uint8_t primitive) {
-    if (index_sink_ != nullptr) staged_keys_.push_back({key, primitive});
-  }
-
   std::uint32_t index_;
   std::uint32_t op_batch_size_;
   RdmaService service_;
-  std::unique_ptr<translator::KeyWriteEngine> keywrite_;
-  std::unique_ptr<translator::KeyIncrementEngine> keyincrement_;
-  std::unique_ptr<translator::PostcardCache> postcarding_;
-  std::unique_ptr<translator::AppendEngine> append_;
+  translator::EngineSet engines_;
   std::vector<translator::RdmaOp> pending_;
-  // Index maintenance: keys staged since the last delivery, the
-  // append-region geometry the delivery loop reverse-maps WRITE ops
-  // through, and per-batch/cumulative append entry counts.
+  // Index maintenance: keys staged since the last delivery. Only
+  // filled with a sink attached — otherwise nothing drains the stage.
   IndexSink* index_sink_ = nullptr;
   std::vector<IndexEntry> staged_keys_;
-  std::uint64_t append_base_va_ = 0;
-  std::uint64_t append_region_len_ = 0;
-  std::uint64_t append_list_stride_ = 0;
-  std::uint32_t append_entry_bytes_ = 0;
-  std::vector<std::uint64_t> append_batch_counts_;
-  std::vector<std::uint64_t> append_delivered_;
   DirtyTracker dirty_;
   ShardStats stats_;
   std::unordered_map<TenantId, std::uint64_t> tenant_reports_in_;

@@ -158,10 +158,6 @@ void ShardIndexBuilder::fold(const IndexDelta* deltas, std::size_t count) {
   for (std::size_t d = 0; d < count; ++d) {
     const IndexDelta& delta = deltas[d];
     generation_ = std::max(generation_, delta.generation);
-    for (const auto& [list, entries] : delta.append_deltas) {
-      if (list >= append_heads_.size()) append_heads_.resize(list + 1, 0);
-      append_heads_[list] += entries;
-    }
     keys.insert(keys.end(), delta.keys.begin(), delta.keys.end());
   }
   if (keys.empty()) return;
@@ -252,7 +248,7 @@ void ShardIndexBuilder::fold(const IndexDelta* deltas, std::size_t count) {
 
 std::shared_ptr<const ShardIndexVersion> ShardIndexBuilder::publish() const {
   return std::make_shared<const ShardIndexVersion>(
-      generation_, leaves_, fences_, append_heads_, key_count_);
+      generation_, leaves_, fences_, key_count_);
 }
 
 }  // namespace dta::collector

@@ -95,16 +95,15 @@ inline bool index_key_less(const proto::TelemetryKey& a,
 }
 
 // One delivered op batch's worth of index maintenance: the keys the
-// batch touched (duplicates allowed, masks are OR-merged), the entries
-// it appended per shard-local list, and the store-memory generation the
-// delivery produced. The shard enqueues the delta *before* bumping its
-// generation counter, so any observer of generation G knows delta G is
-// already in the build queue.
+// batch touched (duplicates allowed, masks are OR-merged) and the
+// store-memory generation the delivery produced. The shard enqueues the
+// delta *before* bumping its generation counter, so any observer of
+// generation G knows delta G is already in the build queue. (Append
+// lists have no keys; their event-cursor heads come from the Append
+// engine's emitted counts, not from the index.)
 struct IndexDelta {
   std::uint64_t generation = 0;
   std::vector<IndexEntry> keys;
-  // (local list id, entries delivered) increments for the event cursor.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> append_deltas;
 };
 
 // Where CollectorShard::deliver_batch hands its deltas (implemented by
@@ -176,12 +175,10 @@ class ShardIndexVersion {
   ShardIndexVersion(std::uint64_t generation,
                     std::shared_ptr<const IndexLeafVector> leaves,
                     std::shared_ptr<const IndexFenceVector> fences,
-                    std::vector<std::uint64_t> append_heads,
                     std::uint64_t key_count)
       : generation_(generation),
         leaves_(std::move(leaves)),
         fences_(std::move(fences)),
-        append_heads_(std::move(append_heads)),
         key_count_(key_count) {}
 
   // The shard store-memory generation this version is consistent with:
@@ -190,15 +187,6 @@ class ShardIndexVersion {
 
   // Distinct keys indexed.
   std::uint64_t key_count() const { return key_count_; }
-
-  // Cumulative entries ever delivered to shard-local list `list` — the
-  // event-cursor head as of this version's generation.
-  std::uint64_t append_head(std::uint32_t list) const {
-    return list < append_heads_.size() ? append_heads_[list] : 0;
-  }
-  const std::vector<std::uint64_t>& append_heads() const {
-    return append_heads_;
-  }
 
   // Visits entries in key order, `from` <= key <= `to` (either bound
   // null = open). The visitor returns false to stop early. O(log n)
@@ -222,7 +210,6 @@ class ShardIndexVersion {
   std::uint64_t generation_;
   std::shared_ptr<const IndexLeafVector> leaves_;
   std::shared_ptr<const IndexFenceVector> fences_;
-  std::vector<std::uint64_t> append_heads_;
   std::uint64_t key_count_;
 };
 
@@ -236,10 +223,10 @@ class ShardIndexBuilder {
   // Folds a window of deltas at once: every window key is probed
   // against the current leaves, the keys that add a key or a mask bit
   // are sorted and their masks OR-merged once, new keys are inserted in
-  // order, existing keys gain the new bits, and append heads advance. A
-  // leaf is copied only when the window adds a key or a mask bit to
-  // it, and only copied leaves can split. The entries are independent
-  // of how the deltas are cut into windows.
+  // order, and existing keys gain the new bits. A leaf is copied only
+  // when the window adds a key or a mask bit to it, and only copied
+  // leaves can split. The entries are independent of how the deltas are
+  // cut into windows.
   void apply(const std::vector<IndexDelta>& window) {
     fold(window.data(), window.size());
   }
@@ -286,7 +273,6 @@ class ShardIndexBuilder {
   // leaves it carries over, so no pass ever reads each leaf for it, and
   // published with it.
   std::shared_ptr<const IndexFenceVector> fences_;
-  std::vector<std::uint64_t> append_heads_;
   // Scratch reused across windows so a steady-state fold does not
   // allocate: the window's keys as delivered, and the ones that change
   // a leaf (then sorted and OR-deduplicated).

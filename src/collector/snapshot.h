@@ -138,9 +138,11 @@ class StoreSnapshot {
       std::uint32_t local_list, std::uint64_t count) const DTA_LIFETIMEBOUND;
 
   // --- event cursor ---------------------------------------------------------
-  // Cumulative per-list delivered-entry counts captured at snapshot
-  // time (CollectorShard::append_delivered, read inside the writer
-  // job). Together with append_read_range these give cursor-based
+  // Cumulative per-list entry counts captured at snapshot time: what
+  // the Append engine emitted to each list (its engine set's
+  // append_heads()), read after a flush delivered them — inside the
+  // writer job on a shard, after the fabric's flush on the wire path.
+  // Together with append_read_range these give cursor-based
   // event reads: absolute position p lives at ring slot
   // p % entries_per_list as long as it is within the last
   // entries_per_list delivered entries. Copies into the snapshot's own

@@ -154,7 +154,7 @@ SnapshotCache::SnapshotPtr SnapshotCache::refresh(std::uint32_t shard_index,
     full = first || dirty.saturated();
     copied = target->refresh_from(shard.service(), shard.generation(),
                                   full ? nullptr : &dirty);
-    target->set_append_heads(shard.append_delivered());
+    target->set_append_heads(shard.engines().append_heads());
     dirty.clear();
   };
   pipeline.run_writer_job(shard_index, job);
@@ -175,7 +175,7 @@ SnapshotCache::SnapshotPtr SnapshotCache::copy_fresh(std::uint32_t shard_index,
       StoreSnapshot::allocate(shard.service());
   auto job = [&]() noexcept {
     snap->refresh_from(shard.service(), shard.generation(), nullptr);
-    snap->set_append_heads(shard.append_delivered());
+    snap->set_append_heads(shard.engines().append_heads());
   };
   pipeline.run_writer_job(shard_index, job);
   return snap;

@@ -36,10 +36,11 @@
 //     ingest pipeline: the shard's worker, between two drain passes,
 //     copies only the chunks its DirtyTracker listed since the last
 //     refresh (everything on a first build or a saturated tracker),
-//     captures the append heads and clears the dirty set. The copy
-//     reads the source lines on the core that wrote them, and the
-//     worker stalls for the dirtied bytes, not the store size. The
-//     caller then publishes.
+//     captures the Append engine's emitted counts as the event-cursor
+//     heads (the flush before the job delivered every emitted op) and
+//     clears the dirty set. The copy reads the source lines on the core
+//     that wrote them, and the worker stalls for the dirtied bytes, not
+//     the store size. The caller then publishes.
 //
 // Pin protocol: every snapshot handed out is a handle whose deleter
 // releases a per-record pin count. refresh() claims a record for

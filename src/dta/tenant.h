@@ -6,8 +6,9 @@
 // accounted and rate-limited against. It is an *in-process* annotation:
 // the DTA wire format is unchanged (reporters are switches, which are
 // infrastructure, not tenants) — tenancy attaches where application
-// traffic enters the library (dta::Client) or where the translator
-// classifies a reporter (TranslatorConfig::tenant_of_reporter).
+// traffic enters the library (dta::Client), whose TenantRegistry keeps
+// one token bucket per registered tenant. The wire translator admits
+// every report against its one shared bucket.
 //
 // Tenant 0 is the default tenant: unregistered traffic is accounted and
 // limited against it, so a deployment that never configures tenants

@@ -50,7 +50,6 @@ FabricBackend::FabricBackend(const collector::CollectorRuntimeConfig& config)
   fabric.translator.append_batch_size = host_config_.append_batch_size;
   fabric.translator.postcard_cache_slots = host_config_.postcard_cache_slots;
   fabric_ = std::make_unique<Fabric>(std::move(fabric));
-  staged_append_.assign(num_lists(), 0);
   index_ = index_builder_.publish();  // empty version at generation 0
 }
 
@@ -88,9 +87,6 @@ Status FabricBackend::submit(proto::ParsedDta parsed,
   } else if (const auto* pc =
                  std::get_if<proto::PostcardReport>(&parsed.report)) {
     staged_keys_.push_back({pc->key, collector::kIndexPostcarding});
-  } else if (const auto* ap =
-                 std::get_if<proto::AppendReport>(&parsed.report)) {
-    staged_append_[ap->list_id] += ap->entries.size();
   }
   return Status::Ok();
 }
@@ -129,19 +125,14 @@ Expected<Backend::SnapshotPtr> FabricBackend::acquire_locked(
     delta.generation = generation_ + 1;
     delta.keys = std::move(staged_keys_);
     staged_keys_.clear();
-    for (std::uint32_t list = 0; list < staged_append_.size(); ++list) {
-      if (staged_append_[list] != 0) {
-        delta.append_deltas.emplace_back(list, staged_append_[list]);
-        staged_append_[list] = 0;
-      }
-    }
     index_builder_.apply(delta);
     index_ = index_builder_.publish();
     auto snap = std::make_shared<collector::StoreSnapshot>(
         fabric_->collector().service(), ++generation_);
-    // The index's cumulative delivered-entry heads double as the
-    // snapshot's event-cursor heads (one shard: local list = global).
-    snap->set_append_heads(index_->append_heads());
+    // The flush delivered every WRITE the translator's Append engine
+    // emitted, so its emitted counts are the event-cursor heads (one
+    // shard: local list = global).
+    snap->set_append_heads(fabric_->translator().engines().append_heads());
     snapshot_ = std::move(snap);
     snapshot_covers_ = submitted_;
   }
@@ -238,30 +229,7 @@ ClientStats FabricBackend::stats() const {
   ClientStats out;
   out.ingest.reports_in = submitted_;
   out.ingest.verbs_executed = fabric_->collector().stats().verbs_executed;
-
-  // Per-primitive translation counters straight off the translator's
-  // engines (the same aggregation CollectorShard::translation_stats
-  // runs over its direct-execution engines).
-  const translator::Translator& tr = fabric_->translator();
-  if (const auto* kw = tr.keywrite()) {
-    out.translation.keywrite_reports = kw->stats().reports;
-    out.translation.keywrite_writes = kw->stats().writes_emitted;
-    out.translation.truncated_values = kw->stats().truncated_values;
-  }
-  if (const auto* ki = tr.keyincrement()) {
-    out.translation.keyincrement_reports = ki->stats().reports;
-    out.translation.fetch_adds = ki->stats().fetch_adds_emitted;
-  }
-  if (const auto* pc = tr.postcarding()) {
-    out.translation.postcards_in = pc->stats().postcards_in;
-    out.translation.postcard_writes = pc->stats().writes_emitted;
-  }
-  if (const auto* ap = tr.append()) {
-    out.translation.append_entries_in = ap->stats().entries_in;
-    out.translation.append_writes = ap->stats().writes_emitted;
-    out.translation.append_bytes_written = ap->stats().bytes_written;
-    out.translation.append_dropped_bad_list = ap->stats().dropped_bad_list;
-  }
+  out.translation = fabric_->translator().engines().stats();
 
   ClusterHostStats host;  // one host, live: the ClientStats defaults
   host.ingest = out.ingest;

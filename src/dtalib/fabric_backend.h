@@ -9,6 +9,9 @@
 // encoded and decoded exactly as it would be on the wire — this is the
 // backend the conformance kit uses to prove the client API observes
 // identical results over the modeled network as over direct execution.
+// The translator's engines are the translator::EngineSet a shard runs,
+// so stats() reads the same counters, and the event-cursor heads are
+// its Append engine's emitted counts, as on a shard.
 //
 // Geometry: one collector host, one shard (the Fabric is the paper's
 // single-collector topology). Queries serve from StoreSnapshots copied
@@ -102,8 +105,6 @@ class FabricBackend : public Backend {
   // rebuild, so the published index generation always equals the
   // snapshot generation (the consistency contract the range path needs).
   std::vector<collector::IndexEntry> staged_keys_ DTA_GUARDED_BY(mu_);
-  // per-list entries staged
-  std::vector<std::uint64_t> staged_append_ DTA_GUARDED_BY(mu_);
   collector::ShardIndexBuilder index_builder_ DTA_GUARDED_BY(mu_);
   std::shared_ptr<const collector::ShardIndexVersion> index_
       DTA_GUARDED_BY(mu_);

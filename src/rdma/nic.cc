@@ -34,6 +34,27 @@ double Nic::effective_message_rate() const {
   return params_.base_message_rate / slowdown;
 }
 
+// Defined before its callers in this file, so the direct doorbells
+// inline it.
+Nic::Outcome Nic::account(const QueuePair& qp, common::VirtualNs arrival_ns,
+                          const ResponderResult& responder) {
+  // Message-rate accounting: one slot per verb, slowed by QP pressure.
+  const double rate = effective_message_rate();
+  const auto cost = static_cast<common::VirtualNs>(1e9 / std::max(rate, 1.0));
+  Outcome out;
+  out.completed_at = message_unit_.schedule(arrival_ns, cost);
+  out.qpn = qp.qpn();
+  out.responder = responder;
+  if (responder.ack) {
+    if (responder.ack->syndrome == AethSyndrome::kAck) {
+      ++counters_.acks_emitted;
+    } else {
+      ++counters_.naks_emitted;
+    }
+  }
+  return out;
+}
+
 std::optional<Nic::Outcome> Nic::ingest(const net::Packet& frame) {
   ++counters_.datagrams_in;
 
@@ -58,64 +79,22 @@ std::optional<Nic::Outcome> Nic::ingest(const net::Packet& frame) {
     return std::nullopt;
   }
 
-  // Message-rate accounting: one slot per verb, slowed by QP pressure.
-  const double rate = effective_message_rate();
-  const auto cost =
-      static_cast<common::VirtualNs>(1e9 / std::max(rate, 1.0));
-  const common::VirtualNs done = message_unit_.schedule(frame.arrival_ns, cost);
-
-  Outcome out;
-  out.completed_at = done;
-  out.qpn = qp->qpn();
-  out.responder = qp->process(datagram);
-  if (out.responder.ack) {
-    if (out.responder.ack->syndrome == AethSyndrome::kAck) {
-      ++counters_.acks_emitted;
-    } else {
-      ++counters_.naks_emitted;
-    }
-  }
-  return out;
+  return account(*qp, frame.arrival_ns, qp->process(datagram));
 }
 
 Nic::Outcome Nic::execute_write(QueuePair& qp, std::uint64_t va,
                                 std::uint32_t rkey, common::ByteSpan payload,
                                 std::optional<std::uint32_t> immediate,
                                 common::VirtualNs arrival_ns) {
-  const double rate = effective_message_rate();
-  const auto cost = static_cast<common::VirtualNs>(1e9 / std::max(rate, 1.0));
-  Outcome out;
-  out.completed_at = message_unit_.schedule(arrival_ns, cost);
-  out.qpn = qp.qpn();
-  out.responder = qp.execute_write(va, rkey, payload, immediate);
-  if (out.responder.ack) {
-    if (out.responder.ack->syndrome == AethSyndrome::kAck) {
-      ++counters_.acks_emitted;
-    } else {
-      ++counters_.naks_emitted;
-    }
-  }
-  return out;
+  return account(qp, arrival_ns,
+                 qp.execute_write(va, rkey, payload, immediate));
 }
 
 Nic::Outcome Nic::execute_fetch_add(QueuePair& qp, std::uint64_t va,
                                     std::uint32_t rkey,
                                     std::uint64_t add_value,
                                     common::VirtualNs arrival_ns) {
-  const double rate = effective_message_rate();
-  const auto cost = static_cast<common::VirtualNs>(1e9 / std::max(rate, 1.0));
-  Outcome out;
-  out.completed_at = message_unit_.schedule(arrival_ns, cost);
-  out.qpn = qp.qpn();
-  out.responder = qp.execute_fetch_add(va, rkey, add_value);
-  if (out.responder.ack) {
-    if (out.responder.ack->syndrome == AethSyndrome::kAck) {
-      ++counters_.acks_emitted;
-    } else {
-      ++counters_.naks_emitted;
-    }
-  }
-  return out;
+  return account(qp, arrival_ns, qp.execute_fetch_add(va, rkey, add_value));
 }
 
 double Nic::modeled_verbs_per_sec(std::uint64_t verbs) const {

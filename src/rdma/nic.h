@@ -91,6 +91,11 @@ class Nic {
   double modeled_verbs_per_sec(std::uint64_t verbs) const;
 
  private:
+  // The step every verb shares, wire or direct: one message slot at the
+  // effective rate from `arrival_ns`, and the ACK/NAK counters.
+  Outcome account(const QueuePair& qp, common::VirtualNs arrival_ns,
+                  const ResponderResult& responder);
+
   NicParams params_;
   ProtectionDomain pd_;
   std::unordered_map<std::uint32_t, std::unique_ptr<QueuePair>> qps_;

@@ -50,46 +50,24 @@ ResponderResult QueuePair::process(common::ByteSpan roce_datagram) {
     return nak(AethSyndrome::kPsnSeqNak);
   }
 
+  // The verbs themselves run through the direct executors; the wire
+  // adds only header presence, the RETH's DMA length and the PSN.
   switch (view->bth.opcode) {
     case Opcode::kWriteOnly:
-    case Opcode::kWriteOnlyImm: {
+    case Opcode::kWriteOnlyImm:
       if (!view->reth) return nak(AethSyndrome::kRemoteAccessNak);
-      MemoryRegion* mr = pd_->find(view->reth->rkey);
-      const std::size_t len = view->payload.size();
-      if (!mr || !(mr->access() & kRemoteWrite) ||
-          !mr->contains(view->reth->virtual_addr, len) ||
-          len != view->reth->dma_length) {
+      if (view->payload.size() != view->reth->dma_length) {
         state_ = QpState::kError;  // RC QPs error out on access violations
         return nak(AethSyndrome::kRemoteAccessNak);
       }
-      // The DMA: this is the entire collector-side cost of a DTA report.
-      std::memcpy(mr->at(view->reth->virtual_addr), view->payload.data(), len);
-      ++counters_.writes_executed;
-      counters_.bytes_written += len;
-      if (view->immediate) {
-        ++counters_.immediates;
-        completions_.push_back(Completion{view->bth.opcode,
-                                          static_cast<std::uint32_t>(len),
-                                          view->immediate});
-      }
+      result = execute_write(view->reth->virtual_addr, view->reth->rkey,
+                             view->payload, view->immediate);
       break;
-    }
-    case Opcode::kFetchAdd: {
+    case Opcode::kFetchAdd:
       if (!view->atomic) return nak(AethSyndrome::kRemoteAccessNak);
-      MemoryRegion* mr = pd_->find(view->atomic->rkey);
-      if (!mr || !(mr->access() & kRemoteAtomic) ||
-          !mr->contains(view->atomic->virtual_addr, 8) ||
-          (view->atomic->virtual_addr & 0x7) != 0) {
-        state_ = QpState::kError;
-        return nak(AethSyndrome::kRemoteAccessNak);
-      }
-      std::uint8_t* p = mr->at(view->atomic->virtual_addr);
-      const std::uint64_t original = common::load_u64(p);
-      common::store_u64(p, original + view->atomic->swap_add);
-      result.atomic_original = original;
-      ++counters_.atomics_executed;
+      result = execute_fetch_add(view->atomic->virtual_addr,
+                                 view->atomic->rkey, view->atomic->swap_add);
       break;
-    }
     case Opcode::kSendOnly:
     case Opcode::kSendOnlyImm: {
       receive_queue_.emplace_back(view->payload.begin(), view->payload.end());
@@ -99,17 +77,17 @@ ResponderResult QueuePair::process(common::ByteSpan roce_datagram) {
           Completion{view->bth.opcode,
                      static_cast<std::uint32_t>(view->payload.size()),
                      view->immediate});
+      ++msn_;
+      result.executed = true;
       break;
     }
     default:
       return result;  // unsupported opcode: ignore
   }
+  if (!result.executed) return result;
 
   expected_psn_ = (expected_psn_ + 1) & 0xFFFFFF;
-  ++msn_;
-  result.executed = true;
-
-  if (view->bth.ack_request || view->atomic) {
+  if (view->bth.ack_request) {
     Aeth aeth;
     aeth.syndrome = AethSyndrome::kAck;
     aeth.msn = msn_;
@@ -126,9 +104,10 @@ ResponderResult QueuePair::execute_write(std::uint64_t va, std::uint32_t rkey,
   MemoryRegion* mr = pd_->find(rkey);
   const std::size_t len = payload.size();
   if (!mr || !(mr->access() & kRemoteWrite) || !mr->contains(va, len)) {
-    state_ = QpState::kError;
+    state_ = QpState::kError;  // RC QPs error out on access violations
     return nak(AethSyndrome::kRemoteAccessNak);
   }
+  // The DMA: this is the entire collector-side cost of a DTA report.
   std::memcpy(mr->at(va), payload.data(), len);
   ++counters_.writes_executed;
   counters_.bytes_written += len;

@@ -64,17 +64,20 @@ class QueuePair {
     state_ = QpState::kReadyToReceive;
   }
 
-  // Responder path: parse + validate + execute one RoCE datagram.
+  // Responder path: parse one RoCE datagram and apply the wire's own
+  // checks (ICRC, QPN, PSN sequencing, RETH/AtomicETH presence, the
+  // RETH's DMA length, the ACK request), then execute it: WRITE and
+  // FETCH_ADD through execute_write / execute_fetch_add below.
   ResponderResult process(common::ByteSpan roce_datagram);
 
-  // Direct-execution path ("doorbell" fast path): the same validation
-  // and memory effects as the wire path's WRITE / FETCH_ADD opcodes,
-  // minus the frame parse, ICRC check and PSN sequencing. Used by the
-  // in-process collector shard, whose translator and responder share an
-  // address space, so serializing each verb through a crafted RoCE
-  // frame only to re-parse it is pure overhead. PSN state is untouched,
-  // so direct verbs never disturb the PSN stream of frames that arrive
-  // on the wire.
+  // Direct-execution path ("doorbell" fast path): one verb's rkey,
+  // access and bounds checks, memory effect, counters, completion and
+  // MSN — the executor process() itself runs — with no frame to parse,
+  // no ICRC and no PSN. Used by the in-process collector shard, whose
+  // translator and responder share an address space, so serializing
+  // each verb through a crafted RoCE frame only to re-parse it is pure
+  // overhead. PSN state is untouched, so direct verbs never disturb the
+  // PSN stream of frames that arrive on the wire.
   ResponderResult execute_write(std::uint64_t va, std::uint32_t rkey,
                                 common::ByteSpan payload,
                                 std::optional<std::uint32_t> immediate);

@@ -17,7 +17,8 @@ AppendGeometry AppendGeometry::from_advert(const rdma::RegionAdvert& advert) {
 AppendEngine::AppendEngine(AppendGeometry geometry, std::uint32_t batch_size)
     : geometry_(geometry),
       batch_size_(batch_size == 0 ? 1 : batch_size),
-      lists_(geometry.num_lists) {
+      lists_(geometry.num_lists),
+      emitted_(geometry.num_lists, 0) {
   assert(geometry_.entries_per_list % batch_size_ == 0 &&
          "list length must be a multiple of the batch size");
 }
@@ -37,6 +38,7 @@ void AppendEngine::emit_batch(std::uint32_t list, ListState& st,
   out.push_back(std::move(op));
   ++stats_.writes_emitted;
 
+  emitted_[list] += st.batched;
   st.head_entry += st.batched;
   if (st.head_entry >= geometry_.entries_per_list) st.head_entry = 0;
   st.batch = {};

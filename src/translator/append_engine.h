@@ -6,6 +6,11 @@
 // using per-list registers. Every Bth packet ... sent as a single RDMA
 // Write packet."). Lists are ring buffers; the head wraps at the list
 // length. The prototype supports 131K simultaneous lists.
+//
+// Beside each ring head the engine counts the entries it has emitted to
+// the list, never wrapping. Once a flush has delivered every emitted
+// WRITE, that count is the list's event-cursor head: absolute entry
+// position p sits at ring slot p % entries_per_list.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +67,9 @@ class AppendEngine {
   std::uint64_t head(std::uint32_t list) const {
     return lists_[list].head_entry;
   }
+  // Entries emitted per list since construction (see the header
+  // comment): what the WRITE payloads carried, one count per list.
+  const std::vector<std::uint64_t>& emitted() const { return emitted_; }
   std::uint32_t batch_size() const { return batch_size_; }
   const AppendStats& stats() const { return stats_; }
   const AppendGeometry& geometry() const { return geometry_; }
@@ -79,6 +87,7 @@ class AppendEngine {
   AppendGeometry geometry_;
   std::uint32_t batch_size_;
   std::vector<ListState> lists_;
+  std::vector<std::uint64_t> emitted_;
   AppendStats stats_;
 };
 

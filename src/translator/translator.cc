@@ -7,51 +7,23 @@ Translator::Translator(TranslatorConfig config, std::uint32_t dest_qpn,
                        const rdma::ConnectAccept& accept)
     : config_(config),
       crafter_(config.endpoints, dest_qpn, start_psn),
-      rate_limiter_(config.rate_limiter) {
-  for (const auto& [tenant, params] : config_.tenant_rate_limits) {
-    rate_limiter_.set_tenant_params(tenant, params);
-  }
-  // Instantiate one engine per advertised memory region: the collector
-  // tells the translator where each primitive's structure lives (§5.3
-  // "advertise primitive-specific metadata to the translator").
-  for (const auto& region : accept.regions) {
-    switch (region.kind) {
-      case rdma::RegionKind::kKeyWrite:
-        keywrite_ = std::make_unique<KeyWriteEngine>(
-            KeyWriteGeometry::from_advert(region));
-        break;
-      case rdma::RegionKind::kKeyIncrement:
-        keyincrement_ = std::make_unique<KeyIncrementEngine>(
-            KeyIncrementGeometry::from_advert(region));
-        break;
-      case rdma::RegionKind::kPostcarding:
-        postcarding_ = std::make_unique<PostcardCache>(
-            PostcardingGeometry::from_advert(region),
-            config_.postcard_cache_slots);
-        break;
-      case rdma::RegionKind::kAppend:
-        append_ = std::make_unique<AppendEngine>(
-            AppendGeometry::from_advert(region), config_.append_batch_size);
-        break;
-    }
-  }
-}
+      rate_limiter_(config.rate_limiter),
+      // The collector tells the translator where each primitive's
+      // structure lives (§5.3 "advertise primitive-specific metadata to
+      // the translator").
+      engines_(accept, config.postcard_cache_slots, config.append_batch_size) {}
 
 void Translator::emit_ops(std::vector<RdmaOp>& ops, proto::PrimitiveOp op,
                           common::VirtualNs now, std::uint32_t reporter_ip) {
   if (ops.empty()) return;
-  const TenantId tenant = config_.tenant_of_reporter
-                              ? config_.tenant_of_reporter(reporter_ip)
-                              : kDefaultTenant;
   const auto count = static_cast<std::uint32_t>(ops.size());
-  if (config_.rate_limiting_enabled &&
-      !rate_limiter_.admit(tenant, now, count)) {
+  if (config_.rate_limiting_enabled && !rate_limiter_.admit(now, count)) {
     stats_.rate_limited_drops += ops.size();
     // The shed is never silent: the NACK carries the bucket's refill
     // horizon back to the reporter as a retry-after hint.
     if (auto nack = rate_limiter_.make_nack(
-            tenant, op, count,
-            rate_limiter_.retry_after_ns(tenant, now, count))) {
+            kDefaultTenant, op, count,
+            rate_limiter_.retry_after_ns(kDefaultTenant, now, count))) {
       send_nack(*nack, reporter_ip);
     }
     ops.clear();
@@ -85,33 +57,9 @@ void Translator::ingest_report(const proto::ParsedDta& parsed,
                                common::VirtualNs now,
                                std::uint32_t reporter_ip) {
   ++stats_.dta_reports_in;
-  const bool immediate = parsed.header.immediate;
   std::vector<RdmaOp> ops;
-  proto::PrimitiveOp op = proto::PrimitiveOp::kNack;
-
-  // Dispatch on the report variant itself: the header opcode is wire
-  // metadata and may not be populated on the direct (in-process) path.
-  std::visit(
-      [&](const auto& report) {
-        using T = std::decay_t<decltype(report)>;
-        if constexpr (std::is_same_v<T, proto::KeyWriteReport>) {
-          op = proto::PrimitiveOp::kKeyWrite;
-          if (keywrite_) keywrite_->translate(report, immediate, ops);
-        } else if constexpr (std::is_same_v<T, proto::KeyIncrementReport>) {
-          op = proto::PrimitiveOp::kKeyIncrement;
-          if (keyincrement_) keyincrement_->translate(report, ops);
-        } else if constexpr (std::is_same_v<T, proto::PostcardReport>) {
-          op = proto::PrimitiveOp::kPostcard;
-          if (postcarding_) postcarding_->ingest(report, ops);
-        } else if constexpr (std::is_same_v<T, proto::AppendReport>) {
-          op = proto::PrimitiveOp::kAppend;
-          if (append_) append_->ingest(report, immediate, ops);
-        }
-        // NACKs terminate at reporters, not translators.
-      },
-      parsed.report);
-
-  emit_ops(ops, op, now, reporter_ip);
+  const EngineSet::Translated translated = engines_.translate(parsed, ops);
+  emit_ops(ops, translated.op, now, reporter_ip);
 }
 
 void Translator::ingest(net::Packet&& frame, common::VirtualNs now) {
@@ -142,14 +90,10 @@ void Translator::handle_ack(const rdma::Aeth& aeth,
 
 void Translator::flush(common::VirtualNs now) {
   std::vector<RdmaOp> ops;
-  if (postcarding_) {
-    postcarding_->flush_all(ops);
-    emit_ops(ops, proto::PrimitiveOp::kPostcard, now, 0);
-  }
-  if (append_) {
-    append_->flush_all(ops);
-    emit_ops(ops, proto::PrimitiveOp::kAppend, now, 0);
-  }
+  engines_.flush_postcards(ops);
+  emit_ops(ops, proto::PrimitiveOp::kPostcard, now, 0);
+  engines_.flush_appends(ops);
+  emit_ops(ops, proto::PrimitiveOp::kAppend, now, 0);
 }
 
 }  // namespace dta::translator

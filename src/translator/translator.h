@@ -9,13 +9,12 @@
 // multicast replication + CRC hashing + RoCE crafting path; Postcarding
 // goes through the SRAM aggregation cache; Append goes through the
 // batching registers and per-list head-pointer trackers; everything is
-// subject to the RDMA rate limiter before emission.
+// subject to the RDMA rate limiter before emission. The engines are one
+// EngineSet, the same set each CollectorShard translates with.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -23,10 +22,7 @@
 #include "net/headers.h"
 #include "net/packet.h"
 #include "rdma/cm.h"
-#include "translator/append_engine.h"
-#include "translator/keyincrement_engine.h"
-#include "translator/keywrite_engine.h"
-#include "translator/postcard_cache.h"
+#include "translator/engine_set.h"
 #include "translator/rate_limiter.h"
 #include "translator/rdma_crafter.h"
 
@@ -38,15 +34,6 @@ struct TranslatorConfig {
   std::uint32_t append_batch_size = 16;
   RateLimiterParams rate_limiter;
   bool rate_limiting_enabled = false;  // benches enable explicitly
-
-  // Multi-tenant rate limiting: classifies a reporter IP to the tenant
-  // whose token bucket its reports consume (unset: everything shares
-  // the default bucket, the pre-tenant behavior), and the per-tenant
-  // bucket params installed into the rate limiter at construction.
-  // Tenants absent from tenant_rate_limits fall back to the shared
-  // default bucket even when classified.
-  std::function<TenantId(std::uint32_t reporter_ip)> tenant_of_reporter;
-  std::vector<std::pair<TenantId, RateLimiterParams>> tenant_rate_limits;
 };
 
 struct TranslatorStats {
@@ -87,12 +74,7 @@ class Translator {
   void flush(common::VirtualNs now);
 
   const TranslatorStats& stats() const { return stats_; }
-  // Per-tenant admit/drop counters live on the limiter's buckets.
-  const RateLimiter& rate_limiter() const { return rate_limiter_; }
-  const KeyWriteEngine* keywrite() const { return keywrite_.get(); }
-  const KeyIncrementEngine* keyincrement() const { return keyincrement_.get(); }
-  const PostcardCache* postcarding() const { return postcarding_.get(); }
-  const AppendEngine* append() const { return append_.get(); }
+  const EngineSet& engines() const { return engines_; }
   const RdmaCrafter& crafter() const { return crafter_; }
 
  private:
@@ -103,10 +85,7 @@ class Translator {
   TranslatorConfig config_;
   RdmaCrafter crafter_;
   RateLimiter rate_limiter_;
-  std::unique_ptr<KeyWriteEngine> keywrite_;
-  std::unique_ptr<KeyIncrementEngine> keyincrement_;
-  std::unique_ptr<PostcardCache> postcarding_;
-  std::unique_ptr<AppendEngine> append_;
+  EngineSet engines_;
   FrameSink rdma_sink_;
   FrameSink nack_sink_;
   FrameSink forward_sink_;

@@ -780,6 +780,64 @@ TEST(BackendDifferentialTest, ClusterHostsMatchPerHostWireFabrics) {
   }
 }
 
+// Event heads are the Append engine's emitted counts on every
+// transport. With Append batching at 16, each list first gets a partial
+// batch and a flush, then enough entries to reach its ring end
+// mid-batch (and to wrap lists 6 and 7), then another flush. After
+// each flush, events() reads the same entries, positions, drops and
+// heads on Local (2 shards), Cluster (2 hosts x 2 shards) and Fabric.
+TEST(BackendDifferentialTest, BatchedAppendEventsAgreeAcrossBackends) {
+  struct Read {
+    std::vector<Bytes> entries;
+    std::uint64_t position = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t remaining = 0;
+    bool operator==(const Read& o) const {
+      return entries == o.entries && position == o.position &&
+             dropped == o.dropped && remaining == o.remaining;
+    }
+  };
+  auto config = conformance_host_config(collector::ThreadMode::kInline, 2);
+  config.append_batch_size = 16;
+  constexpr std::uint32_t kLists = 8;
+  const BackendKind kinds[] = {BackendKind::kLocal, BackendKind::kCluster,
+                               BackendKind::kFabric};
+  std::vector<std::vector<Read>> reads;
+  for (const BackendKind kind : kinds) {
+    SCOPED_TRACE(kind_name(kind));
+    Client client(make_backend(kind, config));
+    std::vector<Read> mine;
+    std::vector<std::uint64_t> heads(kLists, 0);
+    std::uint32_t value = 0;
+    for (std::uint32_t round = 0; round < 2; ++round) {
+      for (std::uint32_t list = 0; list < kLists; ++list) {
+        const std::uint32_t n = round == 0 ? 5 + 3 * list : 7 + 41 * list;
+        auto handle = client.list(list);
+        for (std::uint32_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(handle.append_u32(value++).ok());
+        }
+        heads[list] += n;
+      }
+      ASSERT_TRUE(client.flush().ok());
+      for (std::uint32_t list = 0; list < kLists; ++list) {
+        for (const std::uint64_t max : {7u, 1024u}) {
+          const auto batch = client.events(list).max(max).run();
+          ASSERT_TRUE(batch.ok()) << batch.status().to_string();
+          mine.push_back({batch->entries, batch->next.position,
+                          batch->dropped, batch->remaining});
+          EXPECT_EQ(batch->next.position + batch->remaining, heads[list])
+              << "list " << list << " round " << round;
+        }
+      }
+    }
+    reads.push_back(std::move(mine));
+  }
+  for (std::size_t k = 1; k < reads.size(); ++k) {
+    EXPECT_TRUE(reads[k] == reads[0])
+        << kind_name(kinds[k]) << " diverged from Local";
+  }
+}
+
 // ================================================ indexed range queries
 
 // Ground-truth key catalog per primitive, extracted from the workload

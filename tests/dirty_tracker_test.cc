@@ -366,6 +366,9 @@ TEST(DirtyTracker, ShardMarksExactlyTheWrittenSlots) {
   kw.value_bytes = 4;
   config.keywrite = kw;
   CollectorRuntime runtime(config);
+  // A shard's tracker starts saturated until the first snapshot
+  // consumes it.
+  (void)runtime.snapshot_shard(0);
 
   const auto* region = runtime.shard(0).service().keywrite_region();
   const auto& store = *runtime.shard(0).service().keywrite();

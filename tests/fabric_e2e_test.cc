@@ -418,7 +418,9 @@ TEST(FabricE2E, AlternatingReportersInterleaveInOnePostcardRow) {
     }
   }
   fabric.flush();
-  EXPECT_GE(fabric.translator().postcarding()->stats().early_emissions, 10u);
+  EXPECT_GE(
+      fabric.translator().engines().postcarding()->stats().early_emissions,
+      10u);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.h"
 #include "rdma/memory_region.h"
 #include "rdma/queue_pair.h"
 
@@ -205,6 +208,113 @@ TEST_F(QpTest, NotRtrIgnoresPackets) {
   QueuePair fresh(0x30, &pd_);
   auto r = fresh.process(ByteSpan(make_write(0, mr_->base_va(), Bytes{1})));
   EXPECT_FALSE(r.executed);
+}
+
+// One verb stream — WRITEs, WRITEs with immediate, FETCH_ADDs and, on
+// some seeds, an out-of-bounds WRITE that errors the QP — run as frames
+// on one QP and as direct calls on another, each over its own
+// identically laid-out domain. The wire adds only its own checks, so
+// both sides leave identical memory, counters, completions and ACK/NAK
+// MSNs, and both ignore every verb after the error.
+TEST(QpDifferential, WireAndDirectExecutionAgree) {
+  struct Side {
+    Side() : mr(pd.register_region(4096, kRemoteWrite | kRemoteAtomic)),
+             qp(0x20, &pd) {
+      qp.to_init();
+      qp.to_rtr(100);
+    }
+    ProtectionDomain pd;
+    MemoryRegion* mr;
+    QueuePair qp;
+  };
+  constexpr std::uint32_t kVerbs = 96;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    common::Rng rng(common::test_seed(seed));
+    Side wire;
+    Side direct;
+    ASSERT_EQ(wire.mr->base_va(), direct.mr->base_va());
+    ASSERT_EQ(wire.mr->rkey(), direct.mr->rkey());
+    const std::uint64_t base = wire.mr->base_va();
+    const std::uint32_t rkey = wire.mr->rkey();
+    const std::uint32_t error_at = seed % 2 == 0 ? kVerbs - 16 : kVerbs;
+
+    for (std::uint32_t i = 0; i < kVerbs; ++i) {
+      Bth bth;
+      bth.dest_qpn = 0x20;
+      bth.psn = 100 + i;
+      const std::uint64_t kind = i == error_at ? 3 : rng.next_below(3);
+      ResponderResult from_wire;
+      ResponderResult from_direct;
+      if (kind == 2) {
+        AtomicEth eth;
+        eth.virtual_addr = base + 8 * rng.next_below(4096 / 8);
+        eth.rkey = rkey;
+        eth.swap_add = rng.next_u64();
+        bth.opcode = Opcode::kFetchAdd;
+        from_wire = wire.qp.process(ByteSpan(
+            build_roce_datagram(bth, nullptr, &eth, nullptr, nullptr, {})));
+        from_direct = direct.qp.execute_fetch_add(eth.virtual_addr, rkey,
+                                                  eth.swap_add);
+      } else {
+        Bytes payload(1 + rng.next_below(64));
+        for (auto& byte : payload) {
+          byte = static_cast<std::uint8_t>(rng.next_u32());
+        }
+        Reth reth;
+        reth.rkey = rkey;
+        reth.dma_length = static_cast<std::uint32_t>(payload.size());
+        // kind 3 starts inside the region and runs past its end.
+        reth.virtual_addr =
+            kind == 3 ? base + 4096 - payload.size() / 2
+                      : base + rng.next_below(4096 - payload.size() + 1);
+        const std::uint32_t imm = rng.next_u32();
+        const bool with_imm = kind == 1;
+        bth.opcode = with_imm ? Opcode::kWriteOnlyImm : Opcode::kWriteOnly;
+        from_wire = wire.qp.process(ByteSpan(
+            build_roce_datagram(bth, &reth, nullptr, with_imm ? &imm : nullptr,
+                                nullptr, ByteSpan(payload))));
+        from_direct = direct.qp.execute_write(
+            reth.virtual_addr, rkey, ByteSpan(payload),
+            with_imm ? std::optional<std::uint32_t>(imm) : std::nullopt);
+      }
+      SCOPED_TRACE("verb " + std::to_string(i));
+      EXPECT_EQ(from_wire.executed, from_direct.executed);
+      EXPECT_EQ(from_wire.executed, i < error_at);
+      EXPECT_EQ(from_wire.atomic_original, from_direct.atomic_original);
+      ASSERT_EQ(from_wire.ack.has_value(), from_direct.ack.has_value());
+      if (from_wire.ack) {
+        EXPECT_EQ(from_wire.ack->syndrome, from_direct.ack->syndrome);
+        EXPECT_EQ(from_wire.ack->msn, from_direct.ack->msn);
+      }
+    }
+
+    EXPECT_EQ(std::memcmp(wire.mr->data(), direct.mr->data(), 4096), 0);
+    EXPECT_EQ(wire.qp.state(), direct.qp.state());
+    EXPECT_EQ(wire.qp.state(),
+              error_at < kVerbs ? QpState::kError : QpState::kReadyToReceive);
+    const QpCounters& a = wire.qp.counters();
+    const QpCounters& b = direct.qp.counters();
+    EXPECT_EQ(a.writes_executed, b.writes_executed);
+    EXPECT_EQ(a.atomics_executed, b.atomics_executed);
+    EXPECT_EQ(a.sends_delivered, b.sends_delivered);
+    EXPECT_EQ(a.bytes_written, b.bytes_written);
+    EXPECT_EQ(a.psn_naks, b.psn_naks);
+    EXPECT_EQ(a.access_naks, b.access_naks);
+    EXPECT_EQ(a.icrc_drops, b.icrc_drops);
+    EXPECT_EQ(a.immediates, b.immediates);
+    EXPECT_GT(a.immediates, 0u);
+    EXPECT_GT(a.atomics_executed, 0u);
+    while (true) {
+      const auto from_wire = wire.qp.poll_completion();
+      const auto from_direct = direct.qp.poll_completion();
+      ASSERT_EQ(from_wire.has_value(), from_direct.has_value());
+      if (!from_wire) break;
+      EXPECT_EQ(from_wire->opcode, from_direct->opcode);
+      EXPECT_EQ(from_wire->byte_len, from_direct->byte_len);
+      EXPECT_EQ(from_wire->immediate, from_direct->immediate);
+    }
+  }
 }
 
 TEST(ProtectionDomain, RegionsDoNotAlias) {

@@ -597,6 +597,71 @@ TEST_F(AppendEngineTest, PartialFlushNeverWritesPastRingEnd) {
                           memory.end(), [](std::uint8_t b) { return b == 0; }));
 }
 
+TEST_F(AppendEngineTest, EmittedCountsEqualTheEntriesWritesCarry) {
+  // Seeded streams of 1-5 entry reports to random lists, with flush_all
+  // between some of them: after every step, each list's running total
+  // equals the entries the emitted WRITE payloads carried to it —
+  // through ring wraps, the short batches a flush emits, and the short
+  // batch the engine then emits on reaching the ring end.
+  const std::uint64_t list_bytes = geometry_.list_bytes();
+  for (const std::uint32_t batch : {1u, 4u, 16u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + " seed " +
+                   std::to_string(seed));
+      common::Rng rng(common::test_seed(seed));
+      AppendEngine engine(geometry_, batch);
+      std::vector<std::uint64_t> carried(geometry_.num_lists, 0);
+      std::uint64_t ring_end_emits = 0;
+      std::vector<RdmaOp> ops;
+      const auto count = [&](bool flushed) {
+        for (const RdmaOp& op : ops) {
+          const std::uint64_t offset = op.remote_va - geometry_.base_va;
+          const std::uint64_t entries = op.payload.size() / 4;
+          const std::uint64_t slot = offset % list_bytes / 4;
+          ASSERT_LE(slot + entries, geometry_.entries_per_list);
+          carried[offset / list_bytes] += entries;
+          // Outside a flush, only the ring end cuts a batch short.
+          if (!flushed && entries < batch) {
+            EXPECT_EQ(slot + entries, geometry_.entries_per_list);
+            ++ring_end_emits;
+          }
+        }
+        ops.clear();
+      };
+      for (std::uint32_t step = 0; step < 400; ++step) {
+        if (rng.chance(0.05)) {
+          engine.flush_all(ops);
+          count(true);
+        } else {
+          proto::AppendReport report =
+              entry(static_cast<std::uint32_t>(rng.next_below(4)), step);
+          for (std::uint64_t extra = rng.next_below(5); extra > 0; --extra) {
+            report.entries.push_back(report.entries.front());
+          }
+          engine.ingest(report, false, ops);
+          count(false);
+        }
+        ASSERT_EQ(engine.emitted(), carried) << "step " << step;
+      }
+      engine.flush_all(ops);
+      count(true);
+      EXPECT_EQ(engine.emitted(), carried);
+      std::uint64_t total = 0;
+      for (std::uint32_t list = 0; list < geometry_.num_lists; ++list) {
+        total += carried[list];
+        // Every list went round its ring more than once.
+        EXPECT_GT(carried[list], 2 * geometry_.entries_per_list);
+        EXPECT_EQ(engine.head(list),
+                  carried[list] % geometry_.entries_per_list);
+      }
+      EXPECT_EQ(total, engine.stats().entries_in);
+      if (batch > 1) {
+        EXPECT_GT(ring_end_emits, 0u);
+      }
+    }
+  }
+}
+
 TEST_F(AppendEngineTest, NoBatchingEmitsPerEntry) {
   AppendEngine engine(geometry_, 1);
   std::vector<RdmaOp> ops;
