@@ -32,8 +32,7 @@ double keywrite_mem_ops() {
     common::put_u32(r.data, i);
     fabric.report_direct(reports::wrap(r));
   }
-  return static_cast<double>(fabric.collector().stats().verbs_executed) /
-         kReports;
+  return static_cast<double>(fabric.verbs_executed()) / kReports;
 }
 
 // Postcarding, N=2, 5 hops: memory ops per *postcard* report.
@@ -57,8 +56,7 @@ double postcarding_mem_ops() {
       fabric.report_direct(reports::wrap(r));
     }
   }
-  return static_cast<double>(fabric.collector().stats().verbs_executed) /
-         (kFlows * 5.0);
+  return static_cast<double>(fabric.verbs_executed()) / (kFlows * 5.0);
 }
 
 // Append, batch 16: memory ops per entry.
@@ -81,8 +79,7 @@ double append_mem_ops() {
     r.entries.push_back(std::move(e));
     fabric.report_direct(reports::wrap(r));
   }
-  return static_cast<double>(fabric.collector().stats().verbs_executed) /
-         kEntries;
+  return static_cast<double>(fabric.verbs_executed()) / kEntries;
 }
 
 }  // namespace

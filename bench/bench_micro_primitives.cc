@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "collector/index_publisher.h"
 #include "collector/rdma_service.h"
 #include "collector/shard_index.h"
 #include "common/crc.h"
@@ -411,17 +412,18 @@ struct FoldResult {
 };
 
 constexpr std::uint64_t kFoldKeys = 1u << 19;
-constexpr std::size_t kFoldDeltas = 64;  // IndexPublisherConfig::publish_batch
+constexpr std::size_t kFoldDeltas = collector::IndexPublisher::kPublishBatch;
 constexpr std::size_t kFoldKeysPerDelta = 8;
 constexpr int kFoldRewriteWindows = 2000;
 
-// A 2^19-key index at the publisher's default leaf target (128), built
+// A 2^19-key index at the publisher's leaf target (128), built
 // from windows of 64 deltas x 8 fresh mixed keys, then 2,000 windows of
 // the same shape that rewrite present keys: the steady state of a
 // Key-Write shard whose flows are all indexed. Windows are generated
 // outside the timed apply.
 FoldResult bench_index_fold() {
-  collector::ShardIndexBuilder builder(/*target_leaf_entries=*/128);
+  collector::ShardIndexBuilder builder(
+      collector::IndexPublisher::kTargetLeafEntries);
   std::vector<collector::IndexDelta> window(kFoldDeltas);
   std::uint64_t generation = 0;
   auto fill = [&](auto&& next_id) {

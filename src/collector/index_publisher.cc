@@ -2,12 +2,10 @@
 
 namespace dta::collector {
 
-IndexPublisher::IndexPublisher(std::size_t num_shards, Config config)
-    : config_(config) {
-  if (config_.publish_batch == 0) config_.publish_batch = 1;
+IndexPublisher::IndexPublisher(std::size_t num_shards) {
   shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_));
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
@@ -29,8 +27,8 @@ void IndexPublisher::enqueue(std::uint32_t shard_index, IndexDelta delta) {
   deltas_enqueued_.fetch_add(1, std::memory_order_relaxed);
   // Defer-publish: fold the window in only when it fills. An op batch
   // is ~op_batch_size verbs, so the builder runs once per
-  // publish_batch * op_batch_size delivered verbs.
-  if (shard.queue.size() >= config_.publish_batch) apply_queue_locked(shard);
+  // kPublishBatch * op_batch_size delivered verbs.
+  if (shard.queue.size() >= kPublishBatch) apply_queue_locked(shard);
 }
 
 std::shared_ptr<const ShardIndexVersion> IndexPublisher::published(

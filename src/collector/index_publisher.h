@@ -5,12 +5,13 @@
 // Writer side: CollectorShard::deliver_batch enqueues one IndexDelta
 // (the batch's keys and generation) per delivered op batch — a lock, a
 // vector push, an unlock. The builder does NOT run per batch; deltas
-// accumulate until `publish_batch` of them are queued (the
-// defer-publish window), and then the shard worker that filled the
-// window folds all of them at once and publishes one version. That fold is ingest work: it probes
-// every window key against the leaves, 16 keys in lockstep so their
-// cache misses overlap, and beyond that costs what the window changed
-// (the keys it sorts plus the leaves it adds a key or a mask bit to).
+// accumulate until kPublishBatch of them are queued (the defer-publish
+// window), and then the shard worker that filled the window folds all
+// of them at once and publishes one version. That fold is ingest work:
+// it probes every window key against the leaves, 16 keys in lockstep
+// so their cache misses overlap, and beyond that costs what the window
+// changed (the keys it sorts plus the leaves it adds a key or a mask
+// bit to).
 // A window that rewrites keys the index already holds sorts nothing,
 // copies no leaf and republishes the same leaf vector.
 //
@@ -46,21 +47,18 @@ struct IndexPublisherStats {
   std::uint64_t leaf_copies = 0;
 };
 
-struct IndexPublisherConfig {
-  // Queued deltas that trigger an apply + publish from the writer side
-  // (the defer-publish batch).
-  std::uint32_t publish_batch = 64;
-  std::uint32_t target_leaf_entries = 128;
-};
-
-class IndexPublisher : public IndexSink {
+class IndexPublisher {
  public:
-  using Config = IndexPublisherConfig;
+  // Queued deltas that trigger an apply + publish from the writer side
+  // (the defer-publish window), and the leaf size the builders aim for.
+  static constexpr std::size_t kPublishBatch = 64;
+  static constexpr std::uint32_t kTargetLeafEntries = 128;
 
-  explicit IndexPublisher(std::size_t num_shards, Config config = {});
+  explicit IndexPublisher(std::size_t num_shards);
 
-  // IndexSink: called by the shard worker at every delivered batch.
-  void enqueue(std::uint32_t shard, IndexDelta delta) override;
+  // Called by the shard worker at every delivered batch (one writer per
+  // shard).
+  void enqueue(std::uint32_t shard, IndexDelta delta);
 
   // The currently published version (never null: shards start with an
   // empty version at generation 0). Lock-free.
@@ -86,15 +84,12 @@ class IndexPublisher : public IndexSink {
     // is what makes the read safe (so not GUARDED_BY).
     std::shared_ptr<const ShardIndexVersion> published;
 
-    explicit Shard(const Config& config)
-        : builder(config.target_leaf_entries),
-          published(builder.publish()) {}
+    Shard() : builder(kTargetLeafEntries), published(builder.publish()) {}
   };
 
   // Folds the queued window into the builder in one apply and publishes.
   void apply_queue_locked(Shard& shard) DTA_REQUIRES(shard.mu);
 
-  Config config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> deltas_enqueued_{0};
   std::atomic<std::uint64_t> deltas_applied_{0};

@@ -42,7 +42,6 @@ IngestPipeline::IngestPipeline(std::vector<CollectorShard*> shards,
       threaded_ = std::thread::hardware_concurrency() > 1;
       break;
   }
-  first_touch_ = threaded_ && config.pin_workers;
   lanes_.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     lanes_.push_back(std::make_unique<ShardLane>(config.queue_capacity));
@@ -51,12 +50,11 @@ IngestPipeline::IngestPipeline(std::vector<CollectorShard*> shards,
     for (std::uint32_t i = 0; i < shards_.size(); ++i) {
       lanes_[i]->worker = std::thread([this, i] { worker_loop(i); });
       if (config.pin_workers) {
-        const int core = worker_core_for(config.worker_cores, i);
+        const int core = i < config.worker_cores.size()
+                             ? config.worker_cores[i]
+                             : static_cast<int>(i);
         if (pin_thread(lanes_[i]->worker, core)) ++stats_.workers_pinned;
       }
-      // Affinity (or the decision to skip it) is in place; the worker's
-      // first-touch pass may proceed on its final core.
-      lanes_[i]->placement_ready.store(true, std::memory_order_release);
     }
   }
 }
@@ -180,18 +178,6 @@ void IngestPipeline::stop() {
 void IngestPipeline::worker_loop(std::uint32_t shard) {
   ShardLane& lane = *lanes_[shard];
   CollectorShard* target = shards_[shard];
-  if (first_touch_) {
-    // Wait for the constructor to apply affinity, then touch the
-    // shard's store regions from this (pinned) thread so their pages
-    // land on this worker's NUMA node. Runs before any report, so no
-    // other thread can be reading the regions.
-    while (!lane.placement_ready.load(std::memory_order_acquire) &&
-           !stop_.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    first_touched_.fetch_add(target->first_touch_regions(),
-                             std::memory_order_acq_rel);
-  }
   proto::ParsedDta parsed;
   // Pops and ingests what was queued when the pass began; returns
   // whether anything ran. The bound keeps a producer that refills the

@@ -11,11 +11,11 @@
 // worker_cores): shard workers otherwise float across cores, losing
 // cache locality with their shard's store memory. Pinning is applied
 // from the constructor via the native thread handle, so no stat is
-// written from worker threads. When pinned, each worker also runs a
-// NUMA first-touch pass over its shard's store regions before ingesting
-// anything (see MemoryRegion::first_touch_rebind), so registered memory
-// lands on the worker's node even when the allocation-time node hint
-// could not be honoured.
+// written from worker threads, and before the constructor returns, so
+// no report, flush or writer job reaches a worker before its pinning.
+// That also places the store memory: the pinned worker is the first
+// writer of its shard's regions, so each page faults in on the
+// worker's NUMA node.
 //
 // Threading contract: submit()/flush()/stop() must be called from one
 // thread. Shard stores must only be read behind a barrier:
@@ -55,21 +55,12 @@ struct IngestPipelineConfig {
   std::uint32_t queue_capacity = 4096;  // per shard, entries
   ThreadMode thread_mode = ThreadMode::kAuto;
   // CPU affinity for shard workers. When pin_workers is set, worker i is
-  // pinned to worker_cores[i] (or core i when the list is shorter) and
-  // runs the NUMA first-touch pass (threaded mode only). No-op when
-  // unset or on platforms without thread affinity.
+  // pinned to worker_cores[i] (or core i when the list is shorter;
+  // threaded mode only). No-op when unset or on platforms without
+  // thread affinity.
   bool pin_workers = false;
   std::vector<int> worker_cores;
 };
-
-// Core assignment for worker `i` under pin_workers: the explicit list
-// when it is long enough, identity otherwise. Shared by the pipeline's
-// pinning and the runtime's NUMA-hint derivation so the two mappings
-// cannot drift apart.
-inline int worker_core_for(const std::vector<int>& worker_cores,
-                           std::uint32_t i) {
-  return i < worker_cores.size() ? worker_cores[i] : static_cast<int>(i);
-}
 
 struct IngestPipelineStats {
   std::uint64_t submitted = 0;
@@ -134,10 +125,6 @@ class IngestPipeline {
   const IngestPipelineStats& stats() const DTA_LIFETIMEBOUND {
     return stats_;
   }
-  // Store regions re-touched by pinned workers (NUMA first-touch).
-  std::uint32_t regions_first_touched() const {
-    return first_touched_.load(std::memory_order_acquire);
-  }
 
  private:
   struct ShardLane {
@@ -162,9 +149,6 @@ class IngestPipeline {
     // store memory again): the poster's escape hatch when stop() races
     // a job the worker exited without seeing.
     std::atomic<bool> worker_done{false};
-    // Set once the constructor has applied (or skipped) affinity, so
-    // the worker's first-touch pass runs on the right core.
-    std::atomic<bool> placement_ready{false};
   };
 
   void worker_loop(std::uint32_t shard);
@@ -180,8 +164,6 @@ class IngestPipeline {
   // (the snapshot path) that observe it can safely touch shard state
   // from the calling thread.
   std::atomic<bool> stopped_{false};
-  bool first_touch_ = false;
-  std::atomic<std::uint32_t> first_touched_{0};
   IngestPipelineStats stats_;
 };
 

@@ -66,6 +66,7 @@ class RdmaService {
   rdma::Nic& nic() { return nic_; }
   const rdma::Nic& nic() const { return nic_; }
   rdma::QueuePair* qp() { return qp_; }
+  const rdma::QueuePair* qp() const { return qp_; }
 
   KeyWriteStore* keywrite() { return keywrite_.get(); }
   PostcardingStore* postcarding() { return postcarding_.get(); }

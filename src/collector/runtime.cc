@@ -50,23 +50,15 @@ CollectorRuntime::CollectorRuntime(CollectorRuntimeConfig config)
       ki.num_slots = slice(ki.num_slots, n, 1024);
       sc.keyincrement = ki;
     }
-    if (config_.pin_workers) {
-      // The worker placement is known up front (pin_workers maps shard
-      // i to a core), so the shard's store memory can be asked onto
-      // that core's NUMA node at allocation time; the pinned worker's
-      // first-touch pass is the fallback when the hint can't be
-      // honoured.
-      sc.numa_node =
-          rdma::numa_node_of_core(worker_core_for(config_.worker_cores, i));
-    }
     shards_.push_back(std::make_unique<CollectorShard>(i, sc));
   }
 
   index_publisher_ = std::make_unique<IndexPublisher>(shards_.size());
-  for (auto& shard : shards_) shard->set_index_sink(index_publisher_.get());
-
   std::vector<CollectorShard*> shard_ptrs;
-  for (auto& shard : shards_) shard_ptrs.push_back(shard.get());
+  for (auto& shard : shards_) {
+    shard->set_index_publisher(index_publisher_.get());
+    shard_ptrs.push_back(shard.get());
+  }
   IngestPipelineConfig pc;
   pc.queue_capacity = config_.queue_capacity;
   pc.thread_mode = config_.thread_mode;

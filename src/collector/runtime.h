@@ -12,8 +12,9 @@
 // SnapshotCache (the dta::Client merge path).
 //
 // This is the seam later scaling work plugs into: multi-collector
-// placement picks a runtime per collector host, NUMA pinning binds shard
-// workers, and an async query frontend snapshots per-shard stores.
+// placement picks a runtime per collector host, pinning binds shard
+// workers to cores, and an async query frontend snapshots per-shard
+// stores.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +51,9 @@ struct CollectorRuntimeConfig {
 
   // CPU affinity for shard workers (no-op when unset): worker i is
   // pinned to worker_cores[i], or to core i when the list is shorter.
-  // Pinning also drives NUMA placement: each shard's registered store
-  // memory gets a node hint derived from its worker's core, and the
-  // pinned worker runs a first-touch pass over its regions before
-  // ingesting anything.
+  // Pinning is also all there is to NUMA placement: the pinned worker is
+  // the first writer of its shard's store memory, so the kernel's
+  // default local allocation puts each page on that worker's node.
   bool pin_workers = false;
   std::vector<int> worker_cores;
 

@@ -1,5 +1,6 @@
 #include "collector/shard.h"
 
+#include "collector/index_publisher.h"
 #include "common/shard_math.h"
 
 namespace dta::collector {
@@ -24,11 +25,8 @@ CollectorShard::CollectorShard(std::uint32_t index, const ShardConfig& config)
   // 2 MiB-aligned interior; the paper puts all RDMA-registered memory
   // on huge pages). Best-effort, no-op off-Linux.
   service_.nic().pd().set_hugepage_hint(true);
-  // Placement hint before any store memory is allocated: regions the
-  // enable_* calls register below are asked onto the worker's node.
-  if (config.numa_node >= 0) {
-    service_.nic().pd().set_node_hint(config.numa_node);
-  }
+  // Nothing below writes the regions, so their pages land on the node
+  // of the shard's first writer, its pinned worker.
   if (config.keywrite) service_.enable_keywrite(*config.keywrite);
   if (config.postcarding) service_.enable_postcarding(*config.postcarding);
   if (config.append) service_.enable_append(*config.append);
@@ -61,7 +59,7 @@ void CollectorShard::ingest(const proto::ParsedDta& parsed) {
   const std::size_t before = pending_.size();
   const translator::EngineSet::Translated translated =
       engines_.translate(parsed, pending_);
-  if (translated.key != nullptr && index_sink_ != nullptr) {
+  if (translated.key != nullptr && index_publisher_ != nullptr) {
     staged_keys_.push_back({*translated.key, index_primitive(translated.op)});
   }
   stats_.ops_batched += pending_.size() - before;
@@ -128,36 +126,20 @@ void CollectorShard::deliver_batch() {
   pending_.clear();
   // Hand the index its delta before the generation bump, so an observer
   // of the new generation always finds the matching delta enqueued.
-  if (index_sink_ != nullptr) {
+  if (index_publisher_ != nullptr) {
     IndexDelta delta;
     delta.generation = generation_.load(std::memory_order_relaxed) + 1;
     // Copied out at the batch's size: staged_keys_ keeps its capacity,
     // so the next batch stages without regrowing it from empty.
     delta.keys.assign(staged_keys_.begin(), staged_keys_.end());
     staged_keys_.clear();
-    index_sink_->enqueue(index_, std::move(delta));
+    index_publisher_->enqueue(index_, std::move(delta));
   }
   // The batch is in store memory; stamp a new generation. Release pairs
   // with the acquire in generation() so a reader that observes the new
   // stamp also observes the batch's writes (the flush and writer-job
   // handshakes are what actually publish them to snapshot takers).
   generation_.fetch_add(1, std::memory_order_release);
-}
-
-std::uint32_t CollectorShard::first_touch_regions() {
-  rdma::MemoryRegion* regions[] = {
-      service_.keywrite_region(), service_.postcarding_region(),
-      service_.append_region(), service_.keyincrement_region()};
-  std::uint32_t touched = 0;
-  for (auto* region : regions) {
-    if (!region) continue;
-    // The allocation-time mbind already placed this region; re-touching
-    // would only re-copy the whole store for nothing.
-    if (region->node_bound()) continue;
-    region->first_touch_rebind();
-    ++touched;
-  }
-  return touched;
 }
 
 double CollectorShard::modeled_verbs_per_sec() const {

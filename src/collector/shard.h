@@ -13,6 +13,11 @@
 // bookkeeping (index delta, generation bump) is paid once per doorbell,
 // not once per verb. The RoCE frame round-trip lives in FabricBackend,
 // the wire-fidelity path.
+//
+// The thread that executes a shard's verbs (its pinned worker, or the
+// submitting thread inline) is the only writer of the shard's live
+// store regions, and their first: so each page lands on that thread's
+// NUMA node with no placement hint (see rdma/memory_region.h).
 #pragma once
 
 #include <atomic>
@@ -30,6 +35,8 @@
 
 namespace dta::collector {
 
+class IndexPublisher;
+
 struct ShardConfig {
   // Per-shard store slices (already divided by the runtime).
   std::optional<KeyWriteSetup> keywrite;
@@ -43,9 +50,6 @@ struct ShardConfig {
   // Translator-side Append entry batching (B of Algorithm 3).
   std::uint32_t append_batch_size = 16;
   std::uint32_t postcard_cache_slots = 32768;
-  // NUMA node the shard's registered store memory should live on
-  // (derived from the shard worker's core by the runtime; -1: unbound).
-  int numa_node = -1;
   // Dirty-chunk granularity for incremental snapshot refresh (rounded
   // up to a power of two, min 64 B), and the share of chunks past which
   // the dirty tracker saturates into a full copy.
@@ -130,24 +134,19 @@ class CollectorShard {
     return dirty_;
   }
 
-  // NUMA first-touch pass: reallocates and touches every enabled store
-  // region from the calling thread (see MemoryRegion::first_touch_rebind).
-  // The ingest pipeline calls this once from the pinned shard worker,
-  // before any report is processed. Returns the number of regions
-  // touched.
-  std::uint32_t first_touch_regions();
-
   // Modeled ingest rate of this shard's NIC (verbs per virtual second).
   double modeled_verbs_per_sec() const;
 
   // Secondary-index feed: when set, every delivered op batch hands the
-  // sink one IndexDelta — the telemetry keys the batch's reports
+  // publisher one IndexDelta — the telemetry keys the batch's reports
   // carried (staged at translate time; store memory cannot recover
   // them) — stamped with the generation the delivery produces. The
   // delta is enqueued *before* the generation bump, so an observer of
   // generation G always finds delta G already queued. Call before
   // ingesting (not thread-safe against the worker).
-  void set_index_sink(IndexSink* sink) { index_sink_ = sink; }
+  void set_index_publisher(IndexPublisher* publisher) {
+    index_publisher_ = publisher;
+  }
 
  private:
   void deliver_batch();
@@ -158,8 +157,9 @@ class CollectorShard {
   translator::EngineSet engines_;
   std::vector<translator::RdmaOp> pending_;
   // Index maintenance: keys staged since the last delivery. Only
-  // filled with a sink attached — otherwise nothing drains the stage.
-  IndexSink* index_sink_ = nullptr;
+  // filled with a publisher attached — otherwise nothing drains the
+  // stage.
+  IndexPublisher* index_publisher_ = nullptr;
   std::vector<IndexEntry> staged_keys_;
   DirtyTracker dirty_;
   ShardStats stats_;

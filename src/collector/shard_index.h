@@ -7,8 +7,8 @@
 // to walk a caller-supplied key catalog. The index closes that gap on
 // the translator side of the seam, where full keys are still in hand:
 // `CollectorShard` stages every translated report's key and hands the
-// batch to an IndexSink at each delivered op batch, stamped with the
-// store-memory generation that delivery produced.
+// batch to the IndexPublisher at each delivered op batch, stamped with
+// the store-memory generation that delivery produced.
 //
 // The structure borrows the OVS decision-tree classifier playbook
 // (DT_INCREMENTAL_BUILD / DT_DEFER_PUBLISH / DT_LEAF_ONLY_COW /
@@ -104,15 +104,6 @@ inline bool index_key_less(const proto::TelemetryKey& a,
 struct IndexDelta {
   std::uint64_t generation = 0;
   std::vector<IndexEntry> keys;
-};
-
-// Where CollectorShard::deliver_batch hands its deltas (implemented by
-// IndexPublisher; an interface so the shard does not depend on the
-// publisher's locking).
-class IndexSink {
- public:
-  virtual ~IndexSink() = default;
-  virtual void enqueue(std::uint32_t shard, IndexDelta delta) = 0;
 };
 
 // One COW leaf: a sorted, duplicate-free run of entries. Immutable once

@@ -61,12 +61,11 @@ class StoreSnapshot {
   std::shared_ptr<StoreSnapshot> clone(const RdmaService& service) const;
 
   // Refresh: copies `dirty`'s chunk ranges — everything when `dirty` is
-  // null — from `service`'s live regions into this snapshot's buffers,
-  // re-freezes the Append consumer positions, and restamps the
-  // generation. Allocates nothing and cannot throw. Call only while
-  // nothing writes the shard (inside a writer job), and only on a
-  // snapshot no reader can reach (the SnapshotCache's pin protocol
-  // guarantees that). Returns the bytes copied.
+  // null — from `service`'s live regions into this snapshot's buffers
+  // and restamps the generation. Allocates nothing and cannot throw.
+  // Call only while nothing writes the shard (inside a writer job), and
+  // only on a snapshot no reader can reach (the SnapshotCache's pin
+  // protocol guarantees that). Returns the bytes copied.
   std::uint64_t refresh_from(const RdmaService& service,
                              std::uint64_t generation,
                              const DirtyTracker* dirty);
@@ -121,22 +120,6 @@ class StoreSnapshot {
   PostcardingQueryResult postcarding_query(const proto::TelemetryKey& key,
                                            std::uint8_t redundancy) const;
 
-  // Reads `count` entries of shard-local list `local_list`, starting
-  // at the tail position captured at snapshot time, without consuming
-  // from the live store. Returns the entries in list order. Like
-  // AppendStore::poll, the caller
-  // tracks availability (the paper's polling model: the consumer knows
-  // the producer's head); reading past it yields the unwritten ring
-  // slots as zero entries.
-  std::vector<common::Bytes> append_read(std::uint32_t local_list,
-                                         std::uint64_t count) const;
-
-  // Zero-copy variant of append_read: spans into the snapshot's copied
-  // ring memory (same lifetime rules as keywrite_query_view). Each span
-  // is one entry; the ring is fixed-width so every entry is contiguous.
-  std::vector<common::ByteSpan> append_read_views(
-      std::uint32_t local_list, std::uint64_t count) const DTA_LIFETIMEBOUND;
-
   // --- event cursor ---------------------------------------------------------
   // Cumulative per-list entry counts captured at snapshot time: what
   // the Append engine emitted to each list (its engine set's
@@ -157,10 +140,11 @@ class StoreSnapshot {
   std::uint64_t append_entries_per_list() const;
 
   // Reads `count` entries of `local_list` starting at absolute entry
-  // position `start_entry`, by ring arithmetic, without touching the
-  // snapshot's polling tails. The caller bounds [start_entry,
-  // start_entry+count) to the live window [head - entries_per_list,
-  // head); positions outside it alias overwritten ring slots.
+  // position `start_entry`, by ring arithmetic. A pure read, so any
+  // number of threads may read one shared snapshot. The caller bounds
+  // [start_entry, start_entry+count) to the live window
+  // [head - entries_per_list, head); positions outside it alias
+  // overwritten ring slots.
   std::vector<common::Bytes> append_read_range(std::uint32_t local_list,
                                                std::uint64_t start_entry,
                                                std::uint64_t count) const;

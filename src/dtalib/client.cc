@@ -138,6 +138,13 @@ Status validate_report(const proto::ParsedDta& parsed,
           "NACKs flow translator->reporter, not into a collector"};
 }
 
+std::uint32_t submit_ops(const proto::ParsedDta& parsed) {
+  if (const auto* ap = std::get_if<proto::AppendReport>(&parsed.report)) {
+    return static_cast<std::uint32_t>(ap->entries.size());
+  }
+  return 1;
+}
+
 namespace {
 
 using collector::StoreSnapshot;
@@ -159,15 +166,6 @@ Expected<SnapshotPtr> acquire_snapshot(collector::CollectorRuntime& runtime,
   const collector::SnapshotStalenessBudget& budget =
       opts.staleness ? *opts.staleness : runtime.staleness_budget();
   return runtime.snapshot_shard_bounded(shard, floor, budget);
-}
-
-// Quota weight of one report: packed Append entries bill at their
-// true count, everything else is one op.
-std::uint32_t submit_ops(const proto::ParsedDta& parsed) {
-  if (const auto* ap = std::get_if<proto::AppendReport>(&parsed.report)) {
-    return static_cast<std::uint32_t>(ap->entries.size());
-  }
-  return 1;
 }
 
 Status query_precheck(const proto::TelemetryKey& key,

@@ -71,6 +71,10 @@ Status validate_report(const proto::ParsedDta& parsed,
                        const collector::CollectorRuntimeConfig& config,
                        std::uint32_t num_lists);
 
+// Quota weight of one report, billed at admission by every Backend:
+// packed Append entries at their true count, everything else one op.
+std::uint32_t submit_ops(const proto::ParsedDta& parsed);
+
 // The deployment seam under Client. Every implementation submits
 // through its runtime's router and serves queries from immutable
 // per-shard snapshots acquired through one bounded-staleness path.

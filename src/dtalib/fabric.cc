@@ -2,20 +2,21 @@
 
 namespace dta {
 
-Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
-  collector_ = std::make_unique<collector::Collector>(config_.nic);
-  auto& service = collector_->service();
-  if (config_.keywrite) service.enable_keywrite(*config_.keywrite);
-  if (config_.postcarding) service.enable_postcarding(*config_.postcarding);
-  if (config_.append) service.enable_append(*config_.append);
-  if (config_.keyincrement) service.enable_keyincrement(*config_.keyincrement);
+Fabric::Fabric(FabricConfig config)
+    : config_(std::move(config)), service_(config_.nic) {
+  if (config_.keywrite) service_.enable_keywrite(*config_.keywrite);
+  if (config_.postcarding) service_.enable_postcarding(*config_.postcarding);
+  if (config_.append) service_.enable_append(*config_.append);
+  if (config_.keyincrement) {
+    service_.enable_keyincrement(*config_.keyincrement);
+  }
 
   // CM handshake: the translator's control plane connects to the
   // collector service and learns the region layout.
   rdma::ConnectRequest request;
   request.requester_qpn = 0x70;
   request.start_psn = 0x1000;
-  const rdma::ConnectAccept accept = service.accept(request);
+  const rdma::ConnectAccept accept = service_.accept(request);
 
   translator_ = std::make_unique<translator::Translator>(
       config_.translator, accept.responder_qpn, accept.start_psn, accept);
@@ -34,16 +35,15 @@ Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
   });
   // ...which delivers into the collector NIC. (The fabric clock is NOT
   // ratcheted to the arrival time: propagation delay is pipelined
-  // latency, not occupancy, and must not gate the send rate.)
+  // latency, not occupancy, and must not gate the send rate.) ACK/NAK
+  // feedback resynchronizes the translator's PSN tracker.
   rdma_link_->set_sink([this](net::Packet&& pkt) {
-    collector_->ingest(pkt);
-    ++verbs_total_;
+    const auto outcome = service_.nic().ingest(pkt);
+    if (outcome && outcome->responder.ack) {
+      translator_->handle_ack(*outcome->responder.ack,
+                              service_.qp()->expected_psn());
+    }
   });
-  // ACK/NAK feedback resynchronizes the translator's PSN tracker.
-  collector_->set_ack_sink(
-      [this](const rdma::Aeth& aeth, std::uint32_t expected) {
-        translator_->handle_ack(aeth, expected);
-      });
   // Congestion NACKs route back to the reporter they were addressed to,
   // where they surface as typed backpressure (take_backpressure()).
   // Previously the sink was left unwired and sheds were silent.
@@ -85,8 +85,19 @@ void Fabric::report_direct(const proto::ParsedDta& parsed) {
 
 void Fabric::flush() { translator_->flush(clock_.now()); }
 
+std::optional<rdma::Completion> Fabric::poll_event() {
+  return service_.qp()->poll_completion();
+}
+
+std::uint64_t Fabric::verbs_executed() const {
+  const rdma::QpCounters& qp = service_.qp()->counters();
+  return qp.writes_executed + qp.atomics_executed + qp.sends_delivered;
+}
+
 double Fabric::modeled_verbs_per_sec() const {
-  return collector_->service().nic().modeled_verbs_per_sec(verbs_total_);
+  // One message slot per datagram the RDMA link delivered.
+  const rdma::Nic& nic = service_.nic();
+  return nic.modeled_verbs_per_sec(nic.counters().datagrams_in);
 }
 
 }  // namespace dta

@@ -17,7 +17,7 @@
 #include <memory>
 #include <vector>
 
-#include "collector/collector.h"
+#include "collector/rdma_service.h"
 #include "common/time_model.h"
 #include "net/link.h"
 #include "reporter/reporter.h"
@@ -61,10 +61,19 @@ class Fabric {
   // batches).
   void flush();
 
-  // Component access.
-  collector::Collector& collector() { return *collector_; }
+  // Component access. The collector host is its RDMA service: NIC,
+  // queue pair, registered regions and the query stores over them.
+  collector::RdmaService& service() { return service_; }
   translator::Translator& translator() { return *translator_; }
   reporter::Reporter& reporter(std::uint32_t idx) { return *reporters_[idx]; }
+
+  // Immediate-data completions ("push notifications", §7): the next
+  // pending immediate event on the collector's queue pair, if any.
+  std::optional<rdma::Completion> poll_event();
+
+  // Verbs the collector's queue pair executed: WRITEs, FETCH_ADDs and
+  // SENDs (duplicates it only re-ACKed and verbs it NAKed not counted).
+  std::uint64_t verbs_executed() const;
 
   // Modeled ingest rate: verbs executed per virtual second so far.
   double modeled_verbs_per_sec() const;
@@ -72,12 +81,11 @@ class Fabric {
  private:
   FabricConfig config_;
   common::VirtualClock clock_;
-  std::unique_ptr<collector::Collector> collector_;
+  collector::RdmaService service_;
   std::unique_ptr<translator::Translator> translator_;
   std::vector<std::unique_ptr<reporter::Reporter>> reporters_;
   std::unique_ptr<net::Link> reporter_link_;
   std::unique_ptr<net::Link> rdma_link_;
-  std::uint64_t verbs_total_ = 0;
 };
 
 }  // namespace dta

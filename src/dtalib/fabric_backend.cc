@@ -9,15 +9,6 @@ namespace dta {
 
 namespace {
 
-// Quota weight of one report (mirrors the other backends: packed
-// Append entries bill at their true count).
-std::uint32_t submit_ops(const proto::ParsedDta& parsed) {
-  if (const auto* ap = std::get_if<proto::AppendReport>(&parsed.report)) {
-    return static_cast<std::uint32_t>(ap->entries.size());
-  }
-  return 1;
-}
-
 // The geometry the wire runs and host_config() reports: one shard,
 // inline, with the store setups, NIC and translator batching of
 // `config`; the rest of a runtime config has no meaning on the wire and
@@ -127,8 +118,8 @@ Expected<Backend::SnapshotPtr> FabricBackend::acquire_locked(
     staged_keys_.clear();
     index_builder_.apply(delta);
     index_ = index_builder_.publish();
-    auto snap = std::make_shared<collector::StoreSnapshot>(
-        fabric_->collector().service(), ++generation_);
+    auto snap = std::make_shared<collector::StoreSnapshot>(fabric_->service(),
+                                                           ++generation_);
     // The flush delivered every WRITE the translator's Append engine
     // emitted, so its emitted counts are the event-cursor heads (one
     // shard: local list = global).
@@ -228,7 +219,7 @@ ClientStats FabricBackend::stats() const {
   MutexLock lock(mu_);
   ClientStats out;
   out.ingest.reports_in = submitted_;
-  out.ingest.verbs_executed = fabric_->collector().stats().verbs_executed;
+  out.ingest.verbs_executed = fabric_->verbs_executed();
   out.translation = fabric_->translator().engines().stats();
 
   ClusterHostStats host;  // one host, live: the ClientStats defaults

@@ -11,20 +11,13 @@
 // already touched stays on 4 KiB pages whatever it is advised later).
 // Snapshot copies of such a region are mapped and advised the same way.
 //
-// NUMA placement: on a multi-socket collector the NIC DMAs into host
-// memory and the shard worker polls it, so a region landing on the
-// wrong node pays a cross-socket hop on every access. Regions therefore
-// carry a NUMA node hint. Placement is two-phase, matching how the
-// runtime learns worker placement:
-//   1. allocation-time: ProtectionDomain::set_node_hint makes every
-//      subsequently registered region ask the kernel (mbind with
-//      MPOL_MF_MOVE, best-effort) to place its pages on that node;
-//   2. first-touch fallback: after pin_workers has placed the shard
-//      worker, the worker calls first_touch_rebind() to remap and
-//      touch the buffer from its own (now pinned) thread, so the
-//      default local-allocation policy lands the pages on its node.
-// Both degrade to no-ops on hosts without NUMA support; the hint is
-// still recorded so deployments can audit intended placement.
+// NUMA placement: nothing here decides it. A shard's live regions are
+// written only by the thread that executes its verbs — its worker, which
+// the ingest pipeline pins before any report reaches it (inline, the
+// submitting thread) — and by nothing before that: the mapping is fresh
+// and the stores do not initialise it. So the kernel's default local
+// allocation faults each page onto that thread's node at its first
+// write.
 #pragma once
 
 #include <cstddef>
@@ -35,11 +28,6 @@
 #include "common/bytes.h"
 
 namespace dta::rdma {
-
-// Host NUMA topology (Linux sysfs; 1 node / node 0 fallback elsewhere).
-int numa_node_count();
-// The NUMA node owning `core`, or -1 when the topology is unknown.
-int numa_node_of_core(int core);
 
 enum AccessFlags : std::uint32_t {
   kRemoteWrite = 1u << 0,
@@ -93,20 +81,8 @@ class MemoryRegion {
 
   void zero();
 
-  // The node this region is intended to live on (-1: unplaced).
-  int numa_node() const { return numa_node_; }
-  // Whether the kernel accepted an mbind for this region — placement is
-  // already done, so the first-touch fallback can skip it.
-  bool node_bound() const { return node_bound_; }
-
-  // Records `node` as this region's placement and asks the kernel to
-  // move the buffer's page-aligned interior there (Linux mbind with
-  // MPOL_MF_MOVE). Returns whether the kernel accepted; the hint is
-  // recorded either way. No-op off-Linux or for node < 0.
-  bool bind_to_node(int node);
-
-  // Whether the kernel accepted the huge-page advice for the current
-  // buffer (see the constructor). The paper allocates all
+  // Whether the kernel accepted the huge-page advice for the buffer
+  // (see the constructor); fixed once constructed. The paper allocates all
   // RDMA-registered memory on huge pages; for our anonymous buffers
   // transparent huge pages are the closest honest equivalent — fewer
   // TLB misses on the NIC-write + query hot path. A buffer asked for
@@ -116,25 +92,10 @@ class MemoryRegion {
   // THP-disabled kernels; the region works identically either way.
   bool hugepage_advised() const { return hugepage_advised_; }
 
-  // First-touch fallback: moves the contents into a fresh buffer (advised
-  // like the old one before the copy touches it), which faults every
-  // page from the calling thread so default NUMA policy places the pages
-  // on the caller's node, then asks the kernel to migrate them there
-  // explicitly too (bind_to_node). Contents are preserved. Call only
-  // while no other thread accesses the region (the shard worker does
-  // this once, right after pinning, before it ingests anything).
-  void first_touch_rebind();
-
  private:
-  // Maps a fresh buffer of length_ bytes into data_, aligned and advised
-  // when `hugepages` asks for it and the buffer spans a huge page.
-  void map_buffer(bool hugepages);
-
   std::uint64_t base_va_;
   std::uint32_t rkey_;
   std::uint32_t access_;
-  int numa_node_ = -1;
-  bool node_bound_ = false;
   bool hugepage_advised_ = false;
   std::size_t length_;
   std::uint8_t* data_ = nullptr;
@@ -156,21 +117,14 @@ class ProtectionDomain {
 
   std::size_t region_count() const { return regions_.size(); }
 
-  // NUMA placement hint applied to subsequently registered regions
-  // (-1: none). Set before the enable_* calls allocate store memory.
-  void set_node_hint(int node) { node_hint_ = node; }
-  int node_hint() const { return node_hint_; }
-
   // Huge-page hint: subsequently registered regions are mapped asking
   // for transparent huge pages (see MemoryRegion's constructor). Set
-  // before the enable_* calls, like the node hint.
+  // before the enable_* calls allocate store memory.
   void set_hugepage_hint(bool on) { hugepage_hint_ = on; }
-  bool hugepage_hint() const { return hugepage_hint_; }
 
  private:
   std::uint64_t next_va_ = 0x100000000000ull;  // arbitrary high VA
   std::uint32_t next_rkey_ = 0x1000;
-  int node_hint_ = -1;
   bool hugepage_hint_ = false;
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
 };

@@ -153,8 +153,7 @@ inline std::vector<common::Bytes> store_images(Backend& backend) {
   }
   if (auto* fabric = dynamic_cast<FabricBackend*>(&backend)) {
     (void)fabric->flush();
-    const collector::StoreSnapshot snap(
-        fabric->fabric().collector().service());
+    const collector::StoreSnapshot snap(fabric->fabric().service());
     append_snapshot_images(snap, out);
     return out;
   }

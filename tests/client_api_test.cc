@@ -185,8 +185,8 @@ TEST_P(ClientApiTest, ZeroCopyViewsMatchCopiesAndOutliveRefresh) {
   EXPECT_FALSE(views->back().has_value());
 
   // Append entries arrive in list order through the cursor-based event
-  // query (the zero-copy snapshot path behind it is covered at the
-  // store level in snapshot_cache_test's append_read_views cases).
+  // query (concurrent reads of one snapshot are covered in
+  // snapshot_cache_test).
   auto list = client.list(1);
   for (std::uint32_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(list.append_u32(700 + i).ok());

@@ -120,12 +120,12 @@ TEST(CollectorFacade, EventQueueDrainsInOrder) {
     fabric.report(r, 0, /*immediate=*/true);
   }
   int events = 0;
-  while (auto event = fabric.collector().poll_event()) {
+  while (auto event = fabric.poll_event()) {
     EXPECT_TRUE(event->immediate.has_value());
     ++events;
   }
   EXPECT_EQ(events, 3);
-  EXPECT_FALSE(fabric.collector().poll_event());
+  EXPECT_FALSE(fabric.poll_event());
 }
 
 // --------------------------------------------------------- hw model edges
@@ -182,8 +182,7 @@ TEST(StoreCorners, KeyWriteZeroRedundancyQuery) {
   kw.num_slots = 1 << 12;
   config.keywrite = kw;
   Fabric fabric(config);
-  const auto result =
-      fabric.collector().service().keywrite()->query(key_of(1), 0);
+  const auto result = fabric.service().keywrite()->query(key_of(1), 0);
   EXPECT_EQ(result.status, collector::QueryStatus::kNotFound);
 }
 
@@ -193,8 +192,7 @@ TEST(StoreCorners, KeyIncrementZeroRedundancyQueryIsZero) {
   ki.num_slots = 1 << 10;
   config.keyincrement = ki;
   Fabric fabric(config);
-  EXPECT_EQ(fabric.collector().service().keyincrement()->query(key_of(1), 0),
-            0u);
+  EXPECT_EQ(fabric.service().keyincrement()->query(key_of(1), 0), 0u);
 }
 
 TEST(StoreCorners, EmptyPostcardingStoreAllBlankInvalid) {
@@ -207,9 +205,7 @@ TEST(StoreCorners, EmptyPostcardingStoreAllBlankInvalid) {
   config.postcarding = pc;
   Fabric fabric(config);
   for (std::uint32_t k = 0; k < 500; ++k) {
-    EXPECT_FALSE(
-        fabric.collector().service().postcarding()->query(key_of(k), 2)
-            .found);
+    EXPECT_FALSE(fabric.service().postcarding()->query(key_of(k), 2).found);
   }
 }
 

@@ -56,13 +56,12 @@ TEST(FabricE2E, KeyWriteThroughFullStack) {
   common::put_u32(r.data, 0xABCD);
   fabric.report(r);
 
-  auto result =
-      fabric.collector().service().keywrite()->query(key_of(1), 2);
+  auto result = fabric.service().keywrite()->query(key_of(1), 2);
   ASSERT_EQ(result.status, collector::QueryStatus::kHit);
   EXPECT_EQ(common::load_u32(result.value.data()), 0xABCDu);
   EXPECT_EQ(fabric.translator().stats().dta_reports_in, 1u);
   EXPECT_EQ(fabric.translator().stats().rdma_frames_out, 2u);  // N=2
-  EXPECT_EQ(fabric.collector().stats().verbs_executed, 2u);
+  EXPECT_EQ(fabric.verbs_executed(), 2u);
 }
 
 TEST(FabricE2E, PostcardingThroughFullStack) {
@@ -76,8 +75,7 @@ TEST(FabricE2E, PostcardingThroughFullStack) {
     r.value = 100 + hop;
     fabric.report(r);
   }
-  auto result =
-      fabric.collector().service().postcarding()->query(key_of(7), 1);
+  auto result = fabric.service().postcarding()->query(key_of(7), 1);
   ASSERT_TRUE(result.found);
   EXPECT_EQ(result.hop_values,
             (std::vector<std::uint32_t>{100, 101, 102, 103, 104}));
@@ -94,7 +92,7 @@ TEST(FabricE2E, AppendThroughFullStack) {
     r.entries.push_back(std::move(e));
     fabric.report(r);
   }
-  auto* store = fabric.collector().service().append();
+  auto* store = fabric.service().append();
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_EQ(common::load_u32(store->poll(3).data()), i);
   }
@@ -109,8 +107,7 @@ TEST(FabricE2E, KeyIncrementThroughFullStack) {
     r.counter = 3;
     fabric.report(r);
   }
-  EXPECT_EQ(fabric.collector().service().keyincrement()->query(key_of(11), 2),
-            15u);
+  EXPECT_EQ(fabric.service().keyincrement()->query(key_of(11), 2), 15u);
 }
 
 TEST(FabricE2E, MixedPrimitivesInterleaved) {
@@ -138,12 +135,11 @@ TEST(FabricE2E, MixedPrimitivesInterleaved) {
   }
   int kw_hits = 0;
   for (std::uint32_t i = 0; i < 50; ++i) {
-    auto r = fabric.collector().service().keywrite()->query(key_of(i), 1);
+    auto r = fabric.service().keywrite()->query(key_of(i), 1);
     if (r.status == collector::QueryStatus::kHit) ++kw_hits;
   }
   EXPECT_GE(kw_hits, 49);
-  EXPECT_EQ(fabric.collector().service().keyincrement()->query(key_of(7), 2),
-            1u);
+  EXPECT_EQ(fabric.service().keyincrement()->query(key_of(7), 2), 1u);
 }
 
 TEST(FabricE2E, TelemetryRecordIntegration) {
@@ -158,7 +154,7 @@ TEST(FabricE2E, TelemetryRecordIntegration) {
 
   const auto kb = timeout.flow.to_bytes();
   auto key = TelemetryKey::from(ByteSpan(kb.data(), kb.size()));
-  auto result = fabric.collector().service().keywrite()->query(key, 2);
+  auto result = fabric.service().keywrite()->query(key, 2);
   ASSERT_EQ(result.status, collector::QueryStatus::kHit);
   EXPECT_EQ(common::load_u32(result.value.data()), 3u);
 }
@@ -178,7 +174,7 @@ TEST(FabricE2E, ReportLossDegradesGracefully) {
   }
   int hits = 0;
   for (std::uint32_t i = 0; i < 200; ++i) {
-    auto r = fabric.collector().service().keywrite()->query(key_of(i), 2);
+    auto r = fabric.service().keywrite()->query(key_of(i), 2);
     if (r.status == collector::QueryStatus::kHit) {
       EXPECT_EQ(common::load_u32(r.value.data()), i);  // never wrong
       ++hits;
@@ -208,7 +204,7 @@ TEST(FabricE2E, RdmaLinkLossTriggersPsnResyncAndRecovers) {
   EXPECT_GT(fabric.translator().crafter().resyncs(), 0u);
   int hits = 0;
   for (std::uint32_t i = 250; i < 300; ++i) {
-    auto r = fabric.collector().service().keywrite()->query(key_of(i), 1);
+    auto r = fabric.service().keywrite()->query(key_of(i), 1);
     if (r.status == collector::QueryStatus::kHit) ++hits;
   }
   EXPECT_GT(hits, 30);  // the tail of the stream still mostly landed
@@ -230,7 +226,7 @@ TEST(FabricE2E, RateLimiterDropsAndNacks) {
   }
   EXPECT_GT(fabric.translator().stats().rate_limited_drops, 0u);
   EXPECT_GT(fabric.translator().stats().nacks_sent, 0u);
-  EXPECT_LT(fabric.collector().stats().verbs_executed, 50u);
+  EXPECT_LT(fabric.verbs_executed(), 50u);
 
   // The fabric routes the wire NACK back to the reporter, which
   // surfaces it as a typed, client-visible backpressure Status with the
@@ -250,7 +246,7 @@ TEST(FabricE2E, ImmediateFlagRaisesCollectorEvent) {
   common::put_u32(r.data, 42);
   fabric.report(r, 0, /*immediate=*/true);
 
-  auto event = fabric.collector().poll_event();
+  auto event = fabric.poll_event();
   ASSERT_TRUE(event);
   EXPECT_TRUE(event->immediate.has_value());
 }
@@ -297,10 +293,10 @@ TEST(FabricE2E, FlushDrainsAggregators) {
   ap.entries.push_back(Bytes{1, 2, 3, 4});
   fabric.report(ap);
 
-  const auto before = fabric.collector().stats().verbs_executed;
+  const auto before = fabric.verbs_executed();
   EXPECT_EQ(before, 0u);
   fabric.flush();
-  EXPECT_EQ(fabric.collector().stats().verbs_executed, 2u);
+  EXPECT_EQ(fabric.verbs_executed(), 2u);
 }
 
 TEST(FabricE2E, ModeledRateReflectsNicCeiling) {
@@ -345,8 +341,8 @@ TEST(FabricE2E, ManyReportersAllCollected) {
   int hits = 0;
   for (std::uint32_t sw = 0; sw < 32; ++sw) {
     for (std::uint32_t i = 0; i < 10; ++i) {
-      const auto result = fabric.collector().service().keywrite()->query(
-          key_of(sw * 100 + i), 2);
+      const auto result =
+          fabric.service().keywrite()->query(key_of(sw * 100 + i), 2);
       if (result.status == collector::QueryStatus::kHit &&
           common::load_u32(result.value.data()) == sw * 100 + i) {
         ++hits;
@@ -376,8 +372,7 @@ TEST(FabricE2E, InterleavedPostcardsFromDifferentSwitches) {
 
   int found = 0;
   for (std::uint32_t flow = 0; flow < 50; ++flow) {
-    const auto result =
-        fabric.collector().service().postcarding()->query(key_of(flow), 1);
+    const auto result = fabric.service().postcarding()->query(key_of(flow), 1);
     if (result.found && result.hop_values.size() == 5) ++found;
   }
   EXPECT_GE(found, 49);
@@ -394,8 +389,7 @@ TEST(FabricE2E, CountersAggregateAcrossSwitches) {
     r.counter = 5;
     fabric.report(r, sw);
   }
-  EXPECT_EQ(fabric.collector().service().keyincrement()->query(key_of(7), 2),
-            40u);
+  EXPECT_EQ(fabric.service().keyincrement()->query(key_of(7), 2), 40u);
 }
 
 TEST(FabricE2E, AlternatingReportersInterleaveInOnePostcardRow) {

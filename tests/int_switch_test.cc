@@ -96,7 +96,7 @@ TEST(IntSwitchPath, PathPostcardsAssembleAtCollector) {
   const auto kb = pkt.flow.to_bytes();
   const auto key = proto::TelemetryKey::from(
       common::ByteSpan(kb.data(), kb.size()));
-  const auto result = fabric.collector().service().postcarding()->query(key, 1);
+  const auto result = fabric.service().postcarding()->query(key, 1);
   ASSERT_TRUE(result.found);
   EXPECT_EQ(result.hop_values,
             (std::vector<std::uint32_t>{11, 22, 33, 44, 55}));

@@ -62,7 +62,7 @@ TEST(Pint, OneByteReportsRoundTrip) {
   const auto kb = report.flow.to_bytes();
   const auto key =
       proto::TelemetryKey::from(ByteSpan(kb.data(), kb.size()));
-  const auto result = fabric.collector().service().keywrite()->query(
+  const auto result = fabric.service().keywrite()->query(
       key, PintReport::redundancy_of(12345, 4));
   ASSERT_EQ(result.status, collector::QueryStatus::kHit);
   EXPECT_EQ(result.value[0], 0x5C);
@@ -80,7 +80,7 @@ TEST(Sonata, QueryResultsKeyedByQueryId) {
   Bytes kb;
   common::put_u32(kb, 77);
   const auto key = proto::TelemetryKey::from(ByteSpan(kb));
-  const auto q = fabric.collector().service().keywrite()->query(key, 2);
+  const auto q = fabric.service().keywrite()->query(key, 2);
   ASSERT_EQ(q.status, collector::QueryStatus::kHit);
   EXPECT_EQ(common::load_u32(q.value.data()), 0xFEEDu);
 }
@@ -97,7 +97,7 @@ TEST(Sonata, RawTuplesAppendToProcessorLists) {
     report.entries[0].resize(22, 0);
     fabric.report(report);
   }
-  auto* store = fabric.collector().service().append();
+  auto* store = fabric.service().append();
   const auto first = store->poll(3);
   EXPECT_EQ(common::load_u32(first.data() + 13), 0u);  // feature of tuple 0
 }
@@ -158,8 +158,7 @@ TEST(PacketScope, TraversalRoundTrip) {
   t.queue_id = 5;
   fabric.report(t.to_dta());
 
-  const auto result = fabric.collector().service().keywrite()->query(
-      t.to_dta().key, 2);
+  const auto result = fabric.service().keywrite()->query(t.to_dta().key, 2);
   ASSERT_EQ(result.status, collector::QueryStatus::kHit);
   EXPECT_EQ(common::load_u32(result.value.data()), 3u);
   EXPECT_EQ(common::load_u32(result.value.data() + 4), 17u);
@@ -192,8 +191,7 @@ TEST(Trajectory, LabelsAggregateLikePostcards) {
   Bytes kb;
   common::put_u32(kb, 0xBEEF);
   const auto key = proto::TelemetryKey::from(ByteSpan(kb));
-  const auto result =
-      fabric.collector().service().postcarding()->query(key, 1);
+  const auto result = fabric.service().postcarding()->query(key, 1);
   ASSERT_TRUE(result.found);
   EXPECT_EQ(result.hop_values,
             (std::vector<std::uint32_t>{100, 101, 102, 103}));

@@ -171,7 +171,7 @@ TEST(Pfc, LosslessDtaTransport) {
     }
   }
   EXPECT_EQ(queue.counters().dropped_overflow, 0u);
-  EXPECT_EQ(fabric.collector().stats().verbs_executed, total);
+  EXPECT_EQ(fabric.verbs_executed(), total);
 }
 
 }  // namespace

@@ -474,9 +474,8 @@ TEST(IndexKeyLess, MatchesSpanLexicographicOrderOnCanonicalKeys) {
 // --------------------------------------------------------- publisher
 
 TEST(IndexPublisher, DeferPublishLagsUntilBatchOrCatchup) {
-  IndexPublisherConfig config;
-  config.publish_batch = 4;
-  IndexPublisher publisher(/*num_shards=*/2, config);
+  constexpr std::uint64_t kBatch = IndexPublisher::kPublishBatch;
+  IndexPublisher publisher(/*num_shards=*/2);
 
   auto delta_at = [](std::uint64_t g) {
     IndexDelta delta;
@@ -486,27 +485,28 @@ TEST(IndexPublisher, DeferPublishLagsUntilBatchOrCatchup) {
     return delta;
   };
 
-  // Three queued deltas: still the empty generation-0 version.
-  for (std::uint64_t g = 1; g <= 3; ++g) publisher.enqueue(0, delta_at(g));
+  // One delta short of the window: still the empty generation-0 version.
+  for (std::uint64_t g = 1; g < kBatch; ++g) publisher.enqueue(0, delta_at(g));
   EXPECT_EQ(publisher.published(0)->generation(), 0u);
   EXPECT_EQ(publisher.published(0)->key_count(), 0u);
 
-  // The 4th delta fills the defer window: apply + publish.
-  publisher.enqueue(0, delta_at(4));
-  EXPECT_EQ(publisher.published(0)->generation(), 4u);
-  EXPECT_EQ(publisher.published(0)->key_count(), 4u);
+  // The window's last delta fills it: apply + publish.
+  publisher.enqueue(0, delta_at(kBatch));
+  EXPECT_EQ(publisher.published(0)->generation(), kBatch);
+  EXPECT_EQ(publisher.published(0)->key_count(), kBatch);
 
-  // Two more queued: published stays at 4 until a reader demands more.
-  publisher.enqueue(0, delta_at(5));
-  publisher.enqueue(0, delta_at(6));
-  EXPECT_EQ(publisher.published(0)->generation(), 4u);
-  const auto caught_up = publisher.version_at_least(0, 6);
-  EXPECT_GE(caught_up->generation(), 6u);
-  EXPECT_EQ(publisher.published(0)->generation(), 6u);
+  // Two more queued: published stays put until a reader demands more.
+  publisher.enqueue(0, delta_at(kBatch + 1));
+  publisher.enqueue(0, delta_at(kBatch + 2));
+  EXPECT_EQ(publisher.published(0)->generation(), kBatch);
+  const auto caught_up = publisher.version_at_least(0, kBatch + 2);
+  EXPECT_GE(caught_up->generation(), kBatch + 2);
+  EXPECT_EQ(publisher.published(0)->generation(), kBatch + 2);
 
   // Fast path: no further publish for an already-covered generation.
   const auto stats_before = publisher.stats();
-  EXPECT_EQ(publisher.version_at_least(0, 6)->generation(), 6u);
+  EXPECT_EQ(publisher.version_at_least(0, kBatch + 2)->generation(),
+            kBatch + 2);
   const auto stats_after = publisher.stats();
   EXPECT_EQ(stats_after.publishes, stats_before.publishes);
   EXPECT_EQ(stats_after.reader_catchups, 1u);
@@ -516,25 +516,27 @@ TEST(IndexPublisher, DeferPublishLagsUntilBatchOrCatchup) {
 }
 
 TEST(IndexPublisher, PublishedGenerationIsMonotonic) {
-  IndexPublisherConfig config;
-  config.publish_batch = 2;
-  IndexPublisher publisher(/*num_shards=*/1, config);
+  // Reader catch-ups every 3 * kPublishBatch / 2 deltas land both
+  // inside and across the writer's defer windows.
+  constexpr std::uint64_t kLast = 5 * IndexPublisher::kPublishBatch;
+  constexpr std::uint64_t kCatchupEvery = 3 * IndexPublisher::kPublishBatch / 2;
+  IndexPublisher publisher(/*num_shards=*/1);
   std::uint64_t last = 0;
-  for (std::uint64_t g = 1; g <= 40; ++g) {
+  for (std::uint64_t g = 1; g <= kLast; ++g) {
     IndexDelta delta;
     delta.generation = g;
     publisher.enqueue(0, delta);
-    if (g % 3 == 0) publisher.version_at_least(0, g);
+    if (g % kCatchupEvery == 0) publisher.version_at_least(0, g);
     const std::uint64_t now = publisher.published(0)->generation();
     EXPECT_GE(now, last);
     last = now;
   }
-  EXPECT_EQ(publisher.version_at_least(0, 40)->generation(), 40u);
+  EXPECT_EQ(publisher.version_at_least(0, kLast)->generation(), kLast);
 }
 
 TEST(IndexPublisher, StressReaderCatchupRacesWriterPublish) {
   // Targets the catch-up/publish window under TSan: per shard, one
-  // writer (the single-writer contract of IndexSink::enqueue) streams
+  // writer (the single-writer contract of IndexPublisher::enqueue) streams
   // deltas while readers hammer version_at_least with the freshest
   // enqueued generation — so reader-forced catch-ups race writer-side
   // defer-window publishes on the same shard state. The enqueue-before-
@@ -542,10 +544,9 @@ TEST(IndexPublisher, StressReaderCatchupRacesWriterPublish) {
   // bump protocol, which is exactly what makes "the catch-up can never
   // come up short" hold; every reader asserts it.
   constexpr std::uint32_t kShards = 2;
+  // Many defer windows, so both publish paths are exercised.
   constexpr std::uint64_t kDeltas = 2000;
-  IndexPublisherConfig config;
-  config.publish_batch = 8;  // both publish paths exercised
-  IndexPublisher publisher(kShards, config);
+  IndexPublisher publisher(kShards);
 
   std::array<std::atomic<std::uint64_t>, kShards> advertised{};
   std::atomic<bool> failed{false};

@@ -3,20 +3,31 @@
 // job (the shard worker patches the snapshot between drain passes)
 // under concurrent ingest+query load — the TSan headline test: many
 // query threads against one flushing shard, where no query may ever
-// observe a torn or stale-beyond-one-generation snapshot — and the NUMA
-// placement bookkeeping on the shard regions.
+// observe a torn or stale-beyond-one-generation snapshot — and where the
+// shard regions' pages actually land.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#include <sys/mman.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 #include "collector/runtime.h"
 #include "dta/report_builders.h"
+#include "dtalib/client.h"
 #include "rdma/memory_region.h"
 
 namespace dta::collector {
@@ -634,39 +645,6 @@ TEST(SnapshotCache, ZeroCopyViewsStableAcrossRefreshes) {
       << "refreshes over a pinned snapshot must clone, not patch";
 }
 
-TEST(SnapshotCache, ZeroCopyAppendViewsShareSnapshotMemory) {
-  auto config = cache_config(ThreadMode::kInline);
-  AppendSetup ap;
-  ap.num_lists = 2;
-  ap.entries_per_list = 64;
-  ap.entry_bytes = 4;
-  config.append = ap;
-  CollectorRuntime runtime(config);
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    runtime.submit(reports::append_u32(0, 500 + i));
-  }
-
-  const auto snap = runtime.snapshot_shard(0);
-  const auto views = snap->append_read_views(0, 8);
-  ASSERT_EQ(views.size(), 8u);
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(common::load_u32(views[i].data()), 500 + i);
-    // Genuinely zero-copy: the spans point into the snapshot's region.
-    const auto* mem = snap->append_mem();
-    EXPECT_GE(views[i].data(), mem->data());
-    EXPECT_LT(views[i].data(), mem->data() + mem->length());
-  }
-  // Like append_read, the view walk consumes the snapshot's private
-  // tail: the next call picks up exactly where this one stopped, and
-  // the earlier spans stay valid (the ring memory is immutable).
-  const auto rest = snap->append_read_views(0, 8);
-  ASSERT_EQ(rest.size(), 8u);
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(common::load_u32(rest[i].data()), 508 + i);
-  }
-  EXPECT_EQ(common::load_u32(views[0].data()), 500u);
-}
-
 TEST(SnapshotCache, ConcurrentZeroCopyViewsUnderIngest) {
   // TSan coverage for the view lifetime rule: reader threads hold
   // query-view spans across ingest + refresh cycles and re-validate
@@ -728,53 +706,83 @@ TEST(SnapshotCache, ConcurrentZeroCopyViewsUnderIngest) {
   runtime.stop();
 }
 
-TEST(SnapshotCache, NumaPlacementBookkeeping) {
+TEST(SnapshotCache, ConcurrentEventReadsOfOneSnapshotAgree) {
+  // Event reads only read the shared snapshot: four threads reading one
+  // cached snapshot by cursor, with no ingest between reads, each get
+  // exactly what a single-threaded read gets. Under TSan a write any
+  // read made to the shared snapshot would also race the others.
   CollectorRuntimeConfig config = cache_config(ThreadMode::kThreaded);
-  config.num_shards = 2;
-  config.pin_workers = true;
-  config.worker_cores = {0, 0};  // core 0 always exists
-  CollectorRuntime runtime(config);
-  for (std::uint64_t id = 0; id < 50; ++id) {
-    runtime.submit(small_report(id, 1));
+  AppendSetup ap;
+  ap.num_lists = 2;
+  ap.entries_per_list = 64;
+  ap.entry_bytes = 4;
+  config.append = ap;
+  Client client = Client::local(config);
+  // 96 entries into a 64-entry ring: positions 0..31 are overwritten.
+  auto list = client.list(0);
+  for (std::uint32_t i = 0; i < 96; ++i) {
+    ASSERT_TRUE(list.append_u32(500 + i).ok());
   }
-  runtime.flush();  // workers past their first-touch pass
+  ASSERT_TRUE(client.flush().ok());
 
-  // One Key-Write region per shard: each is placed by the allocation-
-  // time mbind or by its pinned worker's first-touch pass (which itself
-  // migrates via mbind where available) — regions already bound at
-  // allocation are skipped, so at most one touch per region.
-  EXPECT_LE(runtime.pipeline().regions_first_touched(), 2u);
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    const auto* region = runtime.shard(s).service().keywrite_region();
-    EXPECT_TRUE(region->node_bound() ||
-                runtime.pipeline().regions_first_touched() > 0)
-        << "shard " << s << " region placed by neither path";
-  }
-
-  const int node = rdma::numa_node_of_core(0);
-#if defined(__linux__)
-  EXPECT_GE(rdma::numa_node_count(), 1);
-  EXPECT_GE(node, 0) << "sysfs topology should map core 0";
-#endif
-  if (node >= 0) {
-    for (std::uint32_t s = 0; s < 2; ++s) {
-      // Allocation-time hint recorded on the domain...
-      EXPECT_EQ(runtime.shard(s).service().nic().pd().node_hint(), node);
-      // ...and placement recorded on the region (hint, or first-touch
-      // from the worker pinned to the same core).
-      if (runtime.pipeline().stats().workers_pinned == 2) {
-        EXPECT_EQ(runtime.shard(s).service().keywrite_region()->numa_node(),
-                  node);
-      }
+  struct Read {
+    std::vector<Bytes> entries;
+    std::uint64_t next = 0;
+    std::uint64_t dropped = 0;
+    bool operator==(const Read& o) const {
+      return entries == o.entries && next == o.next && dropped == o.dropped;
     }
+  };
+  const auto read = [&client](std::uint64_t cursor, std::uint64_t max) {
+    const auto batch = client.events(0).since(cursor).max(max).run();
+    Read out;
+    if (!batch.ok()) return out;
+    out.entries = batch->entries;
+    out.next = batch->next.position;
+    out.dropped = batch->dropped;
+    return out;
+  };
+  const std::uint64_t cursors[] = {0, 20, 32, 50, 90, 96};
+  const std::uint64_t maxes[] = {1, 5, 64};
+  std::vector<Read> expected;
+  for (const std::uint64_t cursor : cursors) {
+    for (const std::uint64_t max : maxes) expected.push_back(read(cursor, max));
   }
-  runtime.stop();
+  const Read& whole = expected[2];  // cursor 0, max 64
+  ASSERT_EQ(whole.entries.size(), 64u);
+  EXPECT_EQ(whole.dropped, 32u);
+  EXPECT_EQ(whole.next, 96u);
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(common::load_u32(whole.entries[i].data()), 532 + i);
+  }
+
+  const std::uint64_t misses =
+      client.local_runtime()->snapshot_cache().stats().misses;
+  std::atomic<std::uint32_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) {
+        std::size_t i = 0;
+        for (const std::uint64_t cursor : cursors) {
+          for (const std::uint64_t max : maxes) {
+            if (!(read(cursor, max) == expected[i++])) ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  // Every read above was served from the one snapshot cached before.
+  EXPECT_EQ(client.local_runtime()->snapshot_cache().stats().misses, misses);
+  client.stop();
 }
 
 // The shard's regions ask for transparent huge pages, and the advice
 // has to land before the first write to count: a hinted region of at
 // least 2 MiB starts on a 2 MiB boundary and is advised, and so are the
-// snapshot copy, the copy-on-write clone and a first-touch rebind of it.
+// snapshot copy and the copy-on-write clone.
 TEST(SnapshotCache, HugepageHintedRegionsAndTheirCopiesAreAdvised) {
   CollectorRuntimeConfig config = cache_config(ThreadMode::kInline);
   config.keywrite->num_slots = 1 << 19;  // 8 B slots: a 4 MiB region
@@ -808,10 +816,6 @@ TEST(SnapshotCache, HugepageHintedRegionsAndTheirCopiesAreAdvised) {
   check(live, "live region");
   check(snap->keywrite_mem(), "snapshot copy");
   check(clone->keywrite_mem(), "copy-on-write clone");
-  live->first_touch_rebind();
-  check(live, "first-touch rebind");
-#else
-  live->first_touch_rebind();
 #endif
   EXPECT_TRUE(std::equal(before.begin(), before.end(), live->data()));
   EXPECT_TRUE(std::equal(before.begin(), before.end(),
@@ -822,14 +826,156 @@ TEST(SnapshotCache, HugepageHintedRegionsAndTheirCopiesAreAdvised) {
   runtime.stop();
 }
 
-TEST(SnapshotCache, NoFirstTouchWithoutPinning) {
-  CollectorRuntime runtime(cache_config(ThreadMode::kThreaded));
-  runtime.submit(small_report(1, 1));
+// ------------------------------------------------------ page placement
+//
+// No placement hint exists: a live store page is faulted in by its
+// first writer, the shard's pinned worker, so the kernel's default
+// local allocation puts it on that worker's node. These check where
+// the pages actually are, not what anything recorded about them.
+
+#if defined(__linux__)
+CollectorRuntimeConfig placement_config(ThreadMode mode) {
+  CollectorRuntimeConfig config = cache_config(mode);
+  config.num_shards = 2;
+  config.keywrite->num_slots = 1 << 19;  // 2 MiB per shard: advised onto THP
+  PostcardingSetup pc;
+  pc.num_chunks = 1 << 12;
+  pc.hops = 4;
+  for (std::uint32_t v = 0; v < 64; ++v) pc.value_space.push_back(v);
+  config.postcarding = pc;
+  AppendSetup ap;
+  ap.num_lists = 4;
+  ap.entries_per_list = 1 << 10;
+  ap.entry_bytes = 4;
+  config.append = ap;
+  KeyIncrementSetup ki;
+  ki.num_slots = 1 << 12;  // 16 KiB per shard: below a huge page
+  config.keyincrement = ki;
+  return config;
+}
+
+std::vector<const rdma::MemoryRegion*> live_regions(CollectorShard& shard) {
+  RdmaService& service = shard.service();
+  return {service.keywrite_region(), service.postcarding_region(),
+          service.append_region(), service.keyincrement_region()};
+}
+
+// The resident pages of `region`'s buffer per mincore, or nullopt when
+// the kernel refuses the call.
+std::optional<std::vector<void*>> resident_pages(
+    const rdma::MemoryRegion& region) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  auto* base = const_cast<std::uint8_t*>(region.data());
+  std::vector<unsigned char> vec((region.length() + page - 1) / page);
+  if (mincore(base, region.length(), vec.data()) != 0) return std::nullopt;
+  std::vector<void*> out;
+  for (std::size_t i = 0; i < vec.size(); ++i) {
+    if (vec[i] & 1) out.push_back(base + i * page);
+  }
+  return out;
+}
+
+// The node the kernel reports (getcpu) to a thread pinned to `core`, or
+// -1 when the thread cannot be pinned there or the call is refused.
+int node_of_core(int core) {
+  int node = -1;
+  std::thread probe([core, &node] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(static_cast<unsigned>(core), &set);
+    if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
+      return;
+    }
+    unsigned cpu = 0, cpu_node = 0;
+    if (syscall(SYS_getcpu, &cpu, &cpu_node, nullptr) == 0 &&
+        cpu == static_cast<unsigned>(core)) {
+      node = static_cast<int>(cpu_node);
+    }
+  });
+  probe.join();
+  return node;
+}
+
+TEST(StorePlacement, NoLivePageIsFaultedBeforeTheFirstSubmit) {
+  // Nothing writes (or reads) a live store region before its first
+  // writer does: not the mapping, the stores, the shard, the runtime,
+  // the pipeline or its workers. Threaded and pinned, or inline.
+  for (const ThreadMode mode : {ThreadMode::kThreaded, ThreadMode::kInline}) {
+    CollectorRuntimeConfig config = placement_config(mode);
+    config.pin_workers = true;
+    config.worker_cores = {0, 0};  // core 0 always exists
+    CollectorRuntime runtime(config);
+    for (std::uint32_t s = 0; s < runtime.num_shards(); ++s) {
+      for (const rdma::MemoryRegion* region : live_regions(runtime.shard(s))) {
+        const auto resident = resident_pages(*region);
+        if (!resident) GTEST_SKIP() << "mincore: " << std::strerror(errno);
+        EXPECT_TRUE(resident->empty())
+            << resident->size() << " resident pages in shard " << s
+            << " region rkey " << region->rkey() << " before any submit";
+      }
+    }
+    runtime.stop();
+  }
+}
+
+TEST(StorePlacement, LivePagesLandOnTheirPinnedWorkersNode) {
+  // Two workers on the first and last core this process may run on (on
+  // a multi-node host, usually two nodes). After they ingest and flush,
+  // every resident page of a shard's live regions, taken with no
+  // snapshot so that only what the worker wrote is resident, sits on
+  // the node of its worker's core.
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  std::vector<int> cores;
+  for (int core = 0; core < CPU_SETSIZE; ++core) {
+    if (CPU_ISSET(core, &allowed)) cores.push_back(core);
+  }
+  ASSERT_FALSE(cores.empty());
+  CollectorRuntimeConfig config = placement_config(ThreadMode::kThreaded);
+  config.pin_workers = true;
+  config.worker_cores = {cores.front(), cores.back()};
+  std::vector<int> nodes;
+  for (const int core : config.worker_cores) {
+    nodes.push_back(node_of_core(core));
+    if (nodes.back() < 0) GTEST_SKIP() << "getcpu on core " << core;
+  }
+
+  CollectorRuntime runtime(config);
+  ASSERT_EQ(runtime.pipeline().stats().workers_pinned, 2u);
+  for (std::uint64_t id = 0; id < 4000; ++id) {
+    const TelemetryKey key = key_of(id);
+    runtime.submit(reports::keywrite_u32(key, 1, /*redundancy=*/2));
+    runtime.submit(reports::keyincrement(key, 3, /*redundancy=*/2));
+    runtime.submit(reports::postcard(key, static_cast<std::uint8_t>(id % 4),
+                                     4, static_cast<std::uint32_t>(id % 64)));
+    runtime.submit(reports::append_u32(static_cast<std::uint32_t>(id % 4),
+                                       static_cast<std::uint32_t>(id)));
+  }
   runtime.flush();
-  EXPECT_EQ(runtime.pipeline().regions_first_touched(), 0u);
-  EXPECT_EQ(runtime.shard(0).service().keywrite_region()->numa_node(), -1);
+
+  for (std::uint32_t s = 0; s < runtime.num_shards(); ++s) {
+    for (const rdma::MemoryRegion* region : live_regions(runtime.shard(s))) {
+      const auto resident = resident_pages(*region);
+      if (!resident) GTEST_SKIP() << "mincore: " << std::strerror(errno);
+      ASSERT_FALSE(resident->empty())
+          << "shard " << s << " region rkey " << region->rkey()
+          << " holds no page after ingest";
+      std::vector<int> status(resident->size(), -1);
+      if (syscall(SYS_move_pages, 0L, resident->size(), resident->data(),
+                  nullptr, status.data(), 0L) != 0) {
+        GTEST_SKIP() << "move_pages: " << std::strerror(errno);
+      }
+      std::size_t misplaced = 0;
+      for (const int node : status) misplaced += node != nodes[s];
+      EXPECT_EQ(misplaced, 0u)
+          << "of " << status.size() << " resident pages in shard " << s
+          << " region rkey " << region->rkey() << ", expected on node "
+          << nodes[s] << " (first status " << status.front() << ")";
+    }
+  }
   runtime.stop();
 }
+#endif  // __linux__
 
 }  // namespace
 }  // namespace dta::collector

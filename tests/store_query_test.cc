@@ -62,7 +62,7 @@ net::FiveTuple flow_of(std::uint32_t i) {
 
 TEST(StoreQuery, FlowMetricRoundTrip) {
   Fabric fabric(store_config());
-  auto& service = fabric.collector().service();
+  auto& service = fabric.service();
 
   telemetry::MarpleTcpTimeout record;
   record.flow = flow_of(1);
@@ -79,7 +79,7 @@ TEST(StoreQuery, FlowMetricRoundTrip) {
 
 TEST(StoreQuery, FlowPathRoundTrip) {
   Fabric fabric(store_config());
-  auto& service = fabric.collector().service();
+  auto& service = fabric.service();
 
   for (std::uint8_t hop = 0; hop < 5; ++hop) {
     telemetry::IntPostcard card;
@@ -96,7 +96,7 @@ TEST(StoreQuery, FlowPathRoundTrip) {
 
 TEST(StoreQuery, CountersAccumulate) {
   Fabric fabric(store_config());
-  auto& service = fabric.collector().service();
+  auto& service = fabric.service();
 
   telemetry::TurboFlowRecord rec;
   rec.flow = flow_of(3);
@@ -122,7 +122,7 @@ TEST(StoreQuery, CountersAccumulate) {
 
 TEST(StoreQuery, AppendPollDecodesLossEvents) {
   Fabric fabric(store_config());
-  auto& service = fabric.collector().service();
+  auto& service = fabric.service();
 
   for (std::uint32_t i = 0; i < 6; ++i) {
     telemetry::NetSeerLossEvent ev;
@@ -176,8 +176,7 @@ TEST_P(ChecksumWidthTest, WrongOutputRateTracksEq4) {
 
   int wrong = 0;
   for (std::uint64_t i = 0; i < kProbes; ++i) {
-    const auto result =
-        fabric.collector().service().keywrite()->query(key_of(i), 1);
+    const auto result = fabric.service().keywrite()->query(key_of(i), 1);
     if (result.status == collector::QueryStatus::kHit &&
         common::load_u32(result.value.data()) != i) {
       ++wrong;
