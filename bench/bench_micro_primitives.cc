@@ -1,12 +1,12 @@
 // Microbenchmarks for the hot operations of the DTA data path: CRC
 // hashing (byte-at-a-time reference vs slice-by-8 vs hardware CRC32C),
-// the interleaved batch-hash APIs, primitive translation, RoCE
+// the interleaved multi-engine hash, primitive translation, RoCE
 // crafting, NIC verb execution (wire-parse vs direct), and store
 // queries. These are the per-op costs the figure-level benches
 // aggregate.
 //
 // Output: human-readable sections plus BENCH_crc.json — measured CRC /
-// batch throughputs and a "gate" object of speedup ratios checked by
+// hash throughputs and a "gate" object of speedup ratios checked by
 // bench/check_regression.py against bench/baselines/BENCH_crc.json.
 // Ratios (not absolute rates) so the gate is robust to CI hardware.
 //
@@ -123,44 +123,6 @@ struct CrcRow {
   double dispatch;  // runtime dispatch for kValuePoly (HW when available)
 };
 
-// Batched hashing of `count` value-sized (64B) messages:
-// compute_batch's interleaved streams vs a sequential compute() loop.
-// Returns {sequential msgs/s, batched msgs/s}. The interleave pays on
-// the hardware engine (the ~3-cycle crc32 instruction pipelines across
-// lanes, so four messages fold in the latency of one); on the
-// table-driven engines slice-by-8 already exposes full ILP within one
-// message, so batching there is a parity check, not a win.
-std::pair<double, double> crc_batch_rates(const common::Crc32& engine,
-                                          std::size_t count) {
-  constexpr std::size_t kMsgBytes = 64;
-  std::vector<std::uint8_t> pool(count * kMsgBytes);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    pool[i] = static_cast<std::uint8_t>(i * 167 + 13);
-  }
-  std::vector<common::ByteSpan> spans(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    spans[i] = common::ByteSpan(pool.data() + i * kMsgBytes, kMsgBytes);
-  }
-  std::vector<std::uint32_t> out(count);
-  const std::size_t rounds = 1024;
-
-  benchutil::WallTimer timer;
-  for (std::size_t r = 0; r <= rounds; ++r) {
-    if (r == 1) timer.reset();  // round 0 is warmup
-    for (std::size_t i = 0; i < count; ++i) out[i] = engine.compute(spans[i]);
-    sink(out[count - 1]);
-  }
-  const double sequential = rounds * count / timer.seconds();
-
-  for (std::size_t r = 0; r <= rounds; ++r) {
-    if (r == 1) timer.reset();
-    engine.compute_batch(spans.data(), count, out.data());
-    sink(out[count - 1]);
-  }
-  const double batched = rounds * count / timer.seconds();
-  return {sequential, batched};
-}
-
 // One key under h1 + h0(0..7): per-engine compute() loop vs the
 // single-pass compute_multi / key_hashes shape. Returns {sequential
 // hashes/s, interleaved hashes/s}.
@@ -191,36 +153,6 @@ std::pair<double, double> crc_multi_rates() {
   const double multi = static_cast<double>(rounds) * kEngines /
                        timer.seconds();
   return {sequential, multi};
-}
-
-// Shard routing for a key batch: per-key shard_of vs shard_of_batch.
-std::pair<double, double> shard_batch_rates(std::size_t count) {
-  std::vector<proto::TelemetryKey> keys(count);
-  std::vector<common::ByteSpan> spans(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    keys[i] = benchutil::mixed_key(i);
-    spans[i] = keys[i].span();
-  }
-  std::vector<std::uint32_t> out(count);
-  const std::size_t rounds = 2048;
-
-  benchutil::WallTimer timer;
-  for (std::size_t r = 0; r <= rounds; ++r) {
-    if (r == 1) timer.reset();  // round 0 is warmup
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = common::shard_of(spans[i], 8);
-    }
-    sink(out[count - 1]);
-  }
-  const double sequential = rounds * count / timer.seconds();
-
-  for (std::size_t r = 0; r <= rounds; ++r) {
-    if (r == 1) timer.reset();
-    common::shard_of_batch(spans.data(), count, 8, out.data());
-    sink(out[count - 1]);
-  }
-  const double batched = rounds * count / timer.seconds();
-  return {sequential, batched};
 }
 
 // ----------------------------------------------------- translate + execute
@@ -499,25 +431,12 @@ int main() {
   const double best_speedup =
       std::max(big.sliced, big.dispatch) / big.bytewise;
 
-  const auto [seq_batch_hw, batched_hw] =
-      crc_batch_rates(common::value_crc(), 4096);
-  const auto [seq_batch_sw, batched_sw] =
-      crc_batch_rates(common::checksum_crc(), 4096);
   const auto [seq_multi, multi] = crc_multi_rates();
-  const auto [seq_shard, shard_batched] = shard_batch_rates(4096);
-  std::printf("\nInterleaved batch hashing (telemetry-key-sized messages):\n");
-  std::printf("  compute_batch/hw  %12s keys/s vs %12s sequential (%5.2fx)\n",
-              benchutil::eng(batched_hw).c_str(),
-              benchutil::eng(seq_batch_hw).c_str(), batched_hw / seq_batch_hw);
-  std::printf("  compute_batch/sw  %12s keys/s vs %12s sequential (%5.2fx)\n",
-              benchutil::eng(batched_sw).c_str(),
-              benchutil::eng(seq_batch_sw).c_str(), batched_sw / seq_batch_sw);
+  std::printf("\nInterleaved multi-engine hashing (one telemetry key, h1 + "
+              "h0(0..7)):\n");
   std::printf("  compute_multi   %12s hashes/s vs %12s sequential (%5.2fx)\n",
               benchutil::eng(multi).c_str(), benchutil::eng(seq_multi).c_str(),
               multi / seq_multi);
-  std::printf("  shard_of_batch  %12s keys/s vs %12s sequential  (%5.2fx)\n",
-              benchutil::eng(shard_batched).c_str(),
-              benchutil::eng(seq_shard).c_str(), shard_batched / seq_shard);
 
   // ------------------------------------------------- translate/craft/exec
   std::printf("\nTranslation + crafting (ops/s):\n");
@@ -590,26 +509,20 @@ int main() {
     std::fprintf(json,
                  "  ],\n"
                  "  \"hw_crc32c\": %s,\n"
-                 "  \"batch_hw\": {\"sequential\": %.0f, \"batched\": %.0f},\n"
-                 "  \"batch_sw\": {\"sequential\": %.0f, \"batched\": %.0f},\n"
                  "  \"multi\": {\"sequential\": %.0f, \"interleaved\": %.0f},\n"
-                 "  \"shard\": {\"sequential\": %.0f, \"batched\": %.0f},\n"
                  "  \"verb_exec\": {\"wire\": %.0f, \"direct\": %.0f},\n",
                  common::value_crc().hardware_accelerated() ? "true" : "false",
-                 seq_batch_hw, batched_hw, seq_batch_sw, batched_sw, seq_multi,
-                 multi, seq_shard, shard_batched, wire, direct);
-    // Gate only the ratios that are decisively large: interleave ratios
-    // near 1x (batch_hw/multi/shard, reported above) jitter too much on
-    // shared CI cores to be reliable floors.
+                 seq_multi, multi, wire, direct);
+    // Gate only the ratios that are decisively large: the near-1x
+    // interleave ratio (multi, reported above) jitters too much on
+    // shared CI cores to be a reliable floor.
     std::fprintf(json,
                  "  \"gate\": {\n"
                  "    \"crc_speedup_slice8\": %.3f,\n"
                  "    \"crc_speedup_best\": %.3f,\n"
-                 "    \"batch_hash_speedup_sw\": %.3f,\n"
                  "    \"direct_exec_speedup\": %.3f\n"
                  "  }\n}\n",
-                 slice8_speedup, best_speedup, batched_sw / seq_batch_sw,
-                 direct / wire);
+                 slice8_speedup, best_speedup, direct / wire);
     std::fclose(json);
     std::printf("\nwrote BENCH_crc.json\n");
   }

@@ -3,19 +3,22 @@
 // The serving plane (dta::Client's merge path) resolves queries on
 // worker threads while ingest keeps running; the live store memory is
 // written by the shard's NIC model, so reading it concurrently would
-// race. A StoreSnapshot is taken on the runtime's control thread behind
-// the per-shard flush barrier (everything submitted before the snapshot
-// is in memory, nothing is being written), copies the registered
-// regions, and rebuilds the query stores over the copies. The snapshot
-// is then immutable and safely shared across any number of query
-// threads — this is how polling cores and queries stop contending on
-// store memory.
+// race. A snapshot holds copies of the registered regions with the
+// query stores rebuilt over them; once published it is immutable and
+// safely shared across any number of query threads — this is how
+// polling cores and queries stop contending on store memory.
 //
-// Cost: one memcpy of the shard's store footprint per snapshot. Shards
-// divide the global geometry N_hosts x M_shards ways, so the per-
-// snapshot copy shrinks as the cluster scales out — and the
-// SnapshotCache amortizes it further, from one copy per query to one
-// copy per store-memory generation (i.e. per flush interval).
+// Where the copies are made (SnapshotCache drives both):
+//   * A refresh runs inside the shard's writer job, on the worker
+//     between two drain passes (IngestPipeline::run_writer_job): it
+//     patches only the chunks the DirtyTracker listed since the last
+//     refresh into a snapshot no reader pins, and copies everything
+//     only on a first build or a saturated tracker. Its cost is the
+//     dirtied bytes, not the store size.
+//   * A copy-on-write clone runs on the reading thread while the shard
+//     ingests: when a reader pins the published snapshot, clone()
+//     copies that immutable snapshot (not the live regions) and the
+//     writer job then patches the clone.
 #pragma once
 
 #include <cstdint>
@@ -92,9 +95,9 @@ class StoreSnapshot {
   bool has_keyincrement() const { return keyincrement_ != nullptr; }
 
   // Algorithm 2 vote over the copied Key-Write slots.
-  KeyWriteQueryResult keywrite_query(const proto::TelemetryKey& key,
-                                     std::uint8_t redundancy,
-                                     std::uint8_t consensus_threshold = 1) const;
+  KeyWriteQueryResult keywrite_query(
+      const proto::TelemetryKey& key, std::uint8_t redundancy,
+      std::uint8_t consensus_threshold = 1) const;
 
   // Zero-copy variant: the winning value as a span into this snapshot's
   // copied region memory. Valid while the snapshot is alive and pinned

@@ -57,32 +57,6 @@ __attribute__((target("sse4.2"))) std::uint32_t hw_crc32c_update(
   return s32;
 }
 
-// Four independent streams per step: crc32 has ~3-cycle latency but
-// single-cycle throughput, so interleaving hides the dependency chain.
-__attribute__((target("sse4.2"))) void hw_crc32c_blocks_x4(
-    std::uint32_t* s, const std::uint8_t** p, std::size_t blocks) {
-  std::uint64_t a = s[0], b = s[1], c = s[2], d = s[3];
-  while (blocks--) {
-    std::uint64_t v0, v1, v2, v3;
-    std::memcpy(&v0, p[0], 8);
-    std::memcpy(&v1, p[1], 8);
-    std::memcpy(&v2, p[2], 8);
-    std::memcpy(&v3, p[3], 8);
-    a = _mm_crc32_u64(a, v0);
-    b = _mm_crc32_u64(b, v1);
-    c = _mm_crc32_u64(c, v2);
-    d = _mm_crc32_u64(d, v3);
-    p[0] += 8;
-    p[1] += 8;
-    p[2] += 8;
-    p[3] += 8;
-  }
-  s[0] = static_cast<std::uint32_t>(a);
-  s[1] = static_cast<std::uint32_t>(b);
-  s[2] = static_cast<std::uint32_t>(c);
-  s[3] = static_cast<std::uint32_t>(d);
-}
-
 #elif defined(DTA_HW_CRC32C_ARM)
 
 std::uint32_t hw_crc32c_update(std::uint32_t state, const std::uint8_t* p,
@@ -96,18 +70,6 @@ std::uint32_t hw_crc32c_update(std::uint32_t state, const std::uint8_t* p,
   }
   while (n--) state = __crc32cb(state, *p++);
   return state;
-}
-
-void hw_crc32c_blocks_x4(std::uint32_t* s, const std::uint8_t** p,
-                         std::size_t blocks) {
-  while (blocks--) {
-    for (int l = 0; l < 4; ++l) {
-      std::uint64_t v;
-      std::memcpy(&v, p[l], 8);
-      s[l] = __crc32cd(s[l], v);
-      p[l] += 8;
-    }
-  }
 }
 
 #endif  // DTA_HW_CRC32C_*
@@ -188,49 +150,6 @@ std::uint32_t Crc32::compute(ByteSpan data) const {
   return finish(update(begin(), data));
 }
 
-void Crc32::compute_batch(const ByteSpan* msgs, std::size_t count,
-                          std::uint32_t* out) const {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const std::uint8_t* p[4];
-    std::size_t n[4];
-    std::uint32_t s[4];
-    std::size_t min_len = msgs[i].size();
-    for (int l = 0; l < 4; ++l) {
-      p[l] = msgs[i + l].data();
-      n[l] = msgs[i + l].size();
-      s[l] = init_;
-      if (n[l] < min_len) min_len = n[l];
-    }
-    // Interleave 8-byte steps while every lane still has a full block;
-    // each lane's tail (and any length imbalance) finishes solo.
-    const std::size_t blocks = min_len / 8;
-#if defined(DTA_HW_CRC32C_ANY)
-    if (hw_) {
-      hw_crc32c_blocks_x4(s, p, blocks);
-    } else
-#endif
-    {
-      for (std::size_t b = 0; b < blocks; ++b) {
-        for (int l = 0; l < 4; ++l) {
-          const std::uint32_t lo = s[l] ^ load_le32(p[l]);
-          const std::uint32_t hi = load_le32(p[l] + 4);
-          s[l] = table_[7][lo & 0xFFu] ^ table_[6][(lo >> 8) & 0xFFu] ^
-                 table_[5][(lo >> 16) & 0xFFu] ^ table_[4][lo >> 24] ^
-                 table_[3][hi & 0xFFu] ^ table_[2][(hi >> 8) & 0xFFu] ^
-                 table_[1][(hi >> 16) & 0xFFu] ^ table_[0][hi >> 24];
-          p[l] += 8;
-        }
-      }
-    }
-    const std::size_t consumed = blocks * 8;
-    for (int l = 0; l < 4; ++l) {
-      out[i + l] = finish(update(s[l], ByteSpan(p[l], n[l] - consumed)));
-    }
-  }
-  for (; i < count; ++i) out[i] = compute(msgs[i]);
-}
-
 void Crc32::compute_multi(const Crc32* const* engines, std::size_t count,
                           ByteSpan msg, std::uint32_t* out) {
   constexpr std::size_t kMaxInterleave = 16;
@@ -307,16 +226,6 @@ const Crc32& shard_crc() {
 std::uint32_t shard_of(ByteSpan key, std::uint32_t num_shards) {
   if (num_shards <= 1) return 0;
   return shard_crc().compute(key) % num_shards;
-}
-
-void shard_of_batch(const ByteSpan* keys, std::size_t count,
-                    std::uint32_t num_shards, std::uint32_t* out) {
-  if (num_shards <= 1) {
-    for (std::size_t i = 0; i < count; ++i) out[i] = 0;
-    return;
-  }
-  shard_crc().compute_batch(keys, count, out);
-  for (std::size_t i = 0; i < count; ++i) out[i] %= num_shards;
 }
 
 }  // namespace dta::common

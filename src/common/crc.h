@@ -18,10 +18,10 @@
 //    hardware. Engines built over that polynomial dispatch to the CPU
 //    instruction when available (detected once at startup, scalar
 //    slice-by-8 fallback otherwise; compile out with DTA_DISABLE_HW_CRC).
-//  - compute_batch()/compute_multi() hash several independent streams
-//    with interleaved state so the per-step latency (table load or
-//    3-cycle crc32 instruction) overlaps across streams. The translator
-//    and the shard router use these to pay amortized, not per-op, cost.
+//  - compute_multi() hashes one message under several engines in one
+//    pass with interleaved state, so the per-step table-load latency
+//    overlaps across engines. The translator's key_hashes uses it to
+//    derive h1 and every h0 slot index from one read of the key.
 #pragma once
 
 #include <array>
@@ -55,13 +55,6 @@ class Crc32 {
   // CRC micro-bench measures speedups over. Never dispatches to
   // hardware.
   std::uint32_t update_bytewise(std::uint32_t state, ByteSpan data) const;
-
-  // Hashes `count` independent messages into out[0..count), four
-  // interleaved streams at a time, so the per-step table-load (or
-  // crc32-instruction) latency overlaps across messages. Identical
-  // results to calling compute() per message.
-  void compute_batch(const ByteSpan* msgs, std::size_t count,
-                     std::uint32_t* out) const;
 
   std::uint32_t polynomial() const { return poly_; }
 
@@ -136,10 +129,5 @@ const Crc32& shard_crc();                   // collector-shard selector
 // the shard count. Every component that routes by key (ingest pipeline,
 // query frontend) must agree on this function.
 std::uint32_t shard_of(ByteSpan key, std::uint32_t num_shards);
-
-// Batched shard router: shard_of() for `count` keys with interleaved
-// CRC streams. out[i] == shard_of(keys[i], num_shards).
-void shard_of_batch(const ByteSpan* keys, std::size_t count,
-                    std::uint32_t num_shards, std::uint32_t* out);
 
 }  // namespace dta::common

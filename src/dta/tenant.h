@@ -10,9 +10,11 @@
 // one token bucket per registered tenant. The wire translator admits
 // every report against its one shared bucket.
 //
-// Tenant 0 is the default tenant: unregistered traffic is accounted and
-// limited against it, so a deployment that never configures tenants
-// behaves exactly as before (one shared bucket, one shared counter row).
+// Tenant 0 is the default tenant, the one traffic carries when it names
+// none. Like every tenant the registry gives no bucket (one never
+// registered, or registered at rate 0), it is counted in its own row
+// and never shed, so a deployment that never configures tenants is
+// never shed at the serving plane.
 #pragma once
 
 #include <cstdint>

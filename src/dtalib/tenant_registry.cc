@@ -41,9 +41,6 @@ std::vector<TenantStatsRow> join_tenant_ingest(
   return rows;
 }
 
-TenantRegistry::Direction::Direction(const char* verb_name)
-    : limiter(translator::RateLimiterParams{}), verb(verb_name) {}
-
 TenantRegistry::TenantRegistry()
     : epoch_(std::chrono::steady_clock::now()),
       submit_("submit"),
@@ -58,13 +55,13 @@ common::VirtualNs TenantRegistry::now_ns() const {
 
 void TenantRegistry::set_quota(Direction& direction, TenantId tenant,
                                double rate, std::uint32_t burst) {
-  direction.tallies.try_emplace(tenant);
+  Account& account = direction.accounts[tenant];
   // A zero rate means unlimited: drop any bucket an earlier
   // registration installed, or the old quota would keep shedding.
   if (rate > 0.0) {
-    direction.limiter.set_tenant_params(tenant, bucket_params(rate, burst));
+    account.bucket.emplace(bucket_params(rate, burst));
   } else {
-    direction.limiter.clear_tenant_params(tenant);
+    account.bucket.reset();
   }
 }
 
@@ -72,40 +69,27 @@ void TenantRegistry::register_tenant(TenantId tenant, TenantConfig config) {
   MutexLock submit_lock(submit_.mu);
   MutexLock query_lock(query_.mu);
   config.query_defaults.tenant = tenant;
-  configs_[tenant] = config;
+  query_defaults_[tenant] = config.query_defaults;
   set_quota(submit_, tenant, config.quota.submits_per_second,
             config.quota.submit_burst);
   set_quota(query_, tenant, config.quota.queries_per_second,
             config.quota.query_burst);
 }
 
-bool TenantRegistry::is_registered(TenantId tenant) const {
-  MutexLock lock(query_.mu);
-  return configs_.count(tenant) != 0;
-}
-
-std::optional<TenantConfig> TenantRegistry::config(TenantId tenant) const {
-  MutexLock lock(query_.mu);
-  auto it = configs_.find(tenant);
-  if (it == configs_.end()) return std::nullopt;
-  return it->second;
-}
-
 Status TenantRegistry::admit(Direction& direction, TenantId tenant,
                              common::VirtualNs now, std::uint32_t ops) {
   MutexLock lock(direction.mu);
-  Tally& tally = direction.tallies[tenant];
-  translator::RateLimiter& limiter = direction.limiter;
-  // Unregistered tenants and unlimited quotas (no bucket installed)
-  // always pass: the registry counts them but never sheds them.
-  if (limiter.has_tenant_bucket(tenant) && !limiter.admit(tenant, now, ops)) {
-    tally.shed += ops;
-    return Status::ResourceExhausted("tenant " + std::to_string(tenant) +
-                                         " " + direction.verb +
-                                         " quota exhausted",
-                                     limiter.retry_after_ns(tenant, now, ops));
+  Account& account = direction.accounts[tenant];
+  // No bucket (an unregistered tenant or an unlimited quota): counted,
+  // never shed.
+  if (account.bucket && !account.bucket->admit(now, ops)) {
+    account.shed += ops;
+    return Status::ResourceExhausted(
+        "tenant " + std::to_string(tenant) + " " + direction.verb +
+            " quota exhausted",
+        account.bucket->retry_after_ns(now, ops));
   }
-  tally.admitted += ops;
+  account.admitted += ops;
   return Status::Ok();
 }
 
@@ -129,8 +113,8 @@ Status TenantRegistry::admit_query(TenantId tenant, std::uint32_t ops) {
 
 QueryOptions TenantRegistry::query_defaults(TenantId tenant) const {
   MutexLock lock(query_.mu);
-  auto it = configs_.find(tenant);
-  if (it != configs_.end()) return it->second.query_defaults;
+  auto it = query_defaults_.find(tenant);
+  if (it != query_defaults_.end()) return it->second;
   QueryOptions opts;
   opts.tenant = tenant;
   return opts;
@@ -139,11 +123,11 @@ QueryOptions TenantRegistry::query_defaults(TenantId tenant) const {
 TenantCounters TenantRegistry::merge(TenantId tenant, const Direction& submit,
                                      const Direction& query) {
   TenantCounters out;
-  if (auto it = submit.tallies.find(tenant); it != submit.tallies.end()) {
+  if (auto it = submit.accounts.find(tenant); it != submit.accounts.end()) {
     out.submits_admitted = it->second.admitted;
     out.submits_shed = it->second.shed;
   }
-  if (auto it = query.tallies.find(tenant); it != query.tallies.end()) {
+  if (auto it = query.accounts.find(tenant); it != query.accounts.end()) {
     out.queries_admitted = it->second.admitted;
     out.queries_shed = it->second.shed;
   }
@@ -154,9 +138,9 @@ std::vector<TenantStatsRow> TenantRegistry::stats() const {
   MutexLock submit_lock(submit_.mu);
   MutexLock query_lock(query_.mu);
   std::vector<TenantId> tenants;
-  tenants.reserve(submit_.tallies.size() + query_.tallies.size());
-  for (const auto& entry : submit_.tallies) tenants.push_back(entry.first);
-  for (const auto& entry : query_.tallies) tenants.push_back(entry.first);
+  tenants.reserve(submit_.accounts.size() + query_.accounts.size());
+  for (const auto& entry : submit_.accounts) tenants.push_back(entry.first);
+  for (const auto& entry : query_.accounts) tenants.push_back(entry.first);
   std::sort(tenants.begin(), tenants.end());
   tenants.erase(std::unique(tenants.begin(), tenants.end()), tenants.end());
   std::vector<TenantStatsRow> rows;

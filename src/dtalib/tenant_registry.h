@@ -1,17 +1,17 @@
 // The serving-plane tenant registry: per-tenant quotas, admission
 // control, and accounting for dta::Client.
 //
-// DTA's translator tier already sheds load with token buckets + NACKs
-// (§5.2); the serving plane reuses the exact same token-bucket
-// semantics (translator::RateLimiter) at the Backend::submit/query
-// seam, so a tenant over its quota gets the same shape of answer an
-// overloaded wire would give a reporter: kResourceExhausted with a
-// retry-after hint equal to the bucket's refill horizon. Admission is
-// never silent — every shed is counted and typed.
+// DTA's translator tier already sheds load with a token bucket + NACKs
+// (§5.2); the serving plane gives each tenant quota that same bucket
+// (translator::RateLimiter) at the Backend::submit/query seam, so a
+// tenant over its quota gets the same shape of answer an overloaded
+// wire would give a reporter: kResourceExhausted with a retry-after
+// hint equal to the bucket's refill horizon. Admission is never
+// silent — every shed is counted and typed.
 //
-// Tenant 0 (kDefaultTenant) is the default/unregistered tenant: it is
-// never shed and its traffic lands in the shared row. A quota rate of
-// 0 means unlimited (admission always passes; only counting happens).
+// A tenant with no bucket is never shed: an unregistered tenant
+// (tenant 0, kDefaultTenant, included) and a quota rate of 0
+// (unlimited) are only counted, each in its own row.
 //
 // Thread-safe: each admission direction (submit, query) has its own
 // mutex on its own cache line, so a submitting thread and a querying
@@ -83,8 +83,6 @@ class TenantRegistry {
   // restart full at the configured burst; a zero rate removes that
   // dimension's bucket, so the tenant is no longer shed there.
   void register_tenant(TenantId tenant, TenantConfig config);
-  bool is_registered(TenantId tenant) const;
-  std::optional<TenantConfig> config(TenantId tenant) const;
 
   // Admission at the submit seam: ok and counted, or
   // kResourceExhausted carrying the token-refill horizon (ns) as the
@@ -106,35 +104,34 @@ class TenantRegistry {
   QueryOptions query_defaults(TenantId tenant) const;
 
   // One row per tenant ever seen (registered or merely counted),
-  // sorted by tenant id. Tenant 0's row aggregates all unregistered
-  // traffic.
+  // sorted by tenant id.
   std::vector<TenantStatsRow> stats() const;
   TenantCounters counters(TenantId tenant) const;
 
  private:
-  struct Tally {
+  // One tenant in one admission direction: its token bucket (only a
+  // registered nonzero rate installs one) beside its tallies.
+  struct Account {
+    std::optional<translator::RateLimiter> bucket;
     std::uint64_t admitted = 0;
     std::uint64_t shed = 0;
   };
 
-  // One admission direction: its token buckets (only tenants with a
-  // nonzero rate get one; everyone else passes through) and its
-  // per-tenant tallies, behind a lock of its own on a cache line of its
-  // own.
+  // One admission direction: its tenants' accounts, behind a lock of
+  // its own on a cache line of its own.
   struct alignas(64) Direction {
-    explicit Direction(const char* verb_name);
+    explicit Direction(const char* verb_name) : verb(verb_name) {}
 
     mutable Mutex mu;
-    translator::RateLimiter limiter DTA_GUARDED_BY(mu);
-    std::unordered_map<TenantId, Tally> tallies DTA_GUARDED_BY(mu);
+    std::unordered_map<TenantId, Account> accounts DTA_GUARDED_BY(mu);
     const char* verb;  // for shed messages; set once
   };
 
   common::VirtualNs now_ns() const;
   Status admit(Direction& direction, TenantId tenant, common::VirtualNs now,
                std::uint32_t ops) DTA_EXCLUDES(direction.mu);
-  // Installs or drops `tenant`'s bucket on one direction (rate 0 =
-  // unlimited) and gives the tenant a tally row.
+  // Installs (full) or drops `tenant`'s bucket on one direction (rate
+  // 0 = unlimited), keeping the account's tallies.
   static void set_quota(Direction& direction, TenantId tenant, double rate,
                         std::uint32_t burst) DTA_REQUIRES(direction.mu);
   static TenantCounters merge(TenantId tenant, const Direction& submit,
@@ -147,7 +144,7 @@ class TenantRegistry {
   Direction submit_;
   Direction query_;
   // Read on the query side (query_defaults), so it shares that lock.
-  std::unordered_map<TenantId, TenantConfig> configs_
+  std::unordered_map<TenantId, QueryOptions> query_defaults_
       DTA_GUARDED_BY(query_.mu);
 };
 

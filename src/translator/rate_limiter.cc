@@ -5,99 +5,45 @@
 
 namespace dta::translator {
 
-RateLimiter::RateLimiter(RateLimiterParams params)
-    : default_bucket_(params) {}
-
-void RateLimiter::set_tenant_params(TenantId tenant,
-                                    RateLimiterParams params) {
-  tenants_.erase(tenant);
-  tenants_.emplace(tenant, Bucket(params));
+double RateLimiter::tokens_at(common::VirtualNs now) const {
+  if (now <= last_refill_) return tokens_;
+  const double elapsed_s = static_cast<double>(now - last_refill_) * 1e-9;
+  return std::min(params_.burst,
+                  tokens_ + elapsed_s * params_.ops_per_second);
 }
 
-void RateLimiter::Bucket::refill(common::VirtualNs now) {
-  if (now <= last_refill) return;
-  const double elapsed_s = static_cast<double>(now - last_refill) * 1e-9;
-  tokens = std::min(params.burst, tokens + elapsed_s * params.ops_per_second);
-  last_refill = now;
-}
-
-RateLimiter::Bucket& RateLimiter::bucket_of(TenantId tenant) {
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? default_bucket_ : it->second;
-}
-
-const RateLimiter::Bucket& RateLimiter::bucket_of(TenantId tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? default_bucket_ : it->second;
-}
-
-bool RateLimiter::admit(TenantId tenant, common::VirtualNs now,
-                        std::uint32_t ops) {
-  Bucket& bucket = bucket_of(tenant);
-  bucket.refill(now);
+bool RateLimiter::admit(common::VirtualNs now, std::uint32_t ops) {
+  tokens_ = tokens_at(now);
+  last_refill_ = std::max(last_refill_, now);
   const double need = static_cast<double>(ops);
-  if (bucket.tokens >= need) {
-    bucket.tokens -= need;
-    ++bucket.admitted;
-    return true;
-  }
-  ++bucket.dropped;
-  return false;
+  if (tokens_ < need) return false;
+  tokens_ -= need;
+  return true;
 }
 
-common::VirtualNs RateLimiter::retry_after_ns(TenantId tenant,
-                                              common::VirtualNs now,
+common::VirtualNs RateLimiter::retry_after_ns(common::VirtualNs now,
                                               std::uint32_t ops) const {
-  const Bucket& bucket = bucket_of(tenant);
-  // Project the refill to `now` without mutating the bucket.
-  double tokens = bucket.tokens;
-  if (now > bucket.last_refill) {
-    const double elapsed_s =
-        static_cast<double>(now - bucket.last_refill) * 1e-9;
-    tokens = std::min(bucket.params.burst,
-                      tokens + elapsed_s * bucket.params.ops_per_second);
-  }
   // A request wider than the bucket is never admissible; saturate the
   // hint to the full-bucket refill so the caller still backs off a
   // finite, maximal interval.
   const double need =
-      std::min(static_cast<double>(ops), bucket.params.burst) - tokens;
+      std::min(static_cast<double>(ops), params_.burst) - tokens_at(now);
   if (need <= 0.0) return 0;
-  if (bucket.params.ops_per_second <= 0.0) return ~0ull >> 1;
-  const double ns = need / bucket.params.ops_per_second * 1e9;
+  if (params_.ops_per_second <= 0.0) return ~0ull >> 1;
+  const double ns = need / params_.ops_per_second * 1e9;
   return static_cast<common::VirtualNs>(std::ceil(ns));
 }
 
 std::optional<proto::NackReport> RateLimiter::make_nack(
-    TenantId tenant, proto::PrimitiveOp op, std::uint32_t dropped,
-    common::VirtualNs retry_after_ns) {
-  if (!bucket_of(tenant).params.nack_on_drop) return std::nullopt;
+    proto::PrimitiveOp op, std::uint32_t dropped,
+    common::VirtualNs retry_after_ns) const {
+  if (!params_.nack_on_drop) return std::nullopt;
   proto::NackReport nack;
   nack.dropped_op = op;
   nack.dropped_count = dropped;
   nack.retry_after_us = static_cast<std::uint32_t>(
       std::min<common::VirtualNs>(retry_after_ns / 1000, 0xFFFFFFFFull));
   return nack;
-}
-
-std::uint64_t RateLimiter::admitted() const {
-  std::uint64_t total = default_bucket_.admitted;
-  for (const auto& [id, bucket] : tenants_) total += bucket.admitted;
-  return total;
-}
-
-std::uint64_t RateLimiter::dropped() const {
-  std::uint64_t total = default_bucket_.dropped;
-  for (const auto& [id, bucket] : tenants_) total += bucket.dropped;
-  return total;
-}
-
-std::uint64_t RateLimiter::admitted(TenantId tenant) const {
-  return bucket_of(tenant).admitted;
-}
-
-std::uint64_t RateLimiter::dropped(TenantId tenant) const {
-  return bucket_of(tenant).dropped;
 }
 
 }  // namespace dta::translator

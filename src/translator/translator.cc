@@ -22,8 +22,7 @@ void Translator::emit_ops(std::vector<RdmaOp>& ops, proto::PrimitiveOp op,
     // The shed is never silent: the NACK carries the bucket's refill
     // horizon back to the reporter as a retry-after hint.
     if (auto nack = rate_limiter_.make_nack(
-            kDefaultTenant, op, count,
-            rate_limiter_.retry_after_ns(kDefaultTenant, now, count))) {
+            op, count, rate_limiter_.retry_after_ns(now, count))) {
       send_nack(*nack, reporter_ip);
     }
     ops.clear();

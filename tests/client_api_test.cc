@@ -817,6 +817,122 @@ TEST_P(ClientApiTest, TwoTenantsSubmitConcurrently) {
   EXPECT_EQ(client.tenants().counters(3).submits_admitted, kPerTenant);
 }
 
+// A registered quota whose rate is `per_second` in both directions
+// over a bucket of `burst` tokens.
+TenantConfig quota_config(double per_second, std::uint32_t burst) {
+  TenantConfig config;
+  config.quota.submits_per_second = per_second;
+  config.quota.submit_burst = burst;
+  config.quota.queries_per_second = per_second;
+  config.quota.query_burst = burst;
+  return config;
+}
+
+// Each registered tenant draws on a bucket of its own, and a tenant
+// with no bucket is counted but never shed.
+TEST(TenantRegistry, BucketedTenantsDrainIndependently) {
+  TenantRegistry registry;
+  registry.register_tenant(7, quota_config(1e9, 4));
+  registry.register_tenant(8, quota_config(1e9, 4));
+
+  // Tenant 7 drains its own bucket...
+  EXPECT_TRUE(registry.admit_submit_at(7, 0, 4).ok());
+  EXPECT_EQ(registry.admit_submit_at(7, 0, 1).code(),
+            StatusCode::kResourceExhausted);
+  // ...and neither tenant 8's submit bucket nor its own query bucket
+  // lost a token.
+  EXPECT_TRUE(registry.admit_submit_at(8, 0, 4).ok());
+  EXPECT_TRUE(registry.admit_query_at(7, 0, 4).ok());
+  EXPECT_EQ(registry.admit_query_at(8, 0, 5).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE(registry.admit_query_at(8, 0, 4).ok());
+
+  // Unregistered tenants, the default one included, have no bucket.
+  for (TenantId tenant : {kDefaultTenant, TenantId{42}}) {
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_TRUE(registry.admit_submit_at(tenant, 0, 1000).ok());
+      EXPECT_TRUE(registry.admit_query_at(tenant, 0, 1000).ok());
+    }
+    const TenantCounters c = registry.counters(tenant);
+    EXPECT_EQ(c.submits_admitted, 100'000u);
+    EXPECT_EQ(c.queries_admitted, 100'000u);
+    EXPECT_EQ(c.submits_shed + c.queries_shed, 0u);
+  }
+
+  const TenantCounters seven = registry.counters(7);
+  EXPECT_EQ(seven.submits_admitted, 4u);
+  EXPECT_EQ(seven.submits_shed, 1u);
+  EXPECT_EQ(seven.queries_admitted, 4u);
+  EXPECT_EQ(seven.queries_shed, 0u);
+  const TenantCounters eight = registry.counters(8);
+  EXPECT_EQ(eight.submits_admitted, 4u);
+  EXPECT_EQ(eight.submits_shed, 0u);
+  EXPECT_EQ(eight.queries_admitted, 4u);
+  EXPECT_EQ(eight.queries_shed, 5u);
+  EXPECT_EQ(registry.stats().size(), 4u);  // tenants 0, 7, 8 and 42
+}
+
+TEST(TenantRegistry, BucketRefillsAtItsTenantsRate) {
+  TenantRegistry registry;
+  registry.register_tenant(3, quota_config(1e9, 8));  // 1 token/ns
+  registry.register_tenant(4, quota_config(1e6, 8));  // 1 token/us
+  for (TenantId tenant : {3u, 4u}) {
+    ASSERT_TRUE(registry.admit_submit_at(tenant, 0, 8).ok());
+    ASSERT_FALSE(registry.admit_submit_at(tenant, 0, 1).ok());
+  }
+  // 4 ns later tenant 3 has four tokens back, tenant 4 none yet.
+  EXPECT_TRUE(registry.admit_submit_at(3, 4, 4).ok());
+  EXPECT_FALSE(registry.admit_submit_at(3, 4, 1).ok());
+  EXPECT_FALSE(registry.admit_submit_at(4, 4, 1).ok());
+  // 4 us later tenant 4 has about four back, and tenant 3 is full
+  // again.
+  EXPECT_TRUE(registry.admit_submit_at(4, 4000, 3).ok());
+  EXPECT_FALSE(registry.admit_submit_at(4, 4000, 2).ok());
+  EXPECT_TRUE(registry.admit_submit_at(3, 4000, 8).ok());
+}
+
+TEST(TenantRegistry, ShedCarriesRefillHorizonAsRetryAfter) {
+  TenantRegistry registry;
+  registry.register_tenant(5, quota_config(1e9, 10));  // 1 token/ns
+  registry.register_tenant(6, quota_config(1e6, 10));  // 1 token/us
+  ASSERT_TRUE(registry.admit_submit_at(5, 0, 10).ok());
+  ASSERT_TRUE(registry.admit_query_at(6, 0, 10).ok());
+
+  const Status submit = registry.admit_submit_at(5, 0, 3);
+  EXPECT_EQ(submit.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(submit.retry_after_ns(), 3u);
+  // Wider than the bucket: the full-bucket horizon, not a promise.
+  EXPECT_EQ(registry.admit_submit_at(5, 0, 64).retry_after_ns(), 10u);
+  // Refill since the last admission shortens the horizon.
+  EXPECT_EQ(registry.admit_submit_at(5, 1, 3).retry_after_ns(), 2u);
+
+  const Status query = registry.admit_query_at(6, 0, 3);
+  EXPECT_EQ(query.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(query.retry_after_ns(), 3000u);
+  EXPECT_EQ(registry.counters(5).submits_shed, 3u + 3u + 64u);
+  EXPECT_EQ(registry.counters(6).queries_shed, 3u);
+}
+
+TEST(TenantRegistry, ReRegistrationRestartsWithAFullBucket) {
+  TenantRegistry registry;
+  registry.register_tenant(9, quota_config(1.0, 4));  // 1 token/s
+  ASSERT_TRUE(registry.admit_submit_at(9, 0, 4).ok());
+  ASSERT_TRUE(registry.admit_query_at(9, 0, 4).ok());
+  ASSERT_FALSE(registry.admit_submit_at(9, 0, 1).ok());
+  ASSERT_FALSE(registry.admit_query_at(9, 0, 1).ok());
+
+  registry.register_tenant(9, quota_config(1.0, 4));
+  EXPECT_TRUE(registry.admit_submit_at(9, 0, 4).ok());
+  EXPECT_TRUE(registry.admit_query_at(9, 0, 4).ok());
+  EXPECT_FALSE(registry.admit_submit_at(9, 0, 1).ok());
+  // The tallies carry over the re-registration.
+  const TenantCounters c = registry.counters(9);
+  EXPECT_EQ(c.submits_admitted, 8u);
+  EXPECT_EQ(c.submits_shed, 2u);
+  EXPECT_EQ(c.queries_admitted, 8u);
+  EXPECT_EQ(c.queries_shed, 1u);
+}
+
 // Submit-side and query-side admission take separate locks (TSan
 // target): one thread admits submits while another admits queries for
 // the same tenant, with quotas installed on both sides, and a third

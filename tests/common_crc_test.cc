@@ -164,29 +164,6 @@ TEST(Crc32, HardwareDispatchOnlyForValuePoly) {
 #endif
 }
 
-TEST(Crc32, BatchMatchesPerMessage) {
-  std::mt19937 rng(0xDA7A0703u);
-  Bytes pool(65536);
-  for (auto& b : pool) b = static_cast<std::uint8_t>(rng());
-  for (const Crc32* crc : catalogue_engines()) {
-    // Deliberately ragged batch sizes (including < 4, the interleave
-    // width) and ragged message lengths.
-    for (std::size_t count : {0u, 1u, 3u, 4u, 5u, 16u, 33u}) {
-      std::vector<ByteSpan> msgs;
-      for (std::size_t i = 0; i < count; ++i) {
-        msgs.emplace_back(pool.data() + rng() % 128, rng() % 777);
-      }
-      std::vector<std::uint32_t> batched(count, 0);
-      crc->compute_batch(msgs.data(), count, batched.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(batched[i], crc->compute(msgs[i]))
-            << "poly=0x" << std::hex << crc->polynomial() << " i=" << std::dec
-            << i << "/" << count;
-      }
-    }
-  }
-}
-
 TEST(Crc32, MultiEngineMatchesPerEngine) {
   std::mt19937 rng(0xDA7A0704u);
   Bytes pool(4096);
@@ -199,25 +176,6 @@ TEST(Crc32, MultiEngineMatchesPerEngine) {
     Crc32::compute_multi(engines.data(), count, msg, multi.data());
     for (std::size_t e = 0; e < count; ++e) {
       ASSERT_EQ(multi[e], engines[e]->compute(msg));
-    }
-  }
-}
-
-TEST(Crc32, ShardOfBatchMatchesShardOf) {
-  std::mt19937 rng(0xDA7A0705u);
-  std::vector<Bytes> keys;
-  std::vector<ByteSpan> spans;
-  for (int i = 0; i < 100; ++i) {
-    Bytes key(1 + rng() % 40);
-    for (auto& b : key) b = static_cast<std::uint8_t>(rng());
-    keys.push_back(std::move(key));
-  }
-  for (const auto& k : keys) spans.emplace_back(k.data(), k.size());
-  for (std::uint32_t shards : {1u, 2u, 7u, 16u}) {
-    std::vector<std::uint32_t> out(spans.size(), 1234567u);
-    shard_of_batch(spans.data(), spans.size(), shards, out.data());
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-      ASSERT_EQ(out[i], shard_of(spans[i], shards));
     }
   }
 }

@@ -562,17 +562,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSnapshotSweep,
                          ::testing::Values(3u, 17u, 4242u, 90210u));
 
 // ------------------------------------------------------------------------
-// Hot-path equivalence: the interleaved batch CRC APIs are pure
-// optimizations — each must be observationally identical to the scalar
-// call it bypasses.
+// Hot-path equivalence: the interleaved multi-engine CRC is a pure
+// optimization — observationally identical to the scalar calls it
+// bypasses.
 // ------------------------------------------------------------------------
 
-class CrcBatchEquivalenceSweep : public ::testing::TestWithParam<unsigned> {};
+class CrcMultiEquivalenceSweep : public ::testing::TestWithParam<unsigned> {};
 
-// The interleaved batch-hash APIs are bit-exact aliases of the scalar
-// calls, for every catalogue engine, across random message lengths and
-// alignments (including empty messages and lanes of unequal length).
-TEST_P(CrcBatchEquivalenceSweep, BatchApisMatchScalarCalls) {
+// compute_multi is a bit-exact alias of one compute() per engine, for
+// catalogue engines of every kind (the CRC32C one, whose compute() may
+// run on the CPU instruction, included), across random message lengths
+// and alignments (empty messages included).
+TEST_P(CrcMultiEquivalenceSweep, MultiEngineMatchesScalarCalls) {
   common::Rng rng(common::test_seed(GetParam()));
   std::vector<std::uint8_t> pool(4096);
   for (auto& b : pool) b = static_cast<std::uint8_t>(rng.next_below(256));
@@ -583,41 +584,17 @@ TEST_P(CrcBatchEquivalenceSweep, BatchApisMatchScalarCalls) {
   };
 
   for (int round = 0; round < 50; ++round) {
-    const std::size_t count = rng.next_below(13);  // not a multiple of 4
-    std::vector<ByteSpan> msgs(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t len = rng.next_below(65);
-      const std::size_t off = rng.next_below(pool.size() - 64);
-      msgs[i] = ByteSpan(pool.data() + off, len);
-    }
-
-    for (const common::Crc32* engine : engines) {
-      std::vector<std::uint32_t> batch(count), scalar(count);
-      engine->compute_batch(msgs.data(), count, batch.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        scalar[i] = engine->compute(msgs[i]);
-      }
-      EXPECT_EQ(batch, scalar) << "poly " << std::hex
-                               << engine->polynomial();
-    }
-
-    if (count > 0) {
-      std::uint32_t multi[6], single[6];
-      common::Crc32::compute_multi(engines, 6, msgs[0], multi);
-      for (int e = 0; e < 6; ++e) single[e] = engines[e]->compute(msgs[0]);
-      for (int e = 0; e < 6; ++e) EXPECT_EQ(multi[e], single[e]) << e;
-    }
-
-    std::vector<std::uint32_t> shards(count), shards_ref(count);
-    common::shard_of_batch(msgs.data(), count, 7, shards.data());
-    for (std::size_t i = 0; i < count; ++i) {
-      shards_ref[i] = common::shard_of(msgs[i], 7);
-    }
-    EXPECT_EQ(shards, shards_ref);
+    const std::size_t len = rng.next_below(65);
+    const std::size_t off = rng.next_below(pool.size() - 64);
+    const ByteSpan msg(pool.data() + off, len);
+    std::uint32_t multi[6], single[6];
+    common::Crc32::compute_multi(engines, 6, msg, multi);
+    for (int e = 0; e < 6; ++e) single[e] = engines[e]->compute(msg);
+    for (int e = 0; e < 6; ++e) EXPECT_EQ(multi[e], single[e]) << e;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CrcBatchEquivalenceSweep,
+INSTANTIATE_TEST_SUITE_P(Seeds, CrcMultiEquivalenceSweep,
                          ::testing::Values(2u, 19u, 7777u));
 
 }  // namespace

@@ -573,7 +573,8 @@ TEST(IndexPublisher, StressReaderCatchupRacesWriterPublish) {
       while (!done) {
         done = true;
         for (std::uint32_t s = 0; s < kShards; ++s) {
-          const std::uint64_t want = advertised[s].load(std::memory_order_acquire);
+          const std::uint64_t want =
+              advertised[s].load(std::memory_order_acquire);
           const auto version = publisher.version_at_least(s, want);
           // Enqueued before advertised => the catch-up covers it, and
           // published generations never move backwards.
@@ -630,8 +631,8 @@ CollectorRuntimeConfig stores_config(std::uint32_t shards,
 // Feeds the same four-store workload through `client`; when `flushes`
 // is large the deltas arrive in many small batches (incremental), when
 // it is 1 everything lands in one delivery (rebuild-equivalent).
-std::map<std::uint32_t, std::uint8_t> drive_workload(Client& client,
-                                                     std::uint32_t flush_every) {
+std::map<std::uint32_t, std::uint8_t> drive_workload(
+    Client& client, std::uint32_t flush_every) {
   std::map<std::uint32_t, std::uint8_t> masks;
   std::uint32_t since_flush = 0;
   auto maybe_flush = [&] {

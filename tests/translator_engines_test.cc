@@ -695,7 +695,7 @@ TEST(RateLimiter, NackCarriesDropInfo) {
   RateLimiterParams params;
   params.nack_on_drop = true;
   RateLimiter limiter(params);
-  auto nack = limiter.make_nack(proto::PrimitiveOp::kAppend, 16);
+  auto nack = limiter.make_nack(proto::PrimitiveOp::kAppend, 16, 0);
   ASSERT_TRUE(nack);
   EXPECT_EQ(nack->dropped_op, proto::PrimitiveOp::kAppend);
   EXPECT_EQ(nack->dropped_count, 16u);
@@ -705,86 +705,30 @@ TEST(RateLimiter, NackDisabled) {
   RateLimiterParams params;
   params.nack_on_drop = false;
   RateLimiter limiter(params);
-  EXPECT_FALSE(limiter.make_nack(proto::PrimitiveOp::kKeyWrite, 1));
+  EXPECT_FALSE(limiter.make_nack(proto::PrimitiveOp::kKeyWrite, 1, 0));
 }
 
-// ------------------------------------------- Rate limiter: tenant buckets
-
-TEST(RateLimiterTenants, ConfiguredTenantsAreIsolated) {
-  RateLimiterParams shared;
-  shared.ops_per_second = 1e9;
-  shared.burst = 100;
-  RateLimiter limiter(shared);
-  RateLimiterParams small;
-  small.ops_per_second = 1e9;
-  small.burst = 4;
-  limiter.set_tenant_params(7, small);
-  limiter.set_tenant_params(8, small);
-
-  // Tenant 7 drains its own bucket...
-  EXPECT_TRUE(limiter.admit(7, 0, 4));
-  EXPECT_FALSE(limiter.admit(7, 0, 1));
-  // ...without touching tenant 8's or the shared default bucket.
-  EXPECT_TRUE(limiter.admit(8, 0, 4));
-  EXPECT_TRUE(limiter.admit(kDefaultTenant, 0, 100));
-  EXPECT_EQ(limiter.dropped(7), 1u);
-  EXPECT_EQ(limiter.dropped(8), 0u);
-  EXPECT_EQ(limiter.dropped(), 1u);
-}
-
-TEST(RateLimiterTenants, UnconfiguredTenantsShareDefaultBucket) {
-  RateLimiterParams shared;
-  shared.ops_per_second = 1e9;
-  shared.burst = 10;
-  RateLimiter limiter(shared);
-  EXPECT_FALSE(limiter.has_tenant_bucket(42));
-
-  // Two unconfigured tenants compete for the same shared tokens.
-  EXPECT_TRUE(limiter.admit(42, 0, 6));
-  EXPECT_FALSE(limiter.admit(43, 0, 6));
-  // Per-tenant counters for unconfigured tenants read the shared bucket.
-  EXPECT_EQ(limiter.admitted(42), 1u);
-  EXPECT_EQ(limiter.dropped(43), 1u);
-}
-
-TEST(RateLimiterTenants, TenantBucketRefillsAtItsOwnRate) {
-  RateLimiterParams shared;
-  shared.ops_per_second = 1.0;  // shared bucket refills glacially
-  shared.burst = 1;
-  RateLimiter limiter(shared);
-  RateLimiterParams fast;
-  fast.ops_per_second = 1e9;  // 1 token/ns
-  fast.burst = 8;
-  limiter.set_tenant_params(3, fast);
-
-  EXPECT_TRUE(limiter.admit(3, 0, 8));
-  EXPECT_FALSE(limiter.admit(3, 0, 4));
-  EXPECT_TRUE(limiter.admit(3, 4, 4));  // 4ns later: 4 tokens back
-}
-
-TEST(RateLimiterTenants, RetryAfterTracksRefillHorizon) {
+TEST(RateLimiter, RetryAfterTracksRefillHorizon) {
   RateLimiterParams params;
   params.ops_per_second = 1e9;  // 1 token/ns
   params.burst = 10;
   RateLimiter limiter(params);
-  limiter.set_tenant_params(5, params);
 
-  EXPECT_EQ(limiter.retry_after_ns(5, 0, 10), 0u);  // full bucket
-  EXPECT_TRUE(limiter.admit(5, 0, 10));
-  EXPECT_EQ(limiter.retry_after_ns(5, 0, 10), 10u);  // full drain: 10ns
-  EXPECT_EQ(limiter.retry_after_ns(5, 0, 3), 3u);
+  EXPECT_EQ(limiter.retry_after_ns(0, 10), 0u);  // full bucket
+  EXPECT_TRUE(limiter.admit(0, 10));
+  EXPECT_EQ(limiter.retry_after_ns(0, 10), 10u);  // full drain: 10ns
+  EXPECT_EQ(limiter.retry_after_ns(0, 3), 3u);
+  EXPECT_EQ(limiter.retry_after_ns(2, 3), 1u);  // 2ns of refill counted
   // Requests beyond the bucket depth saturate to the full-bucket
   // horizon instead of promising the impossible.
-  EXPECT_EQ(limiter.retry_after_ns(5, 0, 64), 10u);
+  EXPECT_EQ(limiter.retry_after_ns(0, 64), 10u);
 }
 
-TEST(RateLimiterTenants, TenantNackCarriesRetryHint) {
+TEST(RateLimiter, NackCarriesRetryHint) {
   RateLimiterParams params;
   params.nack_on_drop = true;
   RateLimiter limiter(params);
-  limiter.set_tenant_params(6, params);
-  auto nack =
-      limiter.make_nack(6, proto::PrimitiveOp::kKeyWrite, 3, 2'500'000);
+  auto nack = limiter.make_nack(proto::PrimitiveOp::kKeyWrite, 3, 2'500'000);
   ASSERT_TRUE(nack);
   EXPECT_EQ(nack->dropped_count, 3u);
   EXPECT_EQ(nack->retry_after_us, 2500u);  // ns clamped into us hint
