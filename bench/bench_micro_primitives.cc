@@ -344,31 +344,29 @@ struct FoldResult {
 };
 
 constexpr std::uint64_t kFoldKeys = 1u << 19;
-constexpr std::size_t kFoldDeltas = collector::IndexPublisher::kPublishBatch;
-constexpr std::size_t kFoldKeysPerDelta = 8;
+constexpr std::size_t kFoldBatches = collector::IndexPublisher::kPublishBatch;
+constexpr std::size_t kFoldKeysPerBatch = 8;
 constexpr int kFoldRewriteWindows = 2000;
 
 // A 2^19-key index at the publisher's leaf target (128), built
-// from windows of 64 deltas x 8 fresh mixed keys, then 2,000 windows of
+// from windows of 64 batches x 8 fresh mixed keys, then 2,000 windows of
 // the same shape that rewrite present keys: the steady state of a
 // Key-Write shard whose flows are all indexed. Windows are generated
 // outside the timed apply.
 FoldResult bench_index_fold() {
   collector::ShardIndexBuilder builder(
       collector::IndexPublisher::kTargetLeafEntries);
-  std::vector<collector::IndexDelta> window(kFoldDeltas);
+  std::vector<collector::IndexEntry> window;
   std::uint64_t generation = 0;
   auto fill = [&](auto&& next_id) {
-    for (auto& delta : window) {
-      delta.generation = ++generation;
-      delta.keys.clear();
-      for (std::size_t k = 0; k < kFoldKeysPerDelta; ++k) {
-        delta.keys.push_back(
-            {benchutil::mixed_key(next_id()), collector::kIndexKeyWrite});
-      }
+    generation += kFoldBatches;
+    window.clear();
+    for (std::size_t k = 0; k < kFoldBatches * kFoldKeysPerBatch; ++k) {
+      window.push_back(
+          {benchutil::mixed_key(next_id()), collector::kIndexKeyWrite});
     }
   };
-  constexpr double kWindowKeys = kFoldDeltas * kFoldKeysPerDelta;
+  constexpr double kWindowKeys = kFoldBatches * kFoldKeysPerBatch;
 
   FoldResult out;
   double seconds = 0;
@@ -376,7 +374,7 @@ FoldResult bench_index_fold() {
   while (id < kFoldKeys) {
     fill([&] { return id++; });
     benchutil::WallTimer timer;
-    builder.apply(window);
+    builder.apply(generation, window);
     seconds += timer.seconds();
   }
   out.build_ns_per_key = seconds * 1e9 / static_cast<double>(kFoldKeys);
@@ -387,7 +385,7 @@ FoldResult bench_index_fold() {
   for (int w = 0; w < kFoldRewriteWindows; ++w) {
     fill([&] { return rng.next_below(kFoldKeys); });
     benchutil::WallTimer timer;
-    builder.apply(window);
+    builder.apply(generation, window);
     seconds += timer.seconds();
   }
   out.rewrite_ns_per_key = seconds * 1e9 / (kFoldRewriteWindows * kWindowKeys);
@@ -471,8 +469,8 @@ int main() {
 
   const FoldResult fold = bench_index_fold();
   std::printf("\nIndex fold (2^19 mixed keys, target 128, windows of %zu "
-              "deltas x %zu keys):\n",
-              kFoldDeltas, kFoldKeysPerDelta);
+              "batches x %zu keys):\n",
+              kFoldBatches, kFoldKeysPerBatch);
   std::printf("  build, first-time keys     %8.1f ns/key\n",
               fold.build_ns_per_key);
   std::printf("  rewrite, present keys      %8.1f ns/key  (%d windows, "
@@ -488,7 +486,7 @@ int main() {
                  "  \"rewrite_ns_per_key\": %.1f,\n"
                  "  \"rewrite_leaf_copies\": %llu\n}\n",
                  static_cast<unsigned long long>(kFoldKeys),
-                 kFoldDeltas * kFoldKeysPerDelta, kFoldRewriteWindows,
+                 kFoldBatches * kFoldKeysPerBatch, kFoldRewriteWindows,
                  fold.leaves, fold.build_ns_per_key, fold.rewrite_ns_per_key,
                  static_cast<unsigned long long>(fold.rewrite_leaf_copies));
     std::fclose(fold_json);

@@ -9,26 +9,29 @@ IndexPublisher::IndexPublisher(std::size_t num_shards) {
   }
 }
 
-void IndexPublisher::apply_queue_locked(Shard& shard) {
-  if (shard.queue.empty()) return;
-  shard.builder.apply(shard.queue);
-  const std::uint64_t applied = shard.queue.size();
-  shard.queue.clear();
+void IndexPublisher::fold_window_locked(Shard& shard) {
+  if (shard.window_batches == 0) return;
+  shard.builder.apply(shard.window_generation, shard.window);
+  batches_folded_.fetch_add(shard.window_batches, std::memory_order_relaxed);
+  shard.window.clear();
+  shard.window_batches = 0;
   std::atomic_store_explicit(&shard.published, shard.builder.publish(),
                              std::memory_order_release);
-  deltas_applied_.fetch_add(applied, std::memory_order_relaxed);
   publishes_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void IndexPublisher::enqueue(std::uint32_t shard_index, IndexDelta delta) {
+void IndexPublisher::append(std::uint32_t shard_index,
+                            std::uint64_t generation,
+                            common::Span<const IndexEntry> keys) {
   Shard& shard = *shards_[shard_index];
   MutexLock lock(shard.mu);
-  shard.queue.push_back(std::move(delta));
-  deltas_enqueued_.fetch_add(1, std::memory_order_relaxed);
+  shard.window.insert(shard.window.end(), keys.begin(), keys.end());
+  shard.window_generation = generation;
+  batches_appended_.fetch_add(1, std::memory_order_relaxed);
   // Defer-publish: fold the window in only when it fills. An op batch
   // is ~op_batch_size verbs, so the builder runs once per
   // kPublishBatch * op_batch_size delivered verbs.
-  if (shard.queue.size() >= kPublishBatch) apply_queue_locked(shard);
+  if (++shard.window_batches >= kPublishBatch) fold_window_locked(shard);
 }
 
 std::shared_ptr<const ShardIndexVersion> IndexPublisher::published(
@@ -48,15 +51,15 @@ std::shared_ptr<const ShardIndexVersion> IndexPublisher::version_at_least(
                                       std::memory_order_acquire);
   if (version->generation() >= min_generation) return version;
   reader_catchups_.fetch_add(1, std::memory_order_relaxed);
-  apply_queue_locked(shard);
+  fold_window_locked(shard);
   return std::atomic_load_explicit(&shard.published,
                                    std::memory_order_acquire);
 }
 
 IndexPublisherStats IndexPublisher::stats() const {
   IndexPublisherStats out;
-  out.deltas_enqueued = deltas_enqueued_.load(std::memory_order_relaxed);
-  out.deltas_applied = deltas_applied_.load(std::memory_order_relaxed);
+  out.batches_appended = batches_appended_.load(std::memory_order_relaxed);
+  out.batches_folded = batches_folded_.load(std::memory_order_relaxed);
   out.publishes = publishes_.load(std::memory_order_relaxed);
   out.reader_catchups = reader_catchups_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {

@@ -1,26 +1,27 @@
-// Defer-publish side of the secondary index: per-shard build queues in
-// front of a ShardIndexBuilder, with an atomically published immutable
-// ShardIndexVersion per shard.
+// Defer-publish side of the secondary index: one flat key window per
+// shard in front of a ShardIndexBuilder, with an atomically published
+// immutable ShardIndexVersion per shard.
 //
-// Writer side: CollectorShard::deliver_batch enqueues one IndexDelta
-// (the batch's keys and generation) per delivered op batch — a lock, a
-// vector push, an unlock. The builder does NOT run per batch; deltas
-// accumulate until kPublishBatch of them are queued (the defer-publish
-// window), and then the shard worker that filled the window folds all
-// of them at once and publishes one version. That fold is ingest work:
-// it probes every window key against the leaves, 16 keys in lockstep
-// so their cache misses overlap, and beyond that costs what the window
-// changed (the keys it sorts plus the leaves it adds a key or a mask
-// bit to).
-// A window that rewrites keys the index already holds sorts nothing,
-// copies no leaf and republishes the same leaf vector.
+// Writer side: CollectorShard::deliver_batch appends each delivered op
+// batch's keys to its shard's window, with the generation the delivery
+// produced — a lock, one copy of the keys into a buffer that keeps its
+// capacity across folds, an unlock. The builder does NOT run per batch;
+// batches accumulate until kPublishBatch of them are in the window (the
+// defer-publish window), and then the shard worker that filled the
+// window folds it at once and publishes one version. That fold is
+// ingest work: it probes every window key against the leaves, 16 keys
+// in lockstep so their cache misses overlap, and beyond that costs what
+// the window changed (the keys it sorts plus the leaves it adds a key
+// or a mask bit to). A window that rewrites keys the index already
+// holds sorts nothing, copies no leaf and republishes the same leaf
+// vector; its publish is one allocation, the new ShardIndexVersion.
 //
 // Reader side: version_at_least(shard, G) is the query-path entry
 // point, with G the generation of the snapshot the query pinned. Fast
 // path: the published version already covers G — one atomic load, no
-// lock. Slow path: fold the queued window, publish once, return. The
-// shard enqueues each delta before bumping its generation counter, so
-// a generation observed from a snapshot is always covered by the queue;
+// lock. Slow path: fold the window, publish once, return. The shard
+// appends each batch's keys before bumping its generation counter, so a
+// generation observed from a snapshot is always covered by the window;
 // the catch-up can never come up short.
 #pragma once
 
@@ -35,8 +36,9 @@
 namespace dta::collector {
 
 struct IndexPublisherStats {
-  std::uint64_t deltas_enqueued = 0;
-  std::uint64_t deltas_applied = 0;
+  // Delivered batches appended to the windows, and folded from them.
+  std::uint64_t batches_appended = 0;
+  std::uint64_t batches_folded = 0;
   std::uint64_t publishes = 0;
   // Publishes forced by a reader that needed a newer generation than
   // the deferred window had published.
@@ -49,25 +51,29 @@ struct IndexPublisherStats {
 
 class IndexPublisher {
  public:
-  // Queued deltas that trigger an apply + publish from the writer side
-  // (the defer-publish window), and the leaf size the builders aim for.
+  // Batches in a window that trigger a fold + publish from the writer
+  // side (the defer-publish window), and the leaf size the builders aim
+  // for.
   static constexpr std::size_t kPublishBatch = 64;
   static constexpr std::uint32_t kTargetLeafEntries = 128;
 
   explicit IndexPublisher(std::size_t num_shards);
 
   // Called by the shard worker at every delivered batch (one writer per
-  // shard).
-  void enqueue(std::uint32_t shard, IndexDelta delta);
+  // shard): appends the batch's keys (duplicates allowed, masks are
+  // OR-merged) to the shard's window, at the store-memory generation
+  // the delivery produces.
+  void append(std::uint32_t shard, std::uint64_t generation,
+              common::Span<const IndexEntry> keys);
 
   // The currently published version (never null: shards start with an
   // empty version at generation 0). Lock-free.
   std::shared_ptr<const ShardIndexVersion> published(std::uint32_t shard) const;
 
   // A version whose generation is >= min_generation, catching the
-  // builder up over the queued deltas if the published one is behind.
+  // builder up over the window if the published one is behind.
   // `min_generation` must come from a snapshot of the same shard (or be
-  // 0); generations read that way are always covered by the queue.
+  // 0); generations read that way are always covered by the window.
   std::shared_ptr<const ShardIndexVersion> version_at_least(
       std::uint32_t shard, std::uint64_t min_generation);
 
@@ -77,7 +83,11 @@ class IndexPublisher {
  private:
   struct Shard {
     mutable Mutex mu;
-    std::vector<IndexDelta> queue DTA_GUARDED_BY(mu);
+    // The keys of the batches appended since the last fold, flat; the
+    // last batch's generation; the batch count toward kPublishBatch.
+    std::vector<IndexEntry> window DTA_GUARDED_BY(mu);
+    std::uint64_t window_generation DTA_GUARDED_BY(mu) = 0;
+    std::size_t window_batches DTA_GUARDED_BY(mu) = 0;
     ShardIndexBuilder builder DTA_GUARDED_BY(mu);
     // Written under mu, but read lock-free on the fast path with
     // std::atomic_load — the atomic shared_ptr protocol, not the lock,
@@ -87,12 +97,12 @@ class IndexPublisher {
     Shard() : builder(kTargetLeafEntries), published(builder.publish()) {}
   };
 
-  // Folds the queued window into the builder in one apply and publishes.
-  void apply_queue_locked(Shard& shard) DTA_REQUIRES(shard.mu);
+  // Folds the window into the builder in one apply and publishes.
+  void fold_window_locked(Shard& shard) DTA_REQUIRES(shard.mu);
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> deltas_enqueued_{0};
-  std::atomic<std::uint64_t> deltas_applied_{0};
+  std::atomic<std::uint64_t> batches_appended_{0};
+  std::atomic<std::uint64_t> batches_folded_{0};
   std::atomic<std::uint64_t> publishes_{0};
   std::atomic<std::uint64_t> reader_catchups_{0};
 };

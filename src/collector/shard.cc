@@ -124,16 +124,13 @@ void CollectorShard::deliver_batch() {
     }
   }
   pending_.clear();
-  // Hand the index its delta before the generation bump, so an observer
-  // of the new generation always finds the matching delta enqueued.
+  // Hand the index the batch's keys before the generation bump, so an
+  // observer of the new generation always finds them in the window.
+  // Both buffers keep their capacity, so this allocates nothing.
   if (index_publisher_ != nullptr) {
-    IndexDelta delta;
-    delta.generation = generation_.load(std::memory_order_relaxed) + 1;
-    // Copied out at the batch's size: staged_keys_ keeps its capacity,
-    // so the next batch stages without regrowing it from empty.
-    delta.keys.assign(staged_keys_.begin(), staged_keys_.end());
+    index_publisher_->append(
+        index_, generation_.load(std::memory_order_relaxed) + 1, staged_keys_);
     staged_keys_.clear();
-    index_publisher_->enqueue(index_, std::move(delta));
   }
   // The batch is in store memory; stamp a new generation. Release pairs
   // with the acquire in generation() so a reader that observes the new

@@ -10,7 +10,7 @@
 // favourable is preserved per shard — and coalesces the emitted RDMA
 // ops into batches that it executes directly on its queue pair
 // (Nic::execute_write / execute_fetch_add), so the per-batch
-// bookkeeping (index delta, generation bump) is paid once per doorbell,
+// bookkeeping (index keys, generation bump) is paid once per doorbell,
 // not once per verb. The RoCE frame round-trip lives in FabricBackend,
 // the wire-fidelity path.
 //
@@ -137,12 +137,12 @@ class CollectorShard {
   // Modeled ingest rate of this shard's NIC (verbs per virtual second).
   double modeled_verbs_per_sec() const;
 
-  // Secondary-index feed: when set, every delivered op batch hands the
-  // publisher one IndexDelta — the telemetry keys the batch's reports
+  // Secondary-index feed: when set, every delivered op batch appends to
+  // the publisher's window the telemetry keys the batch's reports
   // carried (staged at translate time; store memory cannot recover
-  // them) — stamped with the generation the delivery produces. The
-  // delta is enqueued *before* the generation bump, so an observer of
-  // generation G always finds delta G already queued. Call before
+  // them), stamped with the generation the delivery produces. They are
+  // appended *before* the generation bump, so an observer of generation
+  // G always finds batch G's keys already in the window. Call before
   // ingesting (not thread-safe against the worker).
   void set_index_publisher(IndexPublisher* publisher) {
     index_publisher_ = publisher;

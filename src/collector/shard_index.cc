@@ -101,8 +101,8 @@ void ShardIndexBuilder::emit_leaves(
   }
 }
 
-void ShardIndexBuilder::probe_window(const IndexLeafVector& leaves) {
-  const std::vector<IndexEntry>& keys = window_keys_;
+void ShardIndexBuilder::probe_window(const IndexLeafVector& leaves,
+                                     common::Span<const IndexEntry> keys) {
   for (std::size_t first = 0; first < keys.size(); first += kProbeLanes) {
     const std::size_t lanes = std::min(kProbeLanes, keys.size() - first);
     IndexSortKey key[kProbeLanes];
@@ -152,14 +152,9 @@ void ShardIndexBuilder::probe_window(const IndexLeafVector& leaves) {
   }
 }
 
-void ShardIndexBuilder::fold(const IndexDelta* deltas, std::size_t count) {
-  std::vector<IndexEntry>& keys = window_keys_;
-  keys.clear();
-  for (std::size_t d = 0; d < count; ++d) {
-    const IndexDelta& delta = deltas[d];
-    generation_ = std::max(generation_, delta.generation);
-    keys.insert(keys.end(), delta.keys.begin(), delta.keys.end());
-  }
+void ShardIndexBuilder::apply(std::uint64_t generation,
+                              common::Span<const IndexEntry> keys) {
+  generation_ = std::max(generation_, generation);
   if (keys.empty()) return;
 
   // Probe first, then sort and OR-merge only the keys that change
@@ -170,7 +165,7 @@ void ShardIndexBuilder::fold(const IndexDelta* deltas, std::size_t count) {
   if (old.empty()) {
     for (const IndexEntry& key : keys) changes_.push_back({key, 0});
   } else {
-    probe_window(old);
+    probe_window(old, keys);
   }
   if (changes_.empty()) return;
   std::sort(changes_.begin(), changes_.end(),

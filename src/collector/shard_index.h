@@ -6,15 +6,16 @@
 // range query over raw store memory is impossible and the scan path has
 // to walk a caller-supplied key catalog. The index closes that gap on
 // the translator side of the seam, where full keys are still in hand:
-// `CollectorShard` stages every translated report's key and hands the
-// batch to the IndexPublisher at each delivered op batch, stamped with
-// the store-memory generation that delivery produced.
+// `CollectorShard` stages every translated report's key and appends the
+// batch's keys to the IndexPublisher's window at each delivered op
+// batch, stamped with the store-memory generation that delivery
+// produced.
 //
 // The structure borrows the OVS decision-tree classifier playbook
 // (DT_INCREMENTAL_BUILD / DT_DEFER_PUBLISH / DT_LEAF_ONLY_COW /
 // OVS_VERSION_MECHANISM): a published ShardIndexVersion is an immutable
 // vector of immutable sorted leaves, readers walk it lock-free, and the
-// builder folds a whole window of deltas at once, replacing only the
+// builder folds a whole window of batches' keys at once, replacing only the
 // leaves the window adds a key or a mask bit to (leaf-only
 // copy-on-write). The builder keeps each leaf's first key in one
 // contiguous fence array, finds each window key's leaf there, and
@@ -93,18 +94,6 @@ inline bool index_key_less(const proto::TelemetryKey& a,
                            const proto::TelemetryKey& b) {
   return index_sort_key(a) < index_sort_key(b);
 }
-
-// One delivered op batch's worth of index maintenance: the keys the
-// batch touched (duplicates allowed, masks are OR-merged) and the
-// store-memory generation the delivery produced. The shard enqueues the
-// delta *before* bumping its generation counter, so any observer of
-// generation G knows delta G is already in the build queue. (Append
-// lists have no keys; their event-cursor heads come from the Append
-// engine's emitted counts, not from the index.)
-struct IndexDelta {
-  std::uint64_t generation = 0;
-  std::vector<IndexEntry> keys;
-};
 
 // One COW leaf: a sorted, duplicate-free run of entries. Immutable once
 // referenced by a published version.
@@ -204,25 +193,24 @@ class ShardIndexVersion {
   std::uint64_t key_count_;
 };
 
-// The incremental builder: folds windows of deltas with leaf-only COW
-// and stamps out immutable versions on publish(). Not thread-safe — the
+// The incremental builder: folds windows of keys with leaf-only COW and
+// stamps out immutable versions on publish(). Not thread-safe — the
 // publisher serializes access.
 class ShardIndexBuilder {
  public:
   explicit ShardIndexBuilder(std::uint32_t target_leaf_entries = 128);
 
-  // Folds a window of deltas at once: every window key is probed
-  // against the current leaves, the keys that add a key or a mask bit
-  // are sorted and their masks OR-merged once, new keys are inserted in
-  // order, and existing keys gain the new bits. A leaf is copied only
-  // when the window adds a key or a mask bit to it, and only copied
-  // leaves can split. The entries are independent of how the deltas are
-  // cut into windows.
-  void apply(const std::vector<IndexDelta>& window) {
-    fold(window.data(), window.size());
-  }
-  // The one-delta window.
-  void apply(const IndexDelta& delta) { fold(&delta, 1); }
+  // Folds one window: the keys delivered up to store-memory generation
+  // `generation` since the last fold (duplicates allowed, masks are
+  // OR-merged). Every key is probed against the current leaves, the
+  // keys that add a key or a mask bit are sorted and their masks
+  // OR-merged once, new keys are inserted in order, and existing keys
+  // gain the new bits. A leaf is copied only when the window adds a key
+  // or a mask bit to it, and only copied leaves can split. The entries
+  // are independent of how the keys are cut into windows; the
+  // generation never moves back, and advances even for a window with no
+  // key (a batch of Append writes).
+  void apply(std::uint64_t generation, common::Span<const IndexEntry> keys);
 
   // Freezes the current state into an immutable version (cheap: shares
   // the leaf and fence vectors, which the next leaf-changing apply
@@ -242,12 +230,12 @@ class ShardIndexBuilder {
     std::uint32_t leaf = 0;
   };
 
-  void fold(const IndexDelta* deltas, std::size_t count);
-  // Appends to changes_ every window key that `leaves` lacks, or holds
-  // without all of its mask bits, with its leaf. Keys go 16 at a time:
-  // each key's leaf is found in fences_, then the key is searched for
-  // in that leaf, the group's searches stepped together.
-  void probe_window(const IndexLeafVector& leaves);
+  // Appends to changes_ every key that `leaves` lacks, or holds without
+  // all of its mask bits, with its leaf. Keys go 16 at a time: each
+  // key's leaf is found in fences_, then the key is searched for in
+  // that leaf, the group's searches stepped together.
+  void probe_window(const IndexLeafVector& leaves,
+                    common::Span<const IndexEntry> keys);
   // Appends `run` to `leaves` as one leaf, or, above 2 x target entries,
   // cut into run.size() / target pieces of target..2 x target entries,
   // and each new leaf's first key to `fences`.
@@ -265,9 +253,8 @@ class ShardIndexBuilder {
   // published with it.
   std::shared_ptr<const IndexFenceVector> fences_;
   // Scratch reused across windows so a steady-state fold does not
-  // allocate: the window's keys as delivered, and the ones that change
-  // a leaf (then sorted and OR-deduplicated).
-  std::vector<IndexEntry> window_keys_;
+  // allocate: the window keys that change a leaf (then sorted and
+  // OR-deduplicated).
   std::vector<Change> changes_;
 };
 

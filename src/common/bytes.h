@@ -101,27 +101,37 @@ using ByteSpan = Span<const std::uint8_t>;
 using MutByteSpan = Span<std::uint8_t>;
 
 // -- Big-endian primitive writers -------------------------------------------
+//
+// Each appends to any byte container with push_back and end-insert:
+// Bytes, or a SmallBytes (common/small_bytes.h).
 
-inline void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
+template <typename Out>
+void put_u8(Out& out, std::uint8_t v) {
+  out.push_back(v);
+}
 
-inline void put_u16(Bytes& out, std::uint16_t v) {
+template <typename Out>
+void put_u16(Out& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 8));
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-inline void put_u32(Bytes& out, std::uint32_t v) {
+template <typename Out>
+void put_u32(Out& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
   out.push_back(static_cast<std::uint8_t>(v >> 16));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-inline void put_u64(Bytes& out, std::uint64_t v) {
+template <typename Out>
+void put_u64(Out& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
   put_u32(out, static_cast<std::uint32_t>(v));
 }
 
-inline void put_bytes(Bytes& out, ByteSpan data) {
+template <typename Out>
+void put_bytes(Out& out, ByteSpan data) {
   out.insert(out.end(), data.begin(), data.end());
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/small_bytes.h"
 #include "dta/tenant.h"
 
 namespace dta::proto {
@@ -71,10 +72,20 @@ struct TelemetryKey {
 };
 
 // --- Key-Write: (key, data, redundancy) -------------------------------------
+// The wire carries the value's length in one byte, so a value is at most
+// kKeyWriteMaxValueBytes long. Up to kKeyWriteInPlaceBytes of it ride
+// inside the report (the paper's 20-byte INT values do), so such a
+// report reaches store memory without a heap block; a longer value
+// takes one. kKeyWriteInPlaceBytes is the most that keeps ParsedDta at
+// 64 bytes (asserted below).
+inline constexpr std::size_t kKeyWriteInPlaceBytes = 24;
+inline constexpr std::size_t kKeyWriteMaxValueBytes = 255;
+
 struct KeyWriteReport {
   TelemetryKey key;
   std::uint8_t redundancy = 2;  // N — per-key importance knob (§4)
-  common::Bytes data;           // telemetry value, up to 64B
+  // The telemetry value.
+  common::SmallBytes<kKeyWriteInPlaceBytes> data;
 
   void encode(common::Bytes& out) const;
   static std::optional<KeyWriteReport> decode(common::Cursor& cur);
@@ -136,6 +147,9 @@ struct ParsedDta {
   DtaHeader header;
   Report report;
 };
+// Every ingest queue slot and bench ring entry is one ParsedDta: a
+// larger in-place Key-Write value would grow them all.
+static_assert(sizeof(ParsedDta) == 64, "ParsedDta must stay 64 bytes");
 
 // Full-packet helpers: build/parse the DTA UDP payload.
 common::Bytes encode_dta_payload(const DtaHeader& hdr, const Report& report);

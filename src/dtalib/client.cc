@@ -61,6 +61,13 @@ Status validate_report(const proto::ParsedDta& parsed,
         !status.ok()) {
       return status;
     }
+    // The wire carries the value's length in one byte: a longer value
+    // would encode a wrapped length and lose its tail.
+    if (kw->data.size() > proto::kKeyWriteMaxValueBytes) {
+      return {StatusCode::kOutOfRange,
+              "Key-Write report: " + std::to_string(kw->data.size()) +
+                  "B value exceeds the wire's 8-bit value length (255)"};
+    }
     if (kw->data.size() > config.keywrite->value_bytes) {
       return {StatusCode::kOutOfRange,
               "Key-Write report: " + std::to_string(kw->data.size()) +

@@ -110,13 +110,10 @@ Expected<Backend::SnapshotPtr> FabricBackend::acquire_locked(
   // ClusterBackend).
   if (!snapshot_ || snapshot_covers_ != submitted_) {
     fabric_->flush();
-    // Fold the staged index delta first, so the published index
-    // generation equals the snapshot generation it is about to stamp.
-    collector::IndexDelta delta;
-    delta.generation = generation_ + 1;
-    delta.keys = std::move(staged_keys_);
+    // Fold the staged keys first, so the published index generation
+    // equals the snapshot generation it is about to stamp.
+    index_builder_.apply(generation_ + 1, staged_keys_);
     staged_keys_.clear();
-    index_builder_.apply(delta);
     index_ = index_builder_.publish();
     auto snap = std::make_shared<collector::StoreSnapshot>(fabric_->service(),
                                                            ++generation_);

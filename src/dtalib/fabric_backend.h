@@ -101,7 +101,7 @@ class FabricBackend : public Backend {
   // Secondary-index maintenance for the wire path. The fabric has no
   // deliver_batch seam to stage keys at, so the submit seam stages them
   // instead (full keys are in hand here, before the wire reduces them
-  // to checksums); the staged delta folds in at the next snapshot
+  // to checksums); the staged keys fold in at the next snapshot
   // rebuild, so the published index generation always equals the
   // snapshot generation (the consistency contract the range path needs).
   std::vector<collector::IndexEntry> staged_keys_ DTA_GUARDED_BY(mu_);

@@ -38,7 +38,7 @@ proto::KeyWriteReport SonataQueryResult::to_dta(
   common::put_u32(kb, query_id);
   r.key = TelemetryKey::from(common::ByteSpan(kb));
   r.redundancy = redundancy;
-  r.data = result;
+  r.data.assign(result.begin(), result.end());
   return r;
 }
 

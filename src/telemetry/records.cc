@@ -25,7 +25,6 @@ proto::KeyWriteReport IntPathTrace::to_dta(std::uint8_t redundancy) const {
   r.redundancy = redundancy;
   // 5 x 4B switch IDs; shorter paths are zero-padded so the value width
   // is fixed (the store's slot geometry is fixed at setup time).
-  r.data.reserve(20);
   for (std::size_t i = 0; i < 5; ++i) {
     const std::uint32_t id = i < switch_ids.size() ? switch_ids[i] : 0;
     common::put_u32(r.data, id);

@@ -32,7 +32,7 @@ void AppendEngine::emit_batch(std::uint32_t list, ListState& st,
   op.remote_va =
       geometry_.list_base(list) + st.head_entry * geometry_.entry_bytes;
   op.rkey = geometry_.rkey;
-  op.payload = std::move(st.batch);
+  op.payload.assign(st.batch.begin(), st.batch.end());
   if (immediate) op.immediate = list;
   stats_.bytes_written += op.payload.size();
   out.push_back(std::move(op));
@@ -41,7 +41,8 @@ void AppendEngine::emit_batch(std::uint32_t list, ListState& st,
   emitted_[list] += st.batched;
   st.head_entry += st.batched;
   if (st.head_entry >= geometry_.entries_per_list) st.head_entry = 0;
-  st.batch = {};
+  // The register keeps its block for the next batch.
+  st.batch.clear();
   st.batched = 0;
 }
 

@@ -28,33 +28,28 @@ void KeyWriteEngine::translate(const proto::KeyWriteReport& report,
   const unsigned n = report.redundancy;
   const KeyHashes hashes = key_hashes(report.key, std::min(n, 8u));
 
-  // Slot payload: [4B key checksum][value, zero-padded to value_bytes].
-  common::Bytes payload;
-  payload.reserve(geometry_.slot_bytes());
-  common::put_u32(payload, hashes.checksum & geometry_.checksum_mask());
+  // Slot payload: [4B key checksum][value, zero-padded to value_bytes],
+  // built once in the op (in place up to a 60-byte value) and copied to
+  // each replica.
+  RdmaOp op;
+  op.kind = RdmaOp::Kind::kWrite;
+  op.rkey = geometry_.rkey;
+  op.payload.resize(geometry_.slot_bytes());
+  common::store_u32(op.payload.data(),
+                    hashes.checksum & geometry_.checksum_mask());
   const std::size_t copy_len =
       std::min<std::size_t>(report.data.size(), geometry_.value_bytes);
   if (copy_len < report.data.size()) ++stats_.truncated_values;
-  payload.insert(payload.end(), report.data.begin(),
-                 report.data.begin() + copy_len);
-  payload.resize(geometry_.slot_bytes(), 0);
+  std::copy_n(report.data.begin(), copy_len, op.payload.begin() + 4);
 
   for (unsigned replica = 0; replica < n; ++replica) {
     const std::uint64_t slot =
         replica < 8 ? hashes.slot_index(replica, geometry_.num_slots)
                     : slot_index(replica, report.key, geometry_.num_slots);
-    RdmaOp op;
-    op.kind = RdmaOp::Kind::kWrite;
     op.remote_va = geometry_.base_va + slot * geometry_.slot_bytes();
-    op.rkey = geometry_.rkey;
-    // The last replica takes the payload itself: N allocations, not N+1.
-    if (replica + 1 == n) {
-      op.payload = std::move(payload);
-    } else {
-      op.payload = payload;
-    }
     if (immediate && replica == 0) op.immediate = hashes.checksum;
-    out.push_back(std::move(op));
+    out.push_back(op);
+    op.immediate.reset();
     ++stats_.writes_emitted;
   }
 }

@@ -34,10 +34,12 @@ void PostcardCache::emit(std::uint32_t index, bool full,
   // writes all B hops (§4); hops that never arrived (early emission) stay
   // zero, which queries will almost surely reject.
   const std::uint8_t hops = geometry_.hops;
-  const std::uint32_t padded = geometry_.padded_hops();
-  common::Bytes payload(static_cast<std::size_t>(padded) *
-                            PostcardingGeometry::kSlotBytes,
-                        0);
+  // The chunk is built once in the op (in place up to 16 hops) and
+  // copied to each replica.
+  RdmaOp op;
+  op.kind = RdmaOp::Kind::kWrite;
+  op.rkey = geometry_.rkey;
+  op.payload.resize(geometry_.chunk_bytes());
 
   const std::uint8_t effective_path = row.path_len == 0 ? hops : row.path_len;
   for (std::uint8_t i = 0; i < hops; ++i) {
@@ -49,24 +51,15 @@ void PostcardCache::emit(std::uint32_t index, bool full,
     } else {
       continue;  // missing hop: leave zero
     }
-    common::store_u32(payload.data() + i * PostcardingGeometry::kSlotBytes,
-                      enc);
+    common::store_u32(
+        op.payload.data() + i * PostcardingGeometry::kSlotBytes, enc);
   }
 
   for (unsigned replica = 0; replica < row.redundancy; ++replica) {
     const std::uint64_t chunk =
         chunk_index(replica, row.key, geometry_.num_chunks);
-    RdmaOp op;
-    op.kind = RdmaOp::Kind::kWrite;
     op.remote_va = geometry_.base_va + chunk * geometry_.chunk_bytes();
-    op.rkey = geometry_.rkey;
-    // The last replica takes the payload itself: N allocations, not N+1.
-    if (replica + 1 == row.redundancy) {
-      op.payload = std::move(payload);
-    } else {
-      op.payload = payload;
-    }
-    out.push_back(std::move(op));
+    out.push_back(op);
     ++stats_.writes_emitted;
   }
 

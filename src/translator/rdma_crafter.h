@@ -11,20 +11,24 @@
 #include <cstdint>
 #include <optional>
 
+#include "common/small_bytes.h"
 #include "net/headers.h"
 #include "net/packet.h"
 #include "rdma/roce.h"
 
 namespace dta::translator {
 
-// A verb the primitive engines want executed on the collector.
+// A verb the primitive engines want executed on the collector. Its body
+// stays in place up to 64 bytes: a Key-Write slot of a value up to 60
+// bytes, a postcard chunk of up to 16 hops, a default Append batch (16
+// entries of 4 bytes). A longer body takes one heap block.
 struct RdmaOp {
   enum class Kind : std::uint8_t { kWrite, kFetchAdd, kSend };
   Kind kind = Kind::kWrite;
   std::uint64_t remote_va = 0;
   std::uint32_t rkey = 0;
-  common::Bytes payload;          // WRITE / SEND body
-  std::uint64_t add_value = 0;    // FETCH_ADD addend
+  common::SmallBytes<64> payload;  // WRITE / SEND body
+  std::uint64_t add_value = 0;     // FETCH_ADD addend
   std::optional<std::uint32_t> immediate;
 };
 

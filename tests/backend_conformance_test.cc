@@ -76,6 +76,38 @@ TEST_P(BackendConformanceTest, KeyWriteRawBytesRoundTrip) {
   EXPECT_EQ(common::load_u32(got->data()), 0xDEADBEEFu);
 }
 
+TEST_P(BackendConformanceTest, KeyWriteValueBeyondWireLengthRejected) {
+  // A store wide enough for 300-byte values: a value still meets the
+  // wire's one-byte length first, on every backend (the Fabric would
+  // otherwise wrap a 300-byte length to 44 and store another value).
+  collector::CollectorRuntimeConfig config =
+      testing::conformance_host_config();
+  config.keywrite->value_bytes = 300;
+  Client client(make_backend(GetParam(), config));
+  auto table = client.keywrite();
+  Bytes widest(proto::kKeyWriteMaxValueBytes);
+  for (std::size_t i = 0; i < widest.size(); ++i) {
+    widest[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  ASSERT_TRUE(table.put(reports::u32_key(1), ByteSpan(widest)).ok());
+  const Bytes one_past(proto::kKeyWriteMaxValueBytes + 1, 0x5A);
+  EXPECT_EQ(table.put(reports::u32_key(2), ByteSpan(one_past)).code(),
+            StatusCode::kOutOfRange);
+  const Bytes slot_wide(300, 0x5A);
+  EXPECT_EQ(table.put(reports::u32_key(3), ByteSpan(slot_wide)).code(),
+            StatusCode::kOutOfRange);
+  ASSERT_TRUE(client.flush().ok());
+
+  const auto got = table.get(reports::u32_key(1));
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), 300u);
+  EXPECT_TRUE(std::equal(widest.begin(), widest.end(), got->begin()));
+  EXPECT_TRUE(std::all_of(got->begin() + widest.size(), got->end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_EQ(table.get(reports::u32_key(2)).code(), StatusCode::kNotFound);
+  EXPECT_EQ(table.get(reports::u32_key(3)).code(), StatusCode::kNotFound);
+}
+
 TEST_P(BackendConformanceTest, GetManyResolvesBatchInInputOrder) {
   Client client = make_client(GetParam());
   auto table = client.keywrite();

@@ -146,7 +146,7 @@ TEST(Nack, RoundTrip) {
 TEST(Decode, RejectsTruncatedPayloads) {
   KeyWriteReport r;
   r.key = key_of({1, 2, 3, 4, 5, 6, 7, 8});
-  r.data = Bytes(20, 0xAB);
+  r.data.resize(20, 0xAB);
   Bytes payload = encode_dta_payload(DtaHeader{}, r);
   for (std::size_t cut = 1; cut < payload.size(); ++cut) {
     Bytes truncated(payload.begin(), payload.begin() + cut);

@@ -358,7 +358,8 @@ TEST_F(SmartNicTest, SameResultAsRoceTranslatorForWrites) {
   op.rkey = mr_->rkey();
   op.payload = {9, 8, 7, 6, 5};
   ASSERT_TRUE(nic_.apply(op));
-  EXPECT_EQ(Bytes(mr_->data() + 64, mr_->data() + 69), op.payload);
+  EXPECT_EQ(Bytes(mr_->data() + 64, mr_->data() + 69),
+            Bytes(op.payload.begin(), op.payload.end()));
   EXPECT_EQ(nic_.stats().bytes_written, 5u);
 }
 

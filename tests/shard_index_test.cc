@@ -54,19 +54,17 @@ void expect_same_entries(const std::vector<IndexEntry>& a,
 // ----------------------------------------------------------- builder
 
 TEST(ShardIndexBuilder, IncrementalEqualsOneShotAcrossLeafGeometries) {
-  // 50 deltas of overlapping keys with varying masks, applied one at a
+  // 50 batches of overlapping keys with varying masks, applied one at a
   // time into a small-leaf builder, must produce exactly the entries of
-  // a single merged delta applied to a large-leaf builder, and of the
-  // same 50 deltas folded as one window: contents are independent of
-  // delta slicing, of windowing AND of leaf geometry.
+  // the 50 batches' keys folded as one window into a large-leaf builder
+  // and into a small-leaf one: contents are independent of batch
+  // slicing, of windowing AND of leaf geometry.
   ShardIndexBuilder incremental(/*target_leaf_entries=*/4);
   ShardIndexBuilder one_shot(/*target_leaf_entries=*/128);
   ShardIndexBuilder windowed(/*target_leaf_entries=*/4);
-  IndexDelta merged;
-  std::vector<IndexDelta> window;
+  std::vector<IndexEntry> window;
   for (std::uint64_t g = 1; g <= 50; ++g) {
-    IndexDelta delta;
-    delta.generation = g;
+    std::vector<IndexEntry> batch;
     for (std::uint32_t j = 0; j < 8; ++j) {
       const std::uint32_t id = static_cast<std::uint32_t>(g * 7 + j) % 300;
       const std::uint8_t mask =
@@ -74,15 +72,13 @@ TEST(ShardIndexBuilder, IncrementalEqualsOneShotAcrossLeafGeometries) {
                         : (id % 3 == 1)
                               ? kIndexKeyIncrement
                               : (kIndexKeyWrite | kIndexPostcarding);
-      delta.keys.push_back({u32_key(id), mask});
-      merged.keys.push_back({u32_key(id), mask});
+      batch.push_back({u32_key(id), mask});
     }
-    incremental.apply(delta);
-    window.push_back(std::move(delta));
+    incremental.apply(g, batch);
+    window.insert(window.end(), batch.begin(), batch.end());
   }
-  merged.generation = 50;
-  one_shot.apply(merged);
-  windowed.apply(window);
+  one_shot.apply(50, window);
+  windowed.apply(50, window);
 
   const auto a = incremental.publish();
   const auto b = one_shot.publish();
@@ -101,12 +97,11 @@ TEST(ShardIndexBuilder, IncrementalEqualsOneShotAcrossLeafGeometries) {
 
 TEST(ShardIndexBuilder, VisitRangeBoundsAndLookup) {
   ShardIndexBuilder builder(/*target_leaf_entries=*/4);
-  IndexDelta delta;
-  delta.generation = 1;
+  std::vector<IndexEntry> keys;
   for (std::uint32_t id = 0; id < 40; id += 2) {  // even ids only
-    delta.keys.push_back({u32_key(id), kIndexKeyWrite});
+    keys.push_back({u32_key(id), kIndexKeyWrite});
   }
-  builder.apply(delta);
+  builder.apply(1, keys);
   const auto version = builder.publish();
 
   // Inclusive bounds; absent bound keys land between entries.
@@ -132,16 +127,15 @@ TEST(ShardIndexBuilder, VisitRangeBoundsAndLookup) {
 }
 
 TEST(ShardIndexBuilder, LeafOnlyCowSharesUntouchedLeaves) {
-  // Seed incrementally (4 keys per delta) so every leaf settles at or
+  // Seed incrementally (4 keys per window) so every leaf settles at or
   // below the 2x-target split bound before the COW probe.
   ShardIndexBuilder builder(/*target_leaf_entries=*/4);
   for (std::uint32_t g = 0; g < 16; ++g) {
-    IndexDelta seed;
-    seed.generation = g + 1;
+    std::vector<IndexEntry> seed;
     for (std::uint32_t j = 0; j < 4; ++j) {
-      seed.keys.push_back({u32_key(g * 4 + j), kIndexKeyWrite});
+      seed.push_back({u32_key(g * 4 + j), kIndexKeyWrite});
     }
-    builder.apply(seed);
+    builder.apply(g + 1, seed);
   }
   const auto before = builder.publish();
   ASSERT_GT(before->leaves().size(), 4u);
@@ -149,10 +143,8 @@ TEST(ShardIndexBuilder, LeafOnlyCowSharesUntouchedLeaves) {
   // OR a new mask bit into one existing key: exactly one leaf is
   // copied, every other leaf pointer is shared with the old version.
   const std::uint64_t copies_before = builder.leaf_copies();
-  IndexDelta touch;
-  touch.generation = 17;
-  touch.keys.push_back({u32_key(30), kIndexKeyIncrement});
-  builder.apply(touch);
+  const std::vector<IndexEntry> touch{{u32_key(30), kIndexKeyIncrement}};
+  builder.apply(17, touch);
   EXPECT_EQ(builder.leaf_copies(), copies_before + 1);
   EXPECT_EQ(builder.key_count(), 64u);
 
@@ -169,7 +161,7 @@ TEST(ShardIndexBuilder, LeafOnlyCowSharesUntouchedLeaves) {
 }
 
 TEST(ShardIndexBuilder, EveryLeafWithinBoundAfterAnyApply) {
-  // One large delta into an empty index, then mixed small ones that land
+  // One large window into an empty index, then mixed small ones that land
   // inside, between and beyond its keys: after every apply each leaf
   // holds at most 2 x target entries, however much one apply added.
   constexpr std::uint32_t kTarget = 4;
@@ -182,18 +174,16 @@ TEST(ShardIndexBuilder, EveryLeafWithinBoundAfterAnyApply) {
     return largest;
   };
 
-  IndexDelta bulk;
-  bulk.generation = 1;
+  std::vector<IndexEntry> bulk;
   for (std::uint32_t id = 0; id < 10000; ++id) {
-    bulk.keys.push_back({u32_key(id * 4), kIndexKeyWrite});
+    bulk.push_back({u32_key(id * 4), kIndexKeyWrite});
   }
-  builder.apply(bulk);
+  builder.apply(1, bulk);
   EXPECT_EQ(builder.key_count(), 10000u);
   ASSERT_LE(largest_leaf(), 2u * kTarget) << "after the bulk apply";
 
   for (std::uint64_t g = 2; g <= 40; ++g) {
-    IndexDelta delta;
-    delta.generation = g;
+    std::vector<IndexEntry> keys;
     const std::uint32_t width = (g % 5 == 0) ? 600 : 7;
     for (std::uint32_t j = 0; j < width; ++j) {
       // New keys (odd ids between the bulk's), rewrites of bulk keys,
@@ -202,46 +192,42 @@ TEST(ShardIndexBuilder, EveryLeafWithinBoundAfterAnyApply) {
       const std::uint32_t id = (j % 3 == 0)   ? (base % 10000) * 4 + 1 + g % 3
                                : (j % 3 == 1) ? (base % 10000) * 4
                                               : 40000 + base * 8;
-      delta.keys.push_back({u32_key(id), kIndexKeyIncrement});
+      keys.push_back({u32_key(id), kIndexKeyIncrement});
     }
-    builder.apply(delta);
+    builder.apply(g, keys);
     ASSERT_LE(largest_leaf(), 2u * kTarget) << "after apply " << g;
   }
 }
 
 TEST(ShardIndexBuilder, RewriteOfPresentKeysCopiesNothing) {
   ShardIndexBuilder builder(/*target_leaf_entries=*/4);
-  std::vector<IndexDelta> seed;
+  std::vector<IndexEntry> seed;
   for (std::uint32_t g = 1; g <= 8; ++g) {
-    IndexDelta delta;
-    delta.generation = g;
     for (std::uint32_t j = 0; j < 16; ++j) {
       const std::uint32_t id = (g * 16 + j) % 100;
       const std::uint8_t mask = (id % 2 == 0)
                                     ? kIndexKeyWrite
                                     : (kIndexKeyWrite | kIndexKeyIncrement);
-      delta.keys.push_back({u32_key(id), mask});
+      seed.push_back({u32_key(id), mask});
     }
-    seed.push_back(std::move(delta));
   }
-  builder.apply(seed);
+  builder.apply(8, seed);
   const auto before = builder.publish();
   ASSERT_GT(before->leaves().size(), 4u);
   const std::uint64_t copies = builder.leaf_copies();
 
   // The same keys again, with masks they already carry (or a subset),
-  // one delta and then one window: nothing to add, so no leaf is copied
-  // and the next version shares the previous leaf vector outright.
-  IndexDelta again;
-  again.generation = 9;
+  // one key each and then the seed's window again: nothing to add, so
+  // no leaf is copied and the next version shares the previous leaf
+  // vector outright.
+  std::vector<IndexEntry> again;
   for (std::uint32_t id = 0; id < 100; ++id) {
     if (before->lookup(u32_key(id)) == 0) continue;
-    again.keys.push_back({u32_key(id), kIndexKeyWrite});
+    again.push_back({u32_key(id), kIndexKeyWrite});
   }
-  ASSERT_FALSE(again.keys.empty());
-  builder.apply(again);
-  for (auto& delta : seed) delta.generation += 9;
-  builder.apply(seed);
+  ASSERT_FALSE(again.empty());
+  builder.apply(9, again);
+  builder.apply(17, seed);
   EXPECT_EQ(builder.leaf_copies(), copies);
 
   const auto after = builder.publish();
@@ -294,9 +280,10 @@ TEST(ShardIndexBuilder, RandomWindowsMatchOrderedMapReference) {
       // The first rounds stay inside first bytes 0x40..0xC0, so later
       // windows reach below the first fence and above the last.
       const bool inner = round < 10;
-      std::vector<IndexDelta> window(1 + rng.next_below(4));
-      for (IndexDelta& delta : window) {
-        delta.generation = ++generation;
+      std::vector<IndexEntry> window;
+      const std::uint64_t batches = 1 + rng.next_below(4);
+      for (std::uint64_t batch = 0; batch < batches; ++batch) {
+        ++generation;
         const std::uint64_t width =
             1 + rng.next_below(round % 7 == 0 ? 300 : 24);
         for (std::uint64_t k = 0; k < width; ++k) {
@@ -327,8 +314,8 @@ TEST(ShardIndexBuilder, RandomWindowsMatchOrderedMapReference) {
               break;
             }
           }
-          delta.keys.push_back({key, mask});
-          if (rng.chance(0.1)) delta.keys.push_back({key, mask});  // dup
+          window.push_back({key, mask});
+          if (rng.chance(0.1)) window.push_back({key, mask});  // dup
         }
       }
 
@@ -336,10 +323,8 @@ TEST(ShardIndexBuilder, RandomWindowsMatchOrderedMapReference) {
       // (the last leaf whose first key is <= it; leaf 0 below all) and
       // adds a key or a mask bit to.
       std::map<std::vector<std::uint8_t>, std::uint8_t> window_masks;
-      for (const IndexDelta& delta : window) {
-        for (const IndexEntry& entry : delta.keys) {
-          window_masks[span_of(entry.key)] |= entry.primitives;
-        }
+      for (const IndexEntry& entry : window) {
+        window_masks[span_of(entry.key)] |= entry.primitives;
       }
       std::vector<bool> changed(leaves.size(), false);
       for (const auto& [bytes, mask] : window_masks) {
@@ -359,11 +344,7 @@ TEST(ShardIndexBuilder, RandomWindowsMatchOrderedMapReference) {
           std::count(changed.begin(), changed.end(), true));
 
       const std::uint64_t copies_before = builder.leaf_copies();
-      if (window.size() == 1) {
-        builder.apply(window.front());
-      } else {
-        builder.apply(window);
-      }
+      builder.apply(generation, window);
       for (const auto& [bytes, mask] : window_masks) {
         auto [it, inserted] = reference.emplace(bytes, mask);
         if (inserted) {
@@ -477,27 +458,26 @@ TEST(IndexPublisher, DeferPublishLagsUntilBatchOrCatchup) {
   constexpr std::uint64_t kBatch = IndexPublisher::kPublishBatch;
   IndexPublisher publisher(/*num_shards=*/2);
 
-  auto delta_at = [](std::uint64_t g) {
-    IndexDelta delta;
-    delta.generation = g;
-    delta.keys.push_back({u32_key(static_cast<std::uint32_t>(g)),
-                          kIndexKeyWrite});
-    return delta;
+  // Batch g carries one key, g.
+  auto append_at = [&publisher](std::uint64_t g) {
+    const std::vector<IndexEntry> keys{
+        {u32_key(static_cast<std::uint32_t>(g)), kIndexKeyWrite}};
+    publisher.append(0, g, keys);
   };
 
-  // One delta short of the window: still the empty generation-0 version.
-  for (std::uint64_t g = 1; g < kBatch; ++g) publisher.enqueue(0, delta_at(g));
+  // One batch short of the window: still the empty generation-0 version.
+  for (std::uint64_t g = 1; g < kBatch; ++g) append_at(g);
   EXPECT_EQ(publisher.published(0)->generation(), 0u);
   EXPECT_EQ(publisher.published(0)->key_count(), 0u);
 
-  // The window's last delta fills it: apply + publish.
-  publisher.enqueue(0, delta_at(kBatch));
+  // The window's last batch fills it: apply + publish.
+  append_at(kBatch);
   EXPECT_EQ(publisher.published(0)->generation(), kBatch);
   EXPECT_EQ(publisher.published(0)->key_count(), kBatch);
 
-  // Two more queued: published stays put until a reader demands more.
-  publisher.enqueue(0, delta_at(kBatch + 1));
-  publisher.enqueue(0, delta_at(kBatch + 2));
+  // Two more appended: published stays put until a reader demands more.
+  append_at(kBatch + 1);
+  append_at(kBatch + 2);
   EXPECT_EQ(publisher.published(0)->generation(), kBatch);
   const auto caught_up = publisher.version_at_least(0, kBatch + 2);
   EXPECT_GE(caught_up->generation(), kBatch + 2);
@@ -516,16 +496,15 @@ TEST(IndexPublisher, DeferPublishLagsUntilBatchOrCatchup) {
 }
 
 TEST(IndexPublisher, PublishedGenerationIsMonotonic) {
-  // Reader catch-ups every 3 * kPublishBatch / 2 deltas land both
-  // inside and across the writer's defer windows.
+  // Reader catch-ups every 3 * kPublishBatch / 2 batches land both
+  // inside and across the writer's defer windows; the batches carry no
+  // key, and still advance the generation.
   constexpr std::uint64_t kLast = 5 * IndexPublisher::kPublishBatch;
   constexpr std::uint64_t kCatchupEvery = 3 * IndexPublisher::kPublishBatch / 2;
   IndexPublisher publisher(/*num_shards=*/1);
   std::uint64_t last = 0;
   for (std::uint64_t g = 1; g <= kLast; ++g) {
-    IndexDelta delta;
-    delta.generation = g;
-    publisher.enqueue(0, delta);
+    publisher.append(0, g, {});
     if (g % kCatchupEvery == 0) publisher.version_at_least(0, g);
     const std::uint64_t now = publisher.published(0)->generation();
     EXPECT_GE(now, last);
@@ -536,16 +515,16 @@ TEST(IndexPublisher, PublishedGenerationIsMonotonic) {
 
 TEST(IndexPublisher, StressReaderCatchupRacesWriterPublish) {
   // Targets the catch-up/publish window under TSan: per shard, one
-  // writer (the single-writer contract of IndexPublisher::enqueue) streams
-  // deltas while readers hammer version_at_least with the freshest
-  // enqueued generation — so reader-forced catch-ups race writer-side
-  // defer-window publishes on the same shard state. The enqueue-before-
-  // advertise order below mirrors the shard's enqueue-before-generation-
+  // writer (the single-writer contract of IndexPublisher::append) streams
+  // batches while readers hammer version_at_least with the freshest
+  // appended generation — so reader-forced catch-ups race writer-side
+  // defer-window publishes on the same shard state. The append-before-
+  // advertise order below mirrors the shard's append-before-generation-
   // bump protocol, which is exactly what makes "the catch-up can never
   // come up short" hold; every reader asserts it.
   constexpr std::uint32_t kShards = 2;
   // Many defer windows, so both publish paths are exercised.
-  constexpr std::uint64_t kDeltas = 2000;
+  constexpr std::uint64_t kBatches = 2000;
   IndexPublisher publisher(kShards);
 
   std::array<std::atomic<std::uint64_t>, kShards> advertised{};
@@ -554,12 +533,10 @@ TEST(IndexPublisher, StressReaderCatchupRacesWriterPublish) {
   std::vector<std::thread> writers;
   for (std::uint32_t s = 0; s < kShards; ++s) {
     writers.emplace_back([&, s] {
-      for (std::uint64_t g = 1; g <= kDeltas; ++g) {
-        IndexDelta delta;
-        delta.generation = g;
-        delta.keys.push_back(
-            {u32_key(static_cast<std::uint32_t>(g % 256)), kIndexKeyWrite});
-        publisher.enqueue(s, std::move(delta));
+      for (std::uint64_t g = 1; g <= kBatches; ++g) {
+        const std::vector<IndexEntry> keys{
+            {u32_key(static_cast<std::uint32_t>(g % 256)), kIndexKeyWrite}};
+        publisher.append(s, g, keys);
         advertised[s].store(g, std::memory_order_release);
       }
     });
@@ -576,12 +553,12 @@ TEST(IndexPublisher, StressReaderCatchupRacesWriterPublish) {
           const std::uint64_t want =
               advertised[s].load(std::memory_order_acquire);
           const auto version = publisher.version_at_least(s, want);
-          // Enqueued before advertised => the catch-up covers it, and
+          // Appended before advertised => the catch-up covers it, and
           // published generations never move backwards.
           if (version->generation() < want) failed.store(true);
           if (version->generation() < last[s]) failed.store(true);
           last[s] = version->generation();
-          if (want < kDeltas) done = false;
+          if (want < kBatches) done = false;
         }
       }
     });
@@ -592,11 +569,12 @@ TEST(IndexPublisher, StressReaderCatchupRacesWriterPublish) {
   EXPECT_FALSE(failed.load());
 
   for (std::uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(publisher.version_at_least(s, kDeltas)->generation(), kDeltas);
+    EXPECT_EQ(publisher.version_at_least(s, kBatches)->generation(),
+              kBatches);
   }
   const auto stats = publisher.stats();
-  EXPECT_EQ(stats.deltas_enqueued, kShards * kDeltas);
-  EXPECT_EQ(stats.deltas_applied, kShards * kDeltas);
+  EXPECT_EQ(stats.batches_appended, kShards * kBatches);
+  EXPECT_EQ(stats.batches_folded, kShards * kBatches);
 }
 
 // ----------------------------------------------- runtime integration
@@ -629,7 +607,7 @@ CollectorRuntimeConfig stores_config(std::uint32_t shards,
 }
 
 // Feeds the same four-store workload through `client`; when `flushes`
-// is large the deltas arrive in many small batches (incremental), when
+// is large the keys arrive in many small batches (incremental), when
 // it is 1 everything lands in one delivery (rebuild-equivalent).
 std::map<std::uint32_t, std::uint8_t> drive_workload(
     Client& client, std::uint32_t flush_every) {
@@ -732,7 +710,7 @@ TEST(RuntimeIndex, SecondTripOverSameKeysCopiesNoLeaf) {
     }
     ASSERT_TRUE(client.flush().ok());
   };
-  // Every delivered delta folded in and published.
+  // Every delivered batch's keys folded in and published.
   auto settled = [&] {
     std::vector<std::shared_ptr<const ShardIndexVersion>> out;
     for (std::uint32_t s = 0; s < runtime.num_shards(); ++s) {

@@ -122,7 +122,7 @@ TEST_F(KwEngineTest, LongValueTruncatedAndCounted) {
   proto::KeyWriteReport r;
   r.key = key_of(5);
   r.redundancy = 1;
-  r.data = Bytes(10, 0xAB);
+  r.data.resize(10, 0xAB);
   std::vector<RdmaOp> ops;
   engine.translate(r, false, ops);
   EXPECT_EQ(ops[0].payload.size(), 8u);
@@ -148,7 +148,7 @@ TEST_F(KwEngineTest, TwentyByteValues) {
   proto::KeyWriteReport r;
   r.key = key_of(5);
   r.redundancy = 2;
-  r.data = Bytes(20, 0x31);
+  r.data.resize(20, 0x31);
   std::vector<RdmaOp> ops;
   engine.translate(r, false, ops);
   EXPECT_EQ(ops[0].payload.size(), 24u);  // 4B csum + 20B
@@ -378,7 +378,7 @@ class ScanPostcardCache {
                      chunk_index(replica, row.key, geometry_.num_chunks) *
                          geometry_.chunk_bytes();
       op.rkey = geometry_.rkey;
-      op.payload = payload;
+      op.payload.assign(payload.begin(), payload.end());
       out.push_back(std::move(op));
     }
     row = Row{};
