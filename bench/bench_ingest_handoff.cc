@@ -3,14 +3,17 @@
 //
 // Client::local with the pipeline bench's geometry (2 shards, 2^22
 // Key-Write slots of 4-byte values, 64 Append lists, 5-hop postcards),
-// fed Key-Write, Key-Increment and Postcard rings, each inline (the
-// producer runs the shards) and threaded (two pinned shard workers, the
-// producer on a third core). For each it prints the producer's ns per
-// submitted report, reports/s until every shard has drained, heap
-// allocations per report (a counting global operator new) and
-// backpressure waits (full-queue spins) per 1,000 reports, and writes
-// them to BENCH_ingest.json in the working directory. Rates move with
-// the host; no floor is committed for them.
+// fed Key-Write, Key-Increment, Postcard and Append rings and the
+// pipeline bench's dc_trace_mix ring (all four primitives from a
+// synthetic trace of 100K flows), each inline (the producer runs the
+// shards) and threaded (two pinned shard workers, the producer on a
+// third core). Each submit copies its report from the ring, as the
+// pipeline bench's generator does. For each ring and mode it prints the
+// producer's ns per submitted report, reports/s until every shard has
+// drained, heap allocations per report (a counting global operator new)
+// and backpressure waits (full-queue spins) per 1,000 reports, and
+// writes them to BENCH_ingest.json in the working directory. Rates move
+// with the host; no floor is committed for them.
 //
 //   ./build/bench_ingest_handoff [--smoke]
 #include <sched.h>
@@ -26,6 +29,7 @@
 #include "bench_util.h"
 #include "collector/runtime.h"
 #include "dtalib/client.h"
+#include "telemetry/trace.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -61,7 +65,9 @@ namespace dta {
 namespace {
 
 constexpr std::uint32_t kShards = 2;
+constexpr std::uint32_t kLists = 64;
 constexpr std::uint8_t kHops = 5;
+constexpr std::uint32_t kPostcardValues = 4096;
 
 // The first three CPUs this process may run on: two shard workers and
 // the producer. Empty (nothing pinned) on a host with fewer.
@@ -99,35 +105,60 @@ collector::CollectorRuntimeConfig geometry(collector::ThreadMode mode,
   config.keywrite = kw;
   config.keyincrement = collector::KeyIncrementSetup{};
   collector::AppendSetup ap;
-  ap.num_lists = 64;
+  ap.num_lists = kLists;
   config.append = ap;
   collector::PostcardingSetup pc;
   pc.hops = kHops;
-  for (std::uint32_t v = 0; v < 4096; ++v) pc.value_space.push_back(v);
+  for (std::uint32_t v = 0; v < kPostcardValues; ++v) {
+    pc.value_space.push_back(v);
+  }
   config.postcarding = pc;
   return config;
 }
 
+enum class Ring { kKeyWrite, kKeyIncrement, kPostcard, kAppend, kMix };
+
 // `size` reports of one primitive on distinct well-mixed keys (a
-// postcard flow reports each of its hops in turn).
-std::vector<proto::ParsedDta> make_ring(proto::PrimitiveOp op,
-                                        std::size_t size) {
-  common::Rng rng(benchutil::seed(0x1A6D0FFu));
+// postcard flow reports each of its hops in turn, Append reports go to
+// the lists round-robin), or the mix ring.
+std::vector<proto::ParsedDta> make_ring(Ring kind, std::size_t size) {
+  const std::uint64_t seed = benchutil::seed(0x1A6D0FFu);
+  if (kind == Ring::kMix) {
+    // The pipeline bench's dc_trace_mix inputs: Key-Write,
+    // Key-Increment, Append and Postcard in turn over Zipf flows.
+    telemetry::TraceConfig trace;
+    trace.seed = seed;
+    trace.num_flows = 100000;
+    telemetry::TraceGenerator gen(trace);
+    telemetry::ReportMix mix;
+    mix.num_lists = kLists;
+    mix.postcard_hops = kHops;
+    mix.postcard_value_space = kPostcardValues;
+    mix.redundancy = 2;
+    return telemetry::synthesize_reports(
+        gen, static_cast<std::uint32_t>(size), mix);
+  }
+  common::Rng rng(seed);
   std::vector<proto::ParsedDta> ring;
   ring.reserve(size);
   for (std::size_t i = 0; i < size; ++i) {
-    switch (op) {
-      case proto::PrimitiveOp::kKeyWrite:
+    switch (kind) {
+      case Ring::kKeyWrite:
         ring.push_back(reports::keywrite_u32(reports::mixed_key(i),
                                              rng.next_u32(), 2));
         break;
-      case proto::PrimitiveOp::kKeyIncrement:
+      case Ring::kKeyIncrement:
         ring.push_back(reports::keyincrement(reports::mixed_key(i), 1, 2));
         break;
-      default:
+      case Ring::kPostcard:
         ring.push_back(reports::postcard(
             reports::mixed_key(i / kHops), static_cast<std::uint8_t>(i % kHops),
-            kHops, static_cast<std::uint32_t>(rng.next_below(4096)), 2));
+            kHops,
+            static_cast<std::uint32_t>(rng.next_below(kPostcardValues)), 2));
+        break;
+      default:
+        ring.push_back(reports::append_u32(
+            static_cast<std::uint32_t>(i % kLists), rng.next_u32()));
         break;
     }
   }
@@ -223,13 +254,15 @@ int main(int argc, char** argv) {
   bool ok = true;
   const struct {
     const char* name;
-    proto::PrimitiveOp op;
-  } primitives[] = {{"keywrite", proto::PrimitiveOp::kKeyWrite},
-                    {"keyincrement", proto::PrimitiveOp::kKeyIncrement},
-                    {"postcard", proto::PrimitiveOp::kPostcard}};
+    Ring kind;
+  } primitives[] = {{"keywrite", Ring::kKeyWrite},
+                    {"keyincrement", Ring::kKeyIncrement},
+                    {"postcard", Ring::kPostcard},
+                    {"append", Ring::kAppend},
+                    {"mix", Ring::kMix}};
   for (const auto& primitive : primitives) {
     const std::vector<proto::ParsedDta> ring =
-        make_ring(primitive.op, ring_size);
+        make_ring(primitive.kind, ring_size);
     for (const auto mode :
          {collector::ThreadMode::kInline, collector::ThreadMode::kThreaded}) {
       const Case c = run_case(primitive.name, ring, mode, cpus, passes);

@@ -12,12 +12,12 @@ IndexPublisher::IndexPublisher(std::size_t num_shards) {
 void IndexPublisher::fold_window_locked(Shard& shard) {
   if (shard.window_batches == 0) return;
   shard.builder.apply(shard.window_generation, shard.window);
-  batches_folded_.fetch_add(shard.window_batches, std::memory_order_relaxed);
+  shard.batches_folded += shard.window_batches;
   shard.window.clear();
   shard.window_batches = 0;
   std::atomic_store_explicit(&shard.published, shard.builder.publish(),
                              std::memory_order_release);
-  publishes_.fetch_add(1, std::memory_order_relaxed);
+  ++shard.publishes;
 }
 
 void IndexPublisher::append(std::uint32_t shard_index,
@@ -27,7 +27,7 @@ void IndexPublisher::append(std::uint32_t shard_index,
   MutexLock lock(shard.mu);
   shard.window.insert(shard.window.end(), keys.begin(), keys.end());
   shard.window_generation = generation;
-  batches_appended_.fetch_add(1, std::memory_order_relaxed);
+  ++shard.batches_appended;
   // Defer-publish: fold the window in only when it fills. An op batch
   // is ~op_batch_size verbs, so the builder runs once per
   // kPublishBatch * op_batch_size delivered verbs.
@@ -50,7 +50,7 @@ std::shared_ptr<const ShardIndexVersion> IndexPublisher::version_at_least(
   version = std::atomic_load_explicit(&shard.published,
                                       std::memory_order_acquire);
   if (version->generation() >= min_generation) return version;
-  reader_catchups_.fetch_add(1, std::memory_order_relaxed);
+  ++shard.reader_catchups;
   fold_window_locked(shard);
   return std::atomic_load_explicit(&shard.published,
                                    std::memory_order_acquire);
@@ -58,12 +58,12 @@ std::shared_ptr<const ShardIndexVersion> IndexPublisher::version_at_least(
 
 IndexPublisherStats IndexPublisher::stats() const {
   IndexPublisherStats out;
-  out.batches_appended = batches_appended_.load(std::memory_order_relaxed);
-  out.batches_folded = batches_folded_.load(std::memory_order_relaxed);
-  out.publishes = publishes_.load(std::memory_order_relaxed);
-  out.reader_catchups = reader_catchups_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
+    out.batches_appended += shard->batches_appended;
+    out.batches_folded += shard->batches_folded;
+    out.publishes += shard->publishes;
+    out.reader_catchups += shard->reader_catchups;
     out.leaf_copies += shard->builder.leaf_copies();
   }
   return out;

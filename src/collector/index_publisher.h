@@ -88,6 +88,13 @@ class IndexPublisher {
     std::vector<IndexEntry> window DTA_GUARDED_BY(mu);
     std::uint64_t window_generation DTA_GUARDED_BY(mu) = 0;
     std::size_t window_batches DTA_GUARDED_BY(mu) = 0;
+    // This shard's share of IndexPublisherStats, kept under the lock
+    // its writers already hold: counters shared by the shards would put
+    // every shard's appends on one cache line.
+    std::uint64_t batches_appended DTA_GUARDED_BY(mu) = 0;
+    std::uint64_t batches_folded DTA_GUARDED_BY(mu) = 0;
+    std::uint64_t publishes DTA_GUARDED_BY(mu) = 0;
+    std::uint64_t reader_catchups DTA_GUARDED_BY(mu) = 0;
     ShardIndexBuilder builder DTA_GUARDED_BY(mu);
     // Written under mu, but read lock-free on the fast path with
     // std::atomic_load — the atomic shared_ptr protocol, not the lock,
@@ -101,10 +108,6 @@ class IndexPublisher {
   void fold_window_locked(Shard& shard) DTA_REQUIRES(shard.mu);
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> batches_appended_{0};
-  std::atomic<std::uint64_t> batches_folded_{0};
-  std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<std::uint64_t> reader_catchups_{0};
 };
 
 }  // namespace dta::collector

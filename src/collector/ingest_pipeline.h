@@ -7,6 +7,19 @@
 // matters more than parallelism — the pipeline runs inline: submit()
 // executes the shard ingest directly and the queues stay unused.
 //
+// A worker stays a batch behind its producer. Each pass ingests the
+// reports queued when it began, in their slots; after a pass of fewer
+// than 32 reports the worker waits up to 16us before it reads the
+// queue again. A worker that took each report as it landed would pull
+// the queue's head_ line and the next slots' lines off the producer's
+// core on nearly every push, and the producer would pay those misses
+// per report. The wait reads only the lane's request counters and
+// stop_, and ends at once on a flush, a writer job or stop(), so none
+// of them waits longer. stop_, which every worker reads on every pass,
+// has a cache line of its own: beside the stats the producer writes on
+// every submit, it would cost each worker a miss per submit, and the
+// producer a miss per worker pass.
+//
 // Workers can optionally be pinned to cores (pin_workers +
 // worker_cores): shard workers otherwise float across cores, losing
 // cache locality with their shard's store memory. Pinning is applied
@@ -131,9 +144,10 @@ class IngestPipeline {
     explicit ShardLane(std::uint32_t capacity) : queue(capacity) {}
     common::SpscQueue<proto::ParsedDta> queue;
     std::thread worker;
-    // The producer bumps `submitted` on every push, while an idle worker
-    // polls the request counters below in a loop: on one cache line the
-    // two would trade it back and forth on every report.
+    // The producer, its one writer, bumps `submitted` on every push,
+    // while a waiting worker polls the request counters below in a
+    // loop: on one cache line the two would trade it back and forth on
+    // every report.
     alignas(64) std::atomic<std::uint64_t> submitted{0};
     alignas(64) std::atomic<std::uint64_t> flushes_requested{0};
     std::atomic<std::uint64_t> flushes_done{0};
@@ -158,8 +172,10 @@ class IngestPipeline {
 
   std::vector<CollectorShard*> shards_;
   std::vector<std::unique_ptr<ShardLane>> lanes_;
-  std::atomic<bool> stop_{false};
-  bool threaded_ = false;
+  // Alone on its line: read by every worker on every pass, and next to
+  // stats_ it would move between cores on every submit.
+  alignas(64) std::atomic<bool> stop_{false};
+  alignas(64) bool threaded_ = false;
   // Flipped only after the workers are joined, so cross-thread readers
   // (the snapshot path) that observe it can safely touch shard state
   // from the calling thread.

@@ -9,6 +9,7 @@
 // window that only rewrites indexed keys makes nothing else. A value
 // one byte past the in-place capacity takes exactly one block, and a
 // wire Key-Write report whose value fits in place decodes without one.
+// A Client::flush takes no block either.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -190,6 +191,21 @@ TEST_P(IngestAllocTest, ValueOnePastInPlaceTakesExactlyOneBlock) {
   const Counted counted = measure(32, keywrite_pass(keys_, value));
   ASSERT_TRUE(counted.all_ok);
   EXPECT_EQ(counted.allocations - counted.publishes, counted.reports);
+}
+
+TEST_P(IngestAllocTest, FlushTakesNoBlock) {
+  Client client = Client::local(config(GetParam(), 4));
+  auto counters = client.counters();
+  for (const auto& key : keys_) ASSERT_TRUE(counters.add(key, 1).ok());
+  ASSERT_TRUE(client.flush().ok());
+
+  bool all_ok = true;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 16; ++i) all_ok = client.flush().ok() && all_ok;
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(all_ok);
+  EXPECT_EQ(allocations, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
