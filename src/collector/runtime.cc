@@ -109,15 +109,7 @@ void CollectorRuntime::stop() { pipeline_->stop(); }
 
 std::shared_ptr<const StoreSnapshot> CollectorRuntime::snapshot_shard(
     std::uint32_t i) {
-  // Fast path: an atomic generation compare against the cached copy —
-  // no barrier, no memcpy, shared by every query until the shard's
-  // store memory actually changes. The miss path has the shard's worker
-  // patch the copy in a writer job and republishes.
-  if (auto hit = snapshot_cache_->lookup(i, shards_[i]->generation(),
-                                         pipeline_->submitted(i))) {
-    return hit;
-  }
-  return snapshot_cache_->refresh(i, *pipeline_, *shards_[i]);
+  return snapshot_shard_bounded(i, 0, SnapshotStalenessBudget{});
 }
 
 std::shared_ptr<const StoreSnapshot> CollectorRuntime::snapshot_shard_bounded(
@@ -128,17 +120,8 @@ std::shared_ptr<const StoreSnapshot> CollectorRuntime::snapshot_shard_bounded(
 std::shared_ptr<const StoreSnapshot> CollectorRuntime::snapshot_shard_bounded(
     std::uint32_t i, std::uint64_t min_covers_seq,
     const SnapshotStalenessBudget& budget) {
-  // Exactly-current first (a plain hit beats a stale one), then the
-  // staleness budget — a within-budget snapshot is served with no
-  // refresh and no writer job — then the refresh slow path.
-  SnapshotCache& cache = *snapshot_cache_;
-  const std::uint64_t generation = shards_[i]->generation();
-  const std::uint64_t submitted = pipeline_->submitted(i);
-  if (auto hit = cache.lookup(i, generation, submitted)) return hit;
-  if (auto s = cache.lookup_bounded(i, generation, budget, min_covers_seq)) {
-    return s;
-  }
-  return cache.refresh(i, *pipeline_, *shards_[i]);
+  return snapshot_cache_->acquire(i, *pipeline_, *shards_[i], budget,
+                                  min_covers_seq);
 }
 
 std::shared_ptr<const StoreSnapshot> CollectorRuntime::snapshot_shard_fresh(

@@ -112,11 +112,14 @@ class CollectorRuntime {
   // Bounded-staleness variant: like snapshot_shard, but a cached
   // snapshot whose generation lag and age fit the configured
   // staleness_budget is served as-is — stale, but within budget — with
-  // no refresh and no writer job at all. A non-zero `min_covers_seq`
-  // (typically pipeline().submitted(i)) is the read-your-submits
-  // override: a cached snapshot that does not cover it is never served
-  // stale, budget or not. With the budget disabled (the default) this
-  // is exactly snapshot_shard.
+  // no refresh and no writer job at all. The budget is checked before
+  // currency and reads the shard's generation only when it bounds the
+  // lag, so an age-only budget reads neither counter ingest keeps
+  // writing (the generation, the submitted count). A non-zero
+  // `min_covers_seq` (typically pipeline().submitted(i)) is the
+  // read-your-submits override: a cached snapshot that does not cover
+  // it is never served stale, budget or not. With the budget disabled
+  // (the default) this is exactly snapshot_shard.
   std::shared_ptr<const StoreSnapshot> snapshot_shard_bounded(
       std::uint32_t i, std::uint64_t min_covers_seq = 0);
 

@@ -21,67 +21,44 @@ std::uint64_t SnapshotCache::now_us() {
           .count());
 }
 
-bool SnapshotCache::try_pin(const Stamped& record) {
-  // acq_rel: a successful pin orders this reader's snapshot reads after
-  // any earlier in-place patch, and the failed-CAS observation on the
-  // refresh side orders them before the next one.
-  if (record.pins.fetch_add(1, std::memory_order_acq_rel) >= 0) return true;
-  // Poisoned: a refresh claimed the record for in-place patching.
-  record.pins.fetch_sub(1, std::memory_order_relaxed);
-  return false;
-}
-
-SnapshotCache::SnapshotPtr SnapshotCache::make_handle(StampedPtr record) {
-  const StoreSnapshot* raw = record->snap.get();
-  // The deleter owns the record (keeping the snapshot alive) and drops
-  // the pin with release ordering, so a refresh that later claims the
-  // record via CAS observes every read this handle performed.
-  return SnapshotPtr(raw, [record = std::move(record)](const StoreSnapshot*) {
-    record->pins.fetch_sub(1, std::memory_order_release);
-  });
-}
-
-SnapshotCache::SnapshotPtr SnapshotCache::lookup(std::uint32_t shard,
-                                                 std::uint64_t generation,
-                                                 std::uint64_t submitted_seq) {
-  Entry& entry = *entries_[shard];
-  StampedPtr record =
-      std::atomic_load_explicit(&entry.record, std::memory_order_acquire);
-  if (!record || !try_pin(*record)) return nullptr;
-  // Currency checks only after the pin: the pin is what guarantees no
-  // in-place patch is mutating the snapshot (or its stamps) under us.
-  if (record->snap->generation() == generation &&
-      record->covers_seq == submitted_seq) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return make_handle(std::move(record));
-  }
-  record->pins.fetch_sub(1, std::memory_order_release);
-  return nullptr;
-}
-
-SnapshotCache::SnapshotPtr SnapshotCache::lookup_bounded(
-    std::uint32_t shard, std::uint64_t generation,
+SnapshotCache::SnapshotPtr SnapshotCache::acquire(
+    std::uint32_t shard_index, IngestPipeline& pipeline, CollectorShard& shard,
     const SnapshotStalenessBudget& budget, std::uint64_t min_covers_seq) {
-  if (!budget.enabled()) return nullptr;
-  Entry& entry = *entries_[shard];
-  StampedPtr record =
-      std::atomic_load_explicit(&entry.record, std::memory_order_acquire);
-  if (!record || !try_pin(*record)) return nullptr;
-  // Read-your-submits overrides any budget: a caller that names a
-  // submit floor never gets a snapshot from before it.
-  bool serve = min_covers_seq == 0 || record->covers_seq >= min_covers_seq;
-  if (serve && budget.generations > 0) {
-    const std::uint64_t snap_generation = record->snap->generation();
-    serve = generation - snap_generation <= budget.generations;
+  if (auto hit = lookup(shard_index, pipeline, shard, budget, min_covers_seq)) {
+    return hit;
   }
-  if (serve && budget.age_us > 0) {
-    serve = now_us() - record->taken_at_us <= budget.age_us;
+  return refresh(shard_index, pipeline, shard, budget, min_covers_seq);
+}
+
+SnapshotCache::SnapshotPtr SnapshotCache::lookup(
+    std::uint32_t shard_index, IngestPipeline& pipeline, CollectorShard& shard,
+    const SnapshotStalenessBudget& budget, std::uint64_t min_covers_seq) {
+  const StampedPtr record = std::atomic_load_explicit(
+      &entries_[shard_index]->record, std::memory_order_acquire);
+  if (!record) return nullptr;
+  // The budget first: it reads the shard's generation only when it
+  // bounds the lag, and never the submitted count, the two lines ingest
+  // keeps writing. Read-your-submits overrides any budget: a caller
+  // that names a submit floor never gets a snapshot from before it.
+  if (budget.enabled()) {
+    bool serve = min_covers_seq == 0 || record->covers_seq >= min_covers_seq;
+    if (serve && budget.generations > 0) {
+      serve = shard.generation() - record->snap->generation() <=
+              budget.generations;
+    }
+    if (serve && budget.age_us > 0) {
+      serve = now_us() - record->taken_at_us <= budget.age_us;
+    }
+    if (serve) {
+      stale_hits_.fetch_add(1, std::memory_order_relaxed);
+      return handle(record);
+    }
   }
-  if (serve) {
-    stale_hits_.fetch_add(1, std::memory_order_relaxed);
-    return make_handle(std::move(record));
+  if (record->snap->generation() == shard.generation() &&
+      record->covers_seq == pipeline.submitted(shard_index)) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return handle(record);
   }
-  record->pins.fetch_sub(1, std::memory_order_release);
   return nullptr;
 }
 
@@ -96,19 +73,18 @@ SnapshotCache::SnapshotPtr SnapshotCache::publish(
   StampedPtr published(std::move(record));
   std::atomic_store_explicit(&entry.record, published,
                              std::memory_order_release);
-  try_pin(*published);  // fresh record: never poisoned
-  return make_handle(std::move(published));
+  return handle(published);
 }
 
-SnapshotCache::SnapshotPtr SnapshotCache::refresh(std::uint32_t shard_index,
-                                                  IngestPipeline& pipeline,
-                                                  CollectorShard& shard) {
+SnapshotCache::SnapshotPtr SnapshotCache::refresh(
+    std::uint32_t shard_index, IngestPipeline& pipeline, CollectorShard& shard,
+    const SnapshotStalenessBudget& budget, std::uint64_t min_covers_seq) {
   Entry& entry = *entries_[shard_index];
   MutexLock lock(entry.refresh_mu);
 
-  // Double-check: a concurrent miss may have refreshed while we waited.
-  if (auto hit = lookup(shard_index, shard.generation(),
-                        pipeline.submitted(shard_index))) {
+  // Double-check: a concurrent miss may have published, while we
+  // waited, a record that is current or fits this caller's budget.
+  if (auto hit = lookup(shard_index, pipeline, shard, budget, min_covers_seq)) {
     return hit;
   }
 
@@ -125,17 +101,25 @@ SnapshotCache::SnapshotPtr SnapshotCache::refresh(std::uint32_t shard_index,
   if (first) {
     target = StoreSnapshot::allocate(shard.service());
   } else {
-    const StampedPtr old =
-        std::atomic_load_explicit(&entry.record, std::memory_order_acquire);
-    std::int64_t expected = 0;
-    if (old && old->pins.compare_exchange_strong(
-                   expected, kPoisonedPins, std::memory_order_acq_rel,
-                   std::memory_order_relaxed)) {
-      // No live handle and no future pinner: the published snapshot is
-      // unreachable and safe to patch in place.
-      target = entry.writable;
-    } else {
-      // A reader still pins the previous snapshot: copy-on-write. The
+    // Beyond the entry's reference and the one this load takes, any
+    // count is a live handle: clone without unpublishing.
+    if (std::atomic_load_explicit(&entry.record, std::memory_order_acquire)
+            .use_count() <= 2) {
+      // Unpublished, the record gains no reference. Holding the last
+      // one proves no handle is live; dropping it (an acq_rel
+      // decrement) orders every reader's release before the patch.
+      StampedPtr old = std::atomic_exchange_explicit(
+          &entry.record, StampedPtr(), std::memory_order_acq_rel);
+      if (old.use_count() == 1) {
+        old.reset();
+        target = entry.writable;
+      } else {
+        std::atomic_store_explicit(&entry.record, std::move(old),
+                                   std::memory_order_release);
+      }
+    }
+    if (!target) {
+      // A reader still holds the previous snapshot: copy-on-write. The
       // clone reads only the immutable previous snapshot, so the worker
       // keeps ingesting while this thread pays the full-size copy; only
       // the chunk patch runs on the writer.
@@ -197,10 +181,9 @@ void SnapshotCache::invalidate_all() {
 }
 
 SnapshotCache::SnapshotPtr SnapshotCache::peek(std::uint32_t shard) const {
-  StampedPtr record = std::atomic_load_explicit(&entries_[shard]->record,
-                                                std::memory_order_acquire);
-  if (!record || !try_pin(*record)) return nullptr;
-  return make_handle(std::move(record));
+  const StampedPtr record = std::atomic_load_explicit(
+      &entries_[shard]->record, std::memory_order_acquire);
+  return record ? handle(record) : nullptr;
 }
 
 std::size_t SnapshotCache::cached_count() const {

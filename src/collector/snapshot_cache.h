@@ -19,43 +19,48 @@
 //     with the snapshot in one atomically published record, so a torn
 //     read can never pair one publication's snapshot with another's
 //     stamps.
-//   * lookup() is the lock-free fast path: an atomic shared_ptr load,
-//     a pin (see below) and a generation compare (plus a covers_seq
-//     compare, so a reader never misses reports that were submitted but
-//     not yet committed to an op batch — read-your-submits).
-//   * lookup_bounded() is the bounded-staleness fast path: a snapshot
-//     whose generation lag and age fit a SnapshotStalenessBudget is
-//     served as-is — no refresh, no writer job — unless the caller
+//   * acquire() first tries the published record without the refresh
+//     mutex: one atomic shared_ptr load, then two checks. Under an
+//     enabled SnapshotStalenessBudget it is served when its generation
+//     lag and age fit the budget (a stale hit) — unless the caller
 //     passes a covers_seq floor the record does not reach
-//     (read-your-submits overrides any budget).
-//   * refresh() is the slow path, serialized per shard by a mutex. On
-//     the calling thread it picks the target — the published snapshot,
-//     claimed for in-place patching when no reader pins it, or else a
-//     copy-on-write clone of it — and does every allocation, including
-//     a first build's regions. It then posts a writer job through the
-//     ingest pipeline: the shard's worker, between two drain passes,
-//     copies only the chunks its DirtyTracker listed since the last
-//     refresh (everything on a first build or a saturated tracker),
+//     (read-your-submits overrides any budget). This check reads the
+//     shard's generation only when the budget bounds it, and never the
+//     submitted count, so an age-only budget reads neither counter
+//     ingest keeps writing. Otherwise it is served when it is current:
+//     its generation matches the shard's and it covers every submitted
+//     report (a hit).
+//   * refresh() is the slow path, serialized per shard by a mutex. It
+//     re-runs both checks with the caller's budget and floor first, so
+//     a caller that waited behind another refresh takes what that one
+//     published. On the calling thread it then picks the target — the
+//     published snapshot, patched in place once no handle can reach it,
+//     or else a copy-on-write clone of it — and does every allocation,
+//     including a first build's regions. It then posts a writer job
+//     through the ingest pipeline: the shard's worker, between two drain
+//     passes, copies only the chunks its DirtyTracker listed since the
+//     last refresh (everything on a first build or a saturated tracker),
 //     captures the Append engine's emitted counts as the event-cursor
 //     heads (the flush before the job delivered every emitted op) and
 //     clears the dirty set. The copy reads the source lines on the core
 //     that wrote them, and the worker stalls for the dirtied bytes, not
 //     the store size. The caller then publishes.
 //
-// Pin protocol: every snapshot handed out is a handle whose deleter
-// releases a per-record pin count. refresh() claims a record for
-// in-place patching with a single CAS(pins: 0 -> poison): success
-// proves no handle is live and blocks new pins (a pinner observing a
-// negative count backs off to the miss path), so a published snapshot
-// is only ever mutated when provably unreachable — readers never
-// observe a patch in progress, and the acq_rel CAS orders their last
-// reads before the first patch write.
+// Pin protocol: a handle is the published record itself — an aliasing
+// shared_ptr that shares the record's reference count and points at its
+// snapshot — so taking one allocates nothing. refresh() patches in
+// place only after it unpublishes the record (an atomic exchange, after
+// which no reader can reach it) and finds it holds the last reference;
+// dropping that reference is an acq_rel decrement that orders every
+// reader's release of its handle before the first patch write. A record
+// some handle still holds is republished and cloned instead, and one
+// whose count already shows a live handle is cloned without being
+// unpublished, so budgeted readers keep finding it during the clone.
 //
-// Thread safety: lookup/lookup_bounded/refresh/copy_fresh may be called
-// from any thread when the pipeline is threaded; with an inline
-// pipeline the writer job runs on the caller, so callers must serialize
-// with ingest (the single-control-thread contract that mode already
-// has).
+// Thread safety: acquire/copy_fresh may be called from any thread when
+// the pipeline is threaded; with an inline pipeline the writer job runs
+// on the caller, so callers must serialize with ingest (the
+// single-control-thread contract that mode already has).
 #pragma once
 
 #include <atomic>
@@ -85,14 +90,19 @@ struct SnapshotStalenessBudget {
 };
 
 struct SnapshotCacheStats {
-  std::uint64_t hits = 0;        // queries served from the current copy
-  std::uint64_t stale_hits = 0;  // served stale within a staleness budget
-  std::uint64_t misses = 0;      // refreshes (one per stale generation)
+  // Acquisitions served from the published record without a refresh:
+  // `hits` when it was current (its generation the shard's, every
+  // submitted report covered), `stale_hits` when an enabled budget
+  // served it — current or not, since a budgeted read checks the budget
+  // first and never reads the submitted count.
+  std::uint64_t hits = 0;
+  std::uint64_t stale_hits = 0;
+  std::uint64_t misses = 0;  // refreshes (one per stale generation)
   std::uint64_t invalidations = 0;
   // Refresh breakdown: chunk-patched vs full-copy refreshes, and how
-  // many patches had to clone first because a reader pinned the
-  // previous snapshot (the copy-on-write path; the clone itself runs on
-  // the reader, outside the writer job).
+  // many patches had to clone first because a reader held the previous
+  // snapshot (the copy-on-write path; the clone itself runs on the
+  // reader, outside the writer job).
   std::uint64_t incremental_refreshes = 0;
   std::uint64_t full_refreshes = 0;
   std::uint64_t cow_clones = 0;
@@ -107,29 +117,15 @@ class SnapshotCache {
 
   explicit SnapshotCache(std::size_t num_shards);
 
-  // Lock-free fast path: returns the cached snapshot when it is still
-  // current — its generation matches `generation` and no reports were
-  // submitted past `submitted_seq` since it was taken. nullptr = stale
-  // or empty; take the lookup_bounded/refresh path.
-  SnapshotPtr lookup(std::uint32_t shard, std::uint64_t generation,
-                     std::uint64_t submitted_seq);
-
-  // Bounded-staleness fast path: returns the cached snapshot when its
-  // generation lag (against `generation`, the live shard generation)
-  // and its age fit `budget` — even though it is stale — without
-  // triggering any refresh or writer job. A non-zero `min_covers_seq`
-  // is the read-your-submits override: a record that does not cover it
-  // is never served, budget or not. nullptr = outside budget or empty.
-  SnapshotPtr lookup_bounded(std::uint32_t shard, std::uint64_t generation,
-                             const SnapshotStalenessBudget& budget,
-                             std::uint64_t min_covers_seq = 0);
-
-  // Slow path: bring the cached copy current through a writer job on
-  // shard `shard` (incrementally where possible), publish and return
-  // it. Double-checks under the per-shard mutex, so concurrent misses
-  // coalesce into one refresh.
-  SnapshotPtr refresh(std::uint32_t shard_index, IngestPipeline& pipeline,
-                      CollectorShard& shard);
+  // Shard `shard_index`'s snapshot: the published record when it fits
+  // `budget` (disabled = exact freshness) or is current, else a
+  // refresh through a writer job. A non-zero `min_covers_seq` is the
+  // read-your-submits floor: a record that does not cover it is never
+  // served under the budget.
+  SnapshotPtr acquire(std::uint32_t shard_index, IngestPipeline& pipeline,
+                      CollectorShard& shard,
+                      const SnapshotStalenessBudget& budget,
+                      std::uint64_t min_covers_seq);
 
   // Uncached full copy, by a writer job behind the same per-shard
   // serialization (the bench baseline; also keeps a fresh copy safe
@@ -145,9 +141,9 @@ class SnapshotCache {
   void invalidate_all();
 
   // The cached entry for `shard` (nullptr if none) — stats-free peek
-  // for tests and introspection. The handle pins the snapshot like any
-  // other: holding it forces the next refresh onto the
-  // copy-on-write path.
+  // for tests and introspection. The handle holds the record like any
+  // other: holding it forces the next refresh onto the copy-on-write
+  // path.
   SnapshotPtr peek(std::uint32_t shard) const;
   // Number of shards with a live cached snapshot.
   std::size_t cached_count() const;
@@ -158,42 +154,53 @@ class SnapshotCache {
   SnapshotCacheStats stats() const;
 
  private:
-  // A pinned record can be patched in place only after this CAS
-  // sentinel lands in its pin count; pinners seeing a negative count
-  // back off to the miss path.
-  static constexpr std::int64_t kPoisonedPins = -(std::int64_t{1} << 62);
-
-  // One publication: the snapshot and its stamps, immutable once built
-  // (except the pin count) so every stamp is read consistently through
-  // a single atomic shared_ptr load.
+  // One publication: the snapshot and its stamps, immutable once
+  // published, so every stamp is read consistently through a single
+  // atomic shared_ptr load. Its reference count is the pin count.
   struct Stamped {
     SnapshotPtr snap;
     std::uint64_t covers_seq = 0;
     std::uint64_t taken_at_us = 0;
-    mutable std::atomic<std::int64_t> pins{0};
   };
   using StampedPtr = std::shared_ptr<const Stamped>;
 
   struct Entry {
     Mutex refresh_mu;
-    // Read with std::atomic_load / written with std::atomic_store; the
-    // fast path never takes refresh_mu (not GUARDED_BY for that
-    // reason — the atomic access is its own protocol).
+    // Read with std::atomic_load / written with std::atomic_store and
+    // std::atomic_exchange; the fast path never takes refresh_mu (not
+    // GUARDED_BY for that reason — the atomic access is its own
+    // protocol). Null between a refresh's unpublish and its publish.
     StampedPtr record;
     // The same object record->snap points at, mutable view — the
-    // in-place / clone base for incremental refresh. Always null
-    // exactly when record is null.
+    // in-place / clone base for incremental refresh. Null exactly when
+    // no snapshot was built since the last invalidation.
     std::shared_ptr<StoreSnapshot> writable DTA_GUARDED_BY(refresh_mu);
   };
 
   static std::uint64_t now_us();
-  // Takes one pin on `record` (false when the record is poisoned).
-  static bool try_pin(const Stamped& record);
-  // Wraps the pinned record in a handle whose deleter drops the pin.
-  static SnapshotPtr make_handle(StampedPtr record);
+  // A handle to `record`'s snapshot that shares the record's count.
+  static SnapshotPtr handle(const StampedPtr& record) {
+    return SnapshotPtr(record, record->snap.get());
+  }
+
+  // The path without the refresh mutex: the published record under
+  // `budget`, else the current one; nullptr when neither fits.
+  SnapshotPtr lookup(std::uint32_t shard_index, IngestPipeline& pipeline,
+                     CollectorShard& shard,
+                     const SnapshotStalenessBudget& budget,
+                     std::uint64_t min_covers_seq);
+
+  // The slow path: double-checks with the caller's budget and floor
+  // under the per-shard mutex (concurrent misses coalesce into one
+  // refresh), then brings the copy current through a writer job
+  // (incrementally where possible), publishes and returns it.
+  SnapshotPtr refresh(std::uint32_t shard_index, IngestPipeline& pipeline,
+                      CollectorShard& shard,
+                      const SnapshotStalenessBudget& budget,
+                      std::uint64_t min_covers_seq);
 
   // Publishes `snap` as shard `entry`'s current record and returns a
-  // pinned handle to it.
+  // handle to it.
   SnapshotPtr publish(Entry& entry, std::shared_ptr<StoreSnapshot> snap,
                       std::uint64_t covers_seq)
       DTA_REQUIRES(entry.refresh_mu);

@@ -2,11 +2,11 @@
 // concurrency surface, plus the capability-annotated mutex wrappers the
 // annotations attach to.
 //
-// The snapshot cache's pin/poison CAS publishing, the ingest pipeline's
-// flush and writer-job barriers, the index publisher's defer-publish
-// catch-up and the tenant registry's admission buckets all carry locking
-// invariants that TSan can only check on the interleavings a test
-// happens to hit.
+// The snapshot cache's unpublish-then-patch refresh, the ingest
+// pipeline's flush and writer-job barriers, the index publisher's
+// defer-publish catch-up and the tenant registry's admission buckets
+// all carry locking invariants that TSan can only check on the
+// interleavings a test happens to hit.
 // These macros let clang prove them on *every* build:
 //
 //   clang++ -Wthread-safety -Werror    (the CI static-analysis job)

@@ -154,21 +154,23 @@ std::uint32_t submit_ops(const proto::ParsedDta& parsed) {
 
 namespace {
 
-using collector::StoreSnapshot;
 using SnapshotPtr = Backend::SnapshotPtr;
 
 // The single snapshot-acquisition path: resolve the read-your-submits
 // floor, reject unsatisfiable floors, pick the per-call or runtime
-// staleness budget, acquire bounded.
+// staleness budget, acquire bounded. The submitted count, a line ingest
+// writes at every report, is read only when the caller names a floor.
 Expected<SnapshotPtr> acquire_snapshot(collector::CollectorRuntime& runtime,
                                        std::uint32_t shard,
                                        const QueryOptions& opts) {
-  const std::uint64_t submitted = runtime.pipeline().submitted(shard);
   std::uint64_t floor = opts.covers_seq;
-  if (opts.read_your_submits) floor = std::max(floor, submitted);
-  if (floor > submitted) {
-    return Status(StatusCode::kStalenessViolation,
-                  "covers_seq floor ahead of everything submitted");
+  if (floor > 0 || opts.read_your_submits) {
+    const std::uint64_t submitted = runtime.pipeline().submitted(shard);
+    if (opts.read_your_submits) floor = std::max(floor, submitted);
+    if (floor > submitted) {
+      return Status(StatusCode::kStalenessViolation,
+                    "covers_seq floor ahead of everything submitted");
+    }
   }
   const collector::SnapshotStalenessBudget& budget =
       opts.staleness ? *opts.staleness : runtime.staleness_budget();
@@ -226,10 +228,20 @@ Status postcard_precheck(const Backend& backend,
 // kit's byte-equality depends on there being only one).
 using internal::merge_counter;
 using internal::merge_keywrite;
+using internal::merge_keywrite_many;
 using internal::merge_keywrite_view;
 using internal::merge_path;
 using internal::range_precheck;
 using internal::resolve_range;
+
+// The *_async reads resolve on the caller, through the synchronous
+// call, and hand back a future that is already ready.
+template <typename T>
+std::future<T> ready(T value) {
+  std::promise<T> promise;
+  promise.set_value(std::move(value));
+  return promise.get_future();
+}
 
 }  // namespace
 
@@ -567,33 +579,17 @@ Expected<std::uint32_t> KeyWriteTable::get_u32(const proto::TelemetryKey& key,
 
 std::future<Expected<common::Bytes>> KeyWriteTable::get_async(
     const proto::TelemetryKey& key, const QueryOptions& opts) const {
-  // Snapshots are acquired now (stable against later ingest); only the
-  // merge runs on the detached thread.
-  const Status precheck = keywrite_precheck(*backend_, key, opts);
-  Expected<std::vector<SnapshotPtr>> snaps =
-      precheck.ok() ? backend_->key_snapshots(key, opts)
-                    : Expected<std::vector<SnapshotPtr>>(precheck);
-  return std::async(std::launch::async,
-                    [snaps = std::move(snaps), key,
-                     opts]() -> Expected<common::Bytes> {
-                      if (!snaps.ok()) return snaps.status();
-                      return merge_keywrite(*snaps, key, opts);
-                    });
+  return ready(get(key, opts));
 }
 
 Expected<std::vector<std::optional<common::Bytes>>> KeyWriteTable::get_many(
     const std::vector<proto::TelemetryKey>& keys,
     const QueryOptions& opts) const {
-  if (auto status = keywrite_batch_precheck(*backend_, keys, opts);
-      !status.ok()) {
-    return status;
-  }
-  auto batch = backend_->key_snapshots_batch(keys, opts);
-  if (!batch.ok()) return batch.status();
+  auto views = get_many_views(keys, opts);
+  if (!views.ok()) return views.status();
   std::vector<std::optional<common::Bytes>> out(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto merged = merge_keywrite((*batch)[i], keys[i], opts);
-    if (merged.ok()) out[i] = std::move(merged).value();
+    if ((*views)[i]) out[i] = (*views)[i]->to_bytes();
   }
   return out;
 }
@@ -607,33 +603,13 @@ Expected<std::vector<std::optional<ByteView>>> KeyWriteTable::get_many_views(
   }
   auto batch = backend_->key_snapshots_batch(keys, opts);
   if (!batch.ok()) return batch.status();
-  std::vector<std::optional<ByteView>> out(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto merged = merge_keywrite_view((*batch)[i], keys[i], opts);
-    if (merged.ok()) out[i] = std::move(merged).value();
-  }
-  return out;
+  return merge_keywrite_many(*batch, keys, opts);
 }
 
 std::future<Expected<std::vector<std::optional<common::Bytes>>>>
 KeyWriteTable::get_many_async(std::vector<proto::TelemetryKey> keys,
                               const QueryOptions& opts) const {
-  const Status precheck = keywrite_batch_precheck(*backend_, keys, opts);
-  Expected<std::vector<std::vector<SnapshotPtr>>> batch =
-      precheck.ok() ? backend_->key_snapshots_batch(keys, opts)
-                    : Expected<std::vector<std::vector<SnapshotPtr>>>(precheck);
-  return std::async(
-      std::launch::async,
-      [batch = std::move(batch), keys = std::move(keys),
-       opts]() -> Expected<std::vector<std::optional<common::Bytes>>> {
-        if (!batch.ok()) return batch.status();
-        std::vector<std::optional<common::Bytes>> out(keys.size());
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-          auto merged = merge_keywrite((*batch)[i], keys[i], opts);
-          if (merged.ok()) out[i] = std::move(merged).value();
-        }
-        return out;
-      });
+  return ready(get_many(keys, opts));
 }
 
 // --- CounterTable ------------------------------------------------------------
@@ -656,16 +632,7 @@ Expected<std::uint64_t> CounterTable::get(const proto::TelemetryKey& key,
 
 std::future<Expected<std::uint64_t>> CounterTable::get_async(
     const proto::TelemetryKey& key, const QueryOptions& opts) const {
-  const Status precheck = counter_precheck(*backend_, key, opts);
-  Expected<std::vector<SnapshotPtr>> snaps =
-      precheck.ok() ? backend_->key_snapshots(key, opts)
-                    : Expected<std::vector<SnapshotPtr>>(precheck);
-  return std::async(std::launch::async,
-                    [snaps = std::move(snaps), key,
-                     opts]() -> Expected<std::uint64_t> {
-                      if (!snaps.ok()) return snaps.status();
-                      return merge_counter(*snaps, key, opts);
-                    });
+  return ready(get(key, opts));
 }
 
 // --- AppendList --------------------------------------------------------------

@@ -35,9 +35,9 @@
 //
 // Threading contract: report()/flush()/stop() are serialized behind a
 // backend mutex, so multiple tenants may submit from concurrent
-// threads. Queries may run from any thread; *_async variants acquire
-// their snapshots at call time and resolve on a detached thread, so
-// results are stable against later ingest.
+// threads. Queries may run from any thread; *_async variants resolve
+// on the calling thread, through the synchronous call, and return a
+// ready future, so results are stable against later ingest.
 #pragma once
 
 #include <cstdint>
@@ -186,7 +186,10 @@ class KeyWriteTable {
       const proto::TelemetryKey& key, const QueryOptions& opts = {}) const;
 
   // Batch get under one generation pin; per-key misses are nullopt
-  // (structural failures surface on the outer Expected).
+  // (structural failures surface on the outer Expected). Keys resolve
+  // in groups, each key's slot lines prefetched in every snapshot of
+  // its set before the group votes; entry i equals get(keys[i]) where
+  // that is ok.
   Expected<std::vector<std::optional<common::Bytes>>> get_many(
       const std::vector<proto::TelemetryKey>& keys,
       const QueryOptions& opts = {}) const;

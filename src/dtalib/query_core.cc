@@ -66,6 +66,62 @@ Expected<std::uint64_t> vote_counter(const std::vector<SnapshotPtr>& snaps,
   return *best;
 }
 
+// Keys resolved together: their slot lines are all requested before
+// the first vote reads one, so the group's misses overlap (the lane
+// count the index fold's lockstep probes use too).
+constexpr std::size_t kResolveGroup = 16;
+
+// The resolution step of every multi-key read, range or batch get.
+// add() hashes a key once and prefetches its slot lines in every
+// snapshot of its set; vote() then runs the point-get vote over each
+// key added, in order, and empties the group for the next
+// kResolveGroup keys.
+class ResolveGroup {
+ public:
+  // One key, the snapshots it resolves over and its hashes.
+  struct Key {
+    const proto::TelemetryKey* key = nullptr;
+    const std::vector<SnapshotPtr>* snaps = nullptr;
+    translator::KeyHashes hashes;
+  };
+
+  ResolveGroup(bool counter, const QueryOptions& opts)
+      : counter_(counter), opts_(opts) {}
+
+  std::size_t size() const { return size_; }
+
+  void add(const proto::TelemetryKey& key,
+           const std::vector<SnapshotPtr>& snaps) {
+    Key& k = keys_[size_++];
+    k.key = &key;
+    k.snaps = &snaps;
+    k.hashes = lookup_hashes(key, opts_, counter_);
+    for (const auto& snap : snaps) {
+      if (counter_) {
+        if (const auto* store = snap->keyincrement()) {
+          store->prefetch(k.hashes);
+        }
+      } else if (const auto* store = snap->keywrite()) {
+        store->prefetch(k.hashes);
+      }
+    }
+  }
+
+  // Calls vote(i, key) on the i-th key added, in order — the caller's
+  // vote over key.snaps with key.hashes — then empties the group.
+  template <typename Vote>
+  void vote(const Vote& vote) {
+    for (std::size_t i = 0; i < size_; ++i) vote(i, keys_[i]);
+    size_ = 0;
+  }
+
+ private:
+  bool counter_;
+  const QueryOptions& opts_;
+  std::array<Key, kResolveGroup> keys_;
+  std::size_t size_ = 0;
+};
+
 }  // namespace
 
 Expected<ByteView> merge_keywrite_view(const std::vector<SnapshotPtr>& snaps,
@@ -81,6 +137,26 @@ Expected<common::Bytes> merge_keywrite(const std::vector<SnapshotPtr>& snaps,
   auto view = merge_keywrite_view(snaps, key, opts);
   if (!view.ok()) return view.status();
   return view->to_bytes();
+}
+
+std::vector<std::optional<ByteView>> merge_keywrite_many(
+    const std::vector<std::vector<SnapshotPtr>>& sets,
+    const std::vector<proto::TelemetryKey>& keys, const QueryOptions& opts) {
+  std::vector<std::optional<ByteView>> out(keys.size());
+  ResolveGroup group(/*counter=*/false, opts);
+  std::size_t first = 0;
+  const auto vote = [&](std::size_t i, const ResolveGroup::Key& k) {
+    auto view = vote_keywrite(*k.snaps, k.hashes, opts);
+    if (view.ok()) out[first + i] = std::move(view).value();
+  };
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    group.add(keys[i], sets[i]);
+    if (group.size() == kResolveGroup || i + 1 == keys.size()) {
+      group.vote(vote);
+      first = i + 1;
+    }
+  }
+  return out;
 }
 
 Expected<std::uint64_t> merge_counter(const std::vector<SnapshotPtr>& snaps,
@@ -245,11 +321,6 @@ class CandidateMerge {
   std::vector<Head> heads_;
 };
 
-// Candidates resolved together: their slot lines are all requested
-// before the first vote reads one, so the group's misses overlap (the
-// lane count the index fold's lockstep probes use too).
-constexpr std::size_t kResolveGroup = 16;
-
 }  // namespace
 
 std::vector<proto::TelemetryKey> collect_range_candidates(
@@ -266,15 +337,24 @@ std::vector<proto::TelemetryKey> collect_range_candidates(
 RangeResult resolve_range(const IndexVersions& indexes,
                           const std::vector<std::vector<SnapshotPtr>>& sets,
                           const RangeSpec& spec, const QueryOptions& opts) {
-  struct Resolving {
-    const proto::TelemetryKey* key = nullptr;
-    const std::vector<SnapshotPtr>* snaps = nullptr;
-    translator::KeyHashes hashes;
-  };
   const bool counter = spec.primitive == RangePrimitive::kCounter;
   CandidateMerge merge(indexes, spec);
-  std::array<Resolving, kResolveGroup> group;
+  ResolveGroup group(counter, opts);
   RangeResult out;
+  const auto vote = [&](std::size_t, const ResolveGroup::Key& k) {
+    RangeEntry entry;
+    entry.key = *k.key;
+    if (counter) {
+      const auto est = vote_counter(*k.snaps, k.hashes);
+      if (!est.ok()) return;
+      common::put_u64(entry.value, *est);
+    } else {
+      const auto view = vote_keywrite(*k.snaps, k.hashes, opts);
+      if (!view.ok()) return;
+      entry.value = view->to_bytes();
+    }
+    out.entries.push_back(std::move(entry));
+  };
   auto candidate = merge.next();
   while (candidate.key != nullptr) {
     if (spec.limit != 0 && out.entries.size() == spec.limit) {
@@ -283,47 +363,18 @@ RangeResult resolve_range(const IndexVersions& indexes,
       out.next = RangeCursor{out.entries.back().key};
       break;
     }
-    // Hash step: each key's hashes once, and a prefetch of its slot
-    // lines in every snapshot it resolves against. A group never takes
-    // more candidates than the limit still has room for.
+    // A group never takes more candidates than the limit still has
+    // room for.
     std::size_t room = kResolveGroup;
     if (spec.limit != 0) {
       room = static_cast<std::size_t>(std::min<std::uint64_t>(
           room, spec.limit - out.entries.size()));
     }
-    std::size_t size = 0;
-    for (; candidate.key != nullptr && size < room;
+    for (; candidate.key != nullptr && group.size() < room;
          candidate = merge.next()) {
-      Resolving& r = group[size++];
-      r.key = candidate.key;
-      r.snaps = &sets[candidate.source];
-      r.hashes = lookup_hashes(*r.key, opts, counter);
-      for (const auto& snap : *r.snaps) {
-        if (counter) {
-          if (const auto* store = snap->keyincrement()) {
-            store->prefetch(r.hashes);
-          }
-        } else if (const auto* store = snap->keywrite()) {
-          store->prefetch(r.hashes);
-        }
-      }
+      group.add(*candidate.key, sets[candidate.source]);
     }
-    // Read step: the vote a point get of the key runs.
-    for (std::size_t i = 0; i < size; ++i) {
-      const Resolving& r = group[i];
-      RangeEntry entry;
-      entry.key = *r.key;
-      if (counter) {
-        const auto est = vote_counter(*r.snaps, r.hashes);
-        if (!est.ok()) continue;
-        common::put_u64(entry.value, *est);
-      } else {
-        const auto view = vote_keywrite(*r.snaps, r.hashes, opts);
-        if (!view.ok()) continue;
-        entry.value = view->to_bytes();
-      }
-      out.entries.push_back(std::move(entry));
-    }
+    group.vote(vote);
   }
   return out;
 }

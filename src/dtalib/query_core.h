@@ -47,6 +47,14 @@ Expected<common::Bytes> merge_keywrite(const std::vector<SnapshotPtr>& snaps,
                                        const proto::TelemetryKey& key,
                                        const QueryOptions& opts);
 
+// The batch get: entry i is merge_keywrite_view(sets[i], keys[i], opts)
+// where that is ok, nullopt otherwise. Keys resolve through the group
+// step resolve_range runs (its resolve step below), so a batch's slot
+// misses overlap instead of each vote waiting for its own.
+std::vector<std::optional<ByteView>> merge_keywrite_many(
+    const std::vector<std::vector<SnapshotPtr>>& sets,
+    const std::vector<proto::TelemetryKey>& keys, const QueryOptions& opts);
+
 // CMS estimate: min over the N counters within a snapshot, max across
 // replica hosts (each replica is a one-sided overestimate of the same
 // reports, so the max never undercounts a survivor).
@@ -92,7 +100,7 @@ using IndexVersions =
 //   resolve — candidates taken 16 at a time: each key's checksum and N
 //             slot hashes computed once, its slot lines prefetched in
 //             every snapshot of its set, then the point-get vote run
-//             over each.
+//             over each (the step merge_keywrite_many runs too).
 // The merge stops at `limit` resolved entries plus the one candidate
 // past them that proves `truncated`. `sets[i]` is the snapshot set of
 // every key found in `indexes[i]`: the snapshots a point get of such a

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <variant>
@@ -219,6 +220,115 @@ TEST_P(BackendConformanceTest, AsyncGetsResolve) {
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), 1u);
   EXPECT_TRUE((*batch)[0].has_value());
+}
+
+// ------------------------------------------ batch gets (differential)
+
+// Every batch read of `keys` equals per-key get, entry for entry: the
+// same value, and nullopt exactly where get is not ok.
+void expect_batch_gets_equal_gets(Client& client,
+                                  const std::vector<TelemetryKey>& keys) {
+  auto table = client.keywrite();
+  const auto many = table.get_many(keys);
+  const auto views = table.get_many_views(keys);
+  const auto async = table.get_many_async(keys).get();
+  ASSERT_TRUE(many.ok()) << many.status().to_string();
+  ASSERT_TRUE(views.ok()) << views.status().to_string();
+  ASSERT_TRUE(async.ok()) << async.status().to_string();
+  ASSERT_EQ(many->size(), keys.size());
+  ASSERT_EQ(views->size(), keys.size());
+  ASSERT_EQ(async->size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto one = table.get(keys[i]);
+    std::optional<Bytes> want;
+    if (one.ok()) want = *one;
+    std::optional<Bytes> viewed;
+    if ((*views)[i]) viewed = (*views)[i]->to_bytes();
+    EXPECT_TRUE((*many)[i] == want) << "get_many entry " << i;
+    EXPECT_TRUE(viewed == want) << "get_many_views entry " << i;
+    EXPECT_TRUE((*async)[i] == want) << "get_many_async entry " << i;
+  }
+}
+
+// A store small enough to collide: 256 slots (the Fabric's whole store;
+// a runtime shard keeps at least 1024) and 4-bit checksums, so
+// kCollidingWrites keys make some reads kNotFound and some kConflict.
+constexpr std::uint32_t kCollidingWrites = 3000;
+
+collector::CollectorRuntimeConfig colliding_config() {
+  collector::CollectorRuntimeConfig config = conformance_host_config();
+  config.keywrite->num_slots = 256;
+  config.keywrite->checksum_bits = 4;
+  return config;
+}
+
+// Writes kCollidingWrites keys, then returns the batches to compare:
+// every size around the resolver's 16-key groups, each cycling through
+// keys that read a value, kNotFound and kConflict, keys never written,
+// and repeats of earlier keys.
+std::vector<std::vector<TelemetryKey>> colliding_batches(Client& client) {
+  auto table = client.keywrite();
+  for (std::uint32_t id = 0; id < kCollidingWrites; ++id) {
+    EXPECT_TRUE(table.put_u32(reports::mixed_key(id), id * 2654435761u).ok());
+  }
+  EXPECT_TRUE(client.flush().ok());
+  std::vector<TelemetryKey> hits;
+  std::vector<TelemetryKey> not_found;
+  std::vector<TelemetryKey> conflicts;
+  for (std::uint32_t id = 0; id < kCollidingWrites; ++id) {
+    const TelemetryKey key = reports::mixed_key(id);
+    switch (table.get(key).code()) {
+      case StatusCode::kOk: hits.push_back(key); break;
+      case StatusCode::kNotFound: not_found.push_back(key); break;
+      case StatusCode::kConflict: conflicts.push_back(key); break;
+      default: ADD_FAILURE() << "unexpected get status"; break;
+    }
+  }
+  EXPECT_FALSE(hits.empty());
+  EXPECT_FALSE(not_found.empty());
+  EXPECT_FALSE(conflicts.empty());
+  if (hits.empty() || not_found.empty() || conflicts.empty()) return {};
+
+  std::vector<std::vector<TelemetryKey>> batches;
+  for (const std::size_t size : {0, 1, 15, 16, 17, 33, 64}) {
+    std::vector<TelemetryKey> keys;
+    for (std::size_t i = 0; i < size; ++i) {
+      if (i % 7 == 6) {
+        keys.push_back(keys[i / 2]);
+        continue;
+      }
+      switch (i % 5) {
+        case 0:
+        case 1: keys.push_back(hits[(i * 31 + size) % hits.size()]); break;
+        case 2: keys.push_back(not_found[i % not_found.size()]); break;
+        case 3: keys.push_back(conflicts[i % conflicts.size()]); break;
+        default: keys.push_back(reports::mixed_key(1000000 + i)); break;
+      }
+    }
+    batches.push_back(std::move(keys));
+  }
+  return batches;
+}
+
+TEST_P(BackendConformanceTest, BatchGetsEqualPerKeyGets) {
+  Client client(make_backend(GetParam(), colliding_config()));
+  for (const auto& keys : colliding_batches(client)) {
+    SCOPED_TRACE("batch of " + std::to_string(keys.size()));
+    expect_batch_gets_equal_gets(client, keys);
+  }
+}
+
+TEST(BackendDifferentialTest, BatchGetsEqualPerKeyGetsOverAFailedReplica) {
+  // Three kReplicate hosts, host 1 failed: every key resolves over the
+  // two survivors' snapshots, batch and per-key alike.
+  Client client(std::make_unique<ClusterBackend>(ClusterRuntimeConfig{
+      colliding_config(), 3, translator::PartitionPolicy::kReplicate}));
+  const auto batches = colliding_batches(client);
+  ASSERT_TRUE(client.fail_host(1).ok());
+  for (const auto& keys : batches) {
+    SCOPED_TRACE("batch of " + std::to_string(keys.size()));
+    expect_batch_gets_equal_gets(client, keys);
+  }
 }
 
 // --------------------------------------------------- Key-Increment

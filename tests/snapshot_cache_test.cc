@@ -424,16 +424,41 @@ TEST(SnapshotCache, PinnedReaderForcesCopyOnWrite) {
   EXPECT_NE(pinned->keywrite_query(key_of(2), 1).status, QueryStatus::kHit);
   ASSERT_EQ(fresh->keywrite_query(key_of(2), 1).status, QueryStatus::kHit);
 
-  // With no handle outstanding the next refresh patches the published
-  // snapshot in place — same object, new contents.
-  const StoreSnapshot* recycled = fresh.get();
+  // A handle is the record: a copy of one, taken before the refresh,
+  // holds the snapshot alone once the original is dropped.
+  const auto copied = fresh;
   pinned.reset();
   fresh.reset();
   runtime.submit(small_report(3, 30));
+  auto after_copy = runtime.snapshot_shard(0);
+  EXPECT_NE(after_copy.get(), copied.get());
+  EXPECT_EQ(runtime.snapshot_cache().stats().cow_clones, 2u);
+  EXPECT_NE(copied->keywrite_query(key_of(3), 1).status, QueryStatus::kHit);
+
+  // So does a copy of a ByteView into the snapshot.
+  const auto span = after_copy->keywrite_query_view(key_of(3), 1);
+  ASSERT_EQ(span.status, QueryStatus::kHit);
+  std::optional<ByteView> view(ByteView(after_copy, span.value));
+  const ByteView view_copy = *view;
+  view.reset();
+  after_copy.reset();
+  runtime.submit(small_report(3, 31));
+  auto after_view = runtime.snapshot_shard(0);
+  EXPECT_EQ(runtime.snapshot_cache().stats().cow_clones, 3u);
+  EXPECT_EQ(common::load_u32(view_copy.data()), 30u);
+  EXPECT_EQ(common::load_u32(
+                after_view->keywrite_query(key_of(3), 1).value.data()),
+            31u);
+
+  // With every copy dropped the next refresh patches the published
+  // snapshot in place — same object, new contents, no clone.
+  const StoreSnapshot* recycled = after_view.get();
+  after_view.reset();
+  runtime.submit(small_report(4, 40));
   const auto in_place = runtime.snapshot_shard(0);
   EXPECT_EQ(in_place.get(), recycled);
-  EXPECT_EQ(runtime.snapshot_cache().stats().cow_clones, 1u);
-  ASSERT_EQ(in_place->keywrite_query(key_of(3), 1).status, QueryStatus::kHit);
+  EXPECT_EQ(runtime.snapshot_cache().stats().cow_clones, 3u);
+  ASSERT_EQ(in_place->keywrite_query(key_of(4), 1).status, QueryStatus::kHit);
 }
 
 TEST(SnapshotCache, HighDirtyRatioFallsBackToFullCopy) {
@@ -486,6 +511,18 @@ TEST(SnapshotCache, WithinBudgetServesWithoutQuiesce) {
   const auto fresh = runtime.snapshot_shard(0);
   EXPECT_GT(runtime.pipeline().quiesces(0), quiesces_before);
   EXPECT_EQ(fresh->generation(), runtime.shard(0).generation());
+
+  // A current record read under a budget is served by the budget: no
+  // writer job, and one stale hit — not a hit as well.
+  const auto served_before = runtime.snapshot_cache().stats();
+  const std::uint64_t quiesces_current = runtime.pipeline().quiesces(0);
+  const auto current = runtime.snapshot_shard_bounded(0);
+  EXPECT_EQ(current.get(), fresh.get());
+  EXPECT_EQ(runtime.pipeline().quiesces(0), quiesces_current);
+  const auto served_after = runtime.snapshot_cache().stats();
+  EXPECT_EQ(served_after.stale_hits, served_before.stale_hits + 1);
+  EXPECT_EQ(served_after.hits, served_before.hits);
+  EXPECT_EQ(served_after.misses, served_before.misses);
 }
 
 TEST(SnapshotCache, ExpiredGenerationBudgetRefreshes) {
@@ -607,6 +644,138 @@ TEST(SnapshotCache, StaleServingQueriesDuringIngest) {
 
   const auto stats = runtime.snapshot_cache().stats();
   EXPECT_GE(stats.misses, kRounds);
+  runtime.stop();
+}
+
+// A producer thread that keeps shard 0's queue full of paired 8-byte
+// Key-Write reports on kKeys keys, a new round each pass, until
+// stopped.
+class SaturatingProducer {
+ public:
+  static constexpr std::uint64_t kKeys = 64;
+
+  explicit SaturatingProducer(CollectorRuntime& runtime)
+      : thread_([this, &runtime] {
+          for (std::uint32_t round = 1; !done_.load(std::memory_order_acquire);
+               ++round) {
+            for (std::uint64_t id = 0; id < kKeys; ++id) {
+              runtime.submit(paired_report(id, round));
+            }
+          }
+        }) {}
+  ~SaturatingProducer() { stop(); }
+  SaturatingProducer(const SaturatingProducer&) = delete;
+  SaturatingProducer& operator=(const SaturatingProducer&) = delete;
+
+  void stop() {
+    done_.store(true, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+CollectorRuntimeConfig saturated_config() {
+  CollectorRuntimeConfig config =
+      cache_config(ThreadMode::kThreaded, /*value_bytes=*/8, /*op_batch=*/8);
+  config.keywrite->num_slots = 1 << 10;
+  config.queue_capacity = 256;
+  return config;
+}
+
+// An age-only budget longer than any test: what the pipeline bench's
+// panels read under.
+constexpr SnapshotStalenessBudget kLongAgeBudget{0, 600ull * 1000 * 1000};
+
+TEST(SnapshotCache, BudgetedReadWaitingOnARefreshTakesItsRecord) {
+  // One exact reader, whose reads refresh beside a saturating producer,
+  // and one budgeted reader. A budgeted read can still land on
+  // refresh's mutex (the entry is empty while a refresh patches in
+  // place); the double-check under the mutex must then serve the record
+  // that refresh published, which fits the budget, instead of running a
+  // second writer job. So each exact read is one hit or one miss, and
+  // every budgeted read is one stale hit.
+  static constexpr std::uint64_t kExactReads = 500;
+  CollectorRuntime runtime(saturated_config());
+  SaturatingProducer producer(runtime);
+  (void)runtime.snapshot_shard(0);  // first build
+  const SnapshotCacheStats before = runtime.snapshot_cache().stats();
+
+  std::atomic<bool> budgeted_started{false};
+  std::atomic<bool> exact_done{false};
+  std::uint64_t budgeted_reads = 0;
+  std::thread budgeted([&] {
+    while (!exact_done.load(std::memory_order_acquire)) {
+      EXPECT_NE(runtime.snapshot_shard_bounded(0, 0, kLongAgeBudget), nullptr);
+      ++budgeted_reads;
+      budgeted_started.store(true, std::memory_order_release);
+    }
+  });
+  while (!budgeted_started.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  for (std::uint64_t read = 0; read < kExactReads; ++read) {
+    EXPECT_NE(runtime.snapshot_shard(0), nullptr);
+  }
+  exact_done.store(true, std::memory_order_release);
+  budgeted.join();
+  producer.stop();
+
+  const SnapshotCacheStats after = runtime.snapshot_cache().stats();
+  EXPECT_EQ(after.misses + after.hits - before.misses - before.hits,
+            kExactReads)
+      << "budgeted reads refreshed or were counted as exact hits";
+  EXPECT_EQ(after.stale_hits - before.stale_hits, budgeted_reads);
+  runtime.stop();
+}
+
+TEST(SnapshotCache, HandlesHoldTheirBytesUnderSaturatingProducer) {
+  // TSan stress for the pin protocol: two readers take handles, budgeted
+  // and exact, copy them, drop the originals and keep a few copies
+  // across later refreshes (dropping them all now and then), while a
+  // saturating producer rewrites every key. The Key-Write region's bytes must not change while any copy of
+  // a handle is held: a refresh may patch a snapshot in place only once
+  // no handle can reach it.
+  static constexpr int kReadsPerReader = 400;
+  static constexpr std::size_t kHeld = 3;
+  CollectorRuntime runtime(saturated_config());
+  SaturatingProducer producer(runtime);
+  (void)runtime.snapshot_shard(0);
+
+  struct Held {
+    std::shared_ptr<const StoreSnapshot> snap;
+    Bytes bytes;
+  };
+  const auto region_bytes = [](const StoreSnapshot& snap) {
+    const rdma::MemoryRegion* region = snap.keywrite_mem();
+    return Bytes(region->data(), region->data() + region->length());
+  };
+  std::vector<std::thread> readers;
+  for (int reader = 0; reader < 2; ++reader) {
+    readers.emplace_back([&runtime, &region_bytes, reader] {
+      std::vector<Held> held;
+      for (int read = 0; read < kReadsPerReader; ++read) {
+        auto taken = (read + reader) % 2 == 0
+                         ? runtime.snapshot_shard(0)
+                         : runtime.snapshot_shard_bounded(0, 0, kLongAgeBudget);
+        Held h{taken, region_bytes(*taken)};
+        taken.reset();  // the copy in `h` alone holds the record now
+        held.push_back(std::move(h));
+        for (const Held& kept : held) {
+          ASSERT_TRUE(region_bytes(*kept.snap) == kept.bytes)
+              << "a held snapshot changed under its handle";
+        }
+        if (held.size() > kHeld) held.erase(held.begin());
+        // Now and then hold nothing, so refreshes also patch in place.
+        if (read % 16 == 15) held.clear();
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  producer.stop();
+  EXPECT_GT(runtime.snapshot_cache().stats().cow_clones, 0u);
   runtime.stop();
 }
 
