@@ -3,7 +3,7 @@
 // Spins up a 2-host x 2-shard cluster under replication behind
 // dta::Client (ClusterBackend), pushes per-flow metrics, loss counters
 // and an event stream through the two-level router (host by policy,
-// shard by key CRC), answers point/batch/async/event queries through
+// shard by key CRC), answers point/batch/event queries through
 // the same typed handles a single-host deployment uses, then kills one
 // collector host and repeats a point query to show replica failover —
 // the scaled-out, resilient version of sharded_collector.cpp, with not
@@ -74,22 +74,17 @@ int main() {
               static_cast<unsigned long long>(stats.ingest.reports_in),
               static_cast<unsigned long long>(stats.ingest.verbs_executed));
 
-  // Query path: async gets resolve from per-shard snapshots on their
-  // own threads — issue all three, then collect; ingest could keep
-  // running meanwhile.
+  // Query path: each read resolves on the calling thread from per-shard
+  // snapshots, so ingest could keep running meanwhile.
   const auto probe = flow_key(flow_of(44));
-  auto latency = client.keywrite().get_async(probe);
-  auto drops = client.counters().get_async(probe);
-  auto events = std::async(std::launch::async, [&client] {
-    return client.events(0).max(16).run();
-  });
-  if (const auto value = latency.get(); value.ok()) {
+  if (const auto value = client.keywrite().get(probe); value.ok()) {
     std::printf("flow 44 latency: %u usec\n",
                 common::load_u32(value->data()));
   }
+  const auto drops = client.counters().get(probe);
   std::printf("flow 44 drops: %llu\n",
-              static_cast<unsigned long long>(drops.get().value_or(0)));
-  const auto head = events.get();
+              static_cast<unsigned long long>(drops.value_or(0)));
+  const auto head = client.events(0).max(16).run();
   std::printf("list 0 head: %zu events (first flows:",
               head.ok() ? head->entries.size() : 0);
   if (head.ok()) {

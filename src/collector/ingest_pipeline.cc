@@ -25,7 +25,7 @@ constexpr std::size_t kShortPass = 32;
 constexpr std::chrono::microseconds kBackOff{16};
 
 // The spin-wait hint: yields the core's pipeline to its sibling thread
-// and slows the loop's reads of the request counters.
+// and slows the loop's reads of the request counter.
 void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -89,9 +89,13 @@ IngestPipeline::~IngestPipeline() { stop(); }
 void IngestPipeline::submit(std::uint32_t shard, proto::ParsedDta parsed) {
   ++stats_.submitted;
   ShardLane& lane = *lanes_[shard];
-  if (!threaded_ || stopped_.load(std::memory_order_acquire)) {
-    // Inline mode — or post-stop, when no worker would ever drain the
-    // queue; ingest on the caller thread rather than losing the report.
+  if (!threaded_) {
+    shards_[shard]->ingest(parsed);
+  } else if (stopped_) {
+    // No worker will ever drain the queue: ingest on the caller rather
+    // than lose the report, holding the lane lock so that no writer job
+    // posted from another thread runs meanwhile.
+    MutexLock lock(lane.post_mu);
     shards_[shard]->ingest(parsed);
   } else {
     while (!lane.queue.try_push(std::move(parsed))) {
@@ -113,94 +117,49 @@ std::uint64_t IngestPipeline::submitted(std::uint32_t shard) const {
 }
 
 std::uint64_t IngestPipeline::quiesces(std::uint32_t shard) const {
-  return lanes_[shard]->jobs_requested.load(std::memory_order_relaxed);
-}
-
-std::uint64_t IngestPipeline::request_flush(std::uint32_t shard) {
-  return lanes_[shard]->flushes_requested.fetch_add(
-             1, std::memory_order_acq_rel) +
-         1;
-}
-
-void IngestPipeline::await_flush(std::uint32_t shard, std::uint64_t target) {
-  while (lanes_[shard]->flushes_done.load(std::memory_order_acquire) <
-         target) {
-    std::this_thread::yield();
-  }
+  return lanes_[shard]->quiesces.load(std::memory_order_relaxed);
 }
 
 void IngestPipeline::flush() {
-  if (!threaded_ || stopped_.load(std::memory_order_acquire)) {
-    // Inline mode — or workers already joined by stop(), in which case
-    // flushing on the caller thread is safe and the only option.
-    for (CollectorShard* shard : shards_) shard->flush();
-    return;
-  }
-  // Ask every worker for one flush, then wait for all acknowledgements.
-  // Workers only flush once their queue is empty, so everything
-  // submitted before this call is processed first. A lane's request
-  // count, read back, covers the request made here: only a concurrent
-  // flush_shard can have raised it since, and a later flush's ack
-  // covers this one.
-  for (std::uint32_t i = 0; i < lanes_.size(); ++i) request_flush(i);
-  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
-    await_flush(i,
-                lanes_[i]->flushes_requested.load(std::memory_order_acquire));
-  }
+  // Lane by lane: the other workers keep draining while the caller
+  // waits on an earlier one.
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) flush_shard(i);
 }
 
 void IngestPipeline::flush_shard(std::uint32_t shard) {
-  if (!threaded_ || stopped_.load(std::memory_order_acquire)) {
-    shards_[shard]->flush();
-    return;
-  }
-  await_flush(shard, request_flush(shard));
+  post(shard, nullptr, nullptr, /*exit=*/false);
 }
 
-void IngestPipeline::post_job(std::uint32_t shard, void (*fn)(void*) noexcept,
-                              void* arg) {
+void IngestPipeline::post(std::uint32_t shard, void (*fn)(void*) noexcept,
+                          void* arg, bool exit) {
   ShardLane& lane = *lanes_[shard];
-  if (!threaded_ || stopped_.load(std::memory_order_acquire)) {
-    // Single-threaded contract: the caller is the only thread touching
-    // the shard, so it is the writer.
-    lane.jobs_requested.fetch_add(1, std::memory_order_relaxed);
+  MutexLock lock(lane.post_mu);
+  if (fn != nullptr) lane.quiesces.fetch_add(1, std::memory_order_relaxed);
+  if (!lane.worker.joinable()) {
+    // Inline (one thread drives the shard) or stopped (post-stop submits
+    // take this lock too): the caller is the shard's writer.
     shards_[shard]->flush();
-    fn(arg);
+    if (fn != nullptr) fn(arg);
     return;
   }
   lane.job_fn = fn;
   lane.job_arg = arg;
+  lane.exit = exit;
   const std::uint64_t target =
-      lane.jobs_requested.fetch_add(1, std::memory_order_acq_rel) + 1;
-  while (lane.jobs_done.load(std::memory_order_acquire) < target) {
-    if (lane.worker_done.load(std::memory_order_acquire)) {
-      // stop() raced the post. The worker can never write again, and
-      // its acks precede worker_done, so this re-read tells whether it
-      // ran the job before exiting; if not, the caller runs it.
-      if (lane.jobs_done.load(std::memory_order_acquire) < target) {
-        shards_[shard]->flush();
-        fn(arg);
-      }
-      return;
-    }
+      lane.requested.load(std::memory_order_relaxed) + 1;
+  lane.requested.store(target, std::memory_order_release);
+  while (lane.done.load(std::memory_order_acquire) < target) {
     std::this_thread::yield();
   }
+  if (exit) lane.worker.join();
 }
 
 void IngestPipeline::stop() {
-  if (stopped_.load(std::memory_order_acquire)) return;
-  if (threaded_) {
-    stop_.store(true, std::memory_order_release);
-    for (auto& lane : lanes_) {
-      if (lane->worker.joinable()) lane->worker.join();
-    }
-  } else {
-    for (CollectorShard* shard : shards_) shard->flush();
+  if (stopped_) return;
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
+    post(i, nullptr, nullptr, /*exit=*/true);
   }
-  // Published only after the join: a cross-thread reader that observes
-  // stopped_ may touch shard state from its own thread, so no worker
-  // can still be running.
-  stopped_.store(true, std::memory_order_release);
+  stopped_ = true;
 }
 
 void IngestPipeline::worker_loop(std::uint32_t shard) {
@@ -208,25 +167,22 @@ void IngestPipeline::worker_loop(std::uint32_t shard) {
   CollectorShard* target = shards_[shard];
   // Ingests, in their slots, the reports queued when the pass began,
   // and returns how many. The bound keeps a producer that refills the
-  // queue as fast as it drains from starving flush and job requests.
-  // It loses nothing a request waits for: those reports were pushed
-  // before the request's counter was bumped, so a pass started after
-  // observing the request reads a head_ that counts them.
+  // queue as fast as it drains from starving requests. It loses nothing
+  // a request waits for: those reports were pushed before `requested`
+  // was raised, so a pass started after observing the request reads a
+  // head_ that counts them.
   const auto drain = [&lane, target] {
     return lane.queue.consume(
         [target](const proto::ParsedDta& parsed) { target->ingest(parsed); });
   };
+  // The worker is `done`'s one writer, so it keeps the last ack here.
+  std::uint64_t acked = 0;
   // The back-off after a short pass: waits up to kBackOff, reading only
-  // the lane's request counters and stop_, and returns false at once
-  // when a flush, a writer job or stop() waits on the worker.
-  const auto back_off = [this, &lane] {
+  // `requested`, and returns false at once when a request waits.
+  const auto back_off = [&lane, &acked] {
     const auto until = std::chrono::steady_clock::now() + kBackOff;
     do {
-      if (lane.flushes_done.load(std::memory_order_relaxed) <
-              lane.flushes_requested.load(std::memory_order_relaxed) ||
-          lane.jobs_done.load(std::memory_order_relaxed) <
-              lane.jobs_requested.load(std::memory_order_relaxed) ||
-          stop_.load(std::memory_order_relaxed)) {
+      if (lane.requested.load(std::memory_order_relaxed) != acked) {
         return false;
       }
       cpu_relax();
@@ -235,52 +191,26 @@ void IngestPipeline::worker_loop(std::uint32_t shard) {
   };
   for (;;) {
     const std::size_t ran = drain();
-    bool answered = false;
-    // Honour flush requests. The producer pushes before it increments
-    // flushes_requested, so anything submitted before the flush() call
-    // is visible to the re-drain below once the increment is observed
-    // — the barrier can never skip a queued report. The producer is
-    // parked inside flush() until the ack, so nothing new races in
-    // between the re-drain and the ack.
     const std::uint64_t requested =
-        lane.flushes_requested.load(std::memory_order_acquire);
-    if (lane.flushes_done.load(std::memory_order_relaxed) < requested) {
+        lane.requested.load(std::memory_order_acquire);
+    if (requested != acked) {
+      // The re-drain covers every report submitted before the post (see
+      // drain); the poster waits for the ack, so the job runs between
+      // two drain passes, and the ack's release publishes its writes.
       drain();
       target->flush();
-      lane.flushes_done.store(requested, std::memory_order_release);
-      answered = true;
-    }
-    // Honour a writer job the same way: drain + flush (the job must see
-    // everything submitted before its post), run it, ack. The poster
-    // waits for the ack and posts serially, so one job is outstanding
-    // at most, and the ack's release publishes the job's writes.
-    const std::uint64_t jobs =
-        lane.jobs_requested.load(std::memory_order_acquire);
-    if (lane.jobs_done.load(std::memory_order_relaxed) < jobs) {
-      drain();
-      target->flush();
-      lane.job_fn(lane.job_arg);
-      lane.jobs_done.store(jobs, std::memory_order_release);
-      answered = true;
-    }
-    if (stop_.load(std::memory_order_acquire)) {
-      // Exit only once fully quiet: queue drained, every flush and job
-      // request honoured. A job posted past this check is caught by the
-      // poster's worker_done fallback in post_job.
-      if (lane.queue.empty() &&
-          lane.flushes_done.load(std::memory_order_relaxed) >=
-              lane.flushes_requested.load(std::memory_order_acquire) &&
-          lane.jobs_done.load(std::memory_order_relaxed) >=
-              lane.jobs_requested.load(std::memory_order_acquire)) {
-        target->flush();  // final drain of aggregation state
-        lane.worker_done.store(true, std::memory_order_release);
-        return;
-      }
+      if (lane.job_fn != nullptr) lane.job_fn(lane.job_arg);
+      const bool exit = lane.exit;
+      acked = requested;
+      lane.done.store(acked, std::memory_order_release);
+      // stop() posts from the producer's thread, so its re-drain left
+      // the queue empty.
+      if (exit) return;
       continue;
     }
     // An idle worker also yields, so a worker that shares its core
     // does not hold it between reports.
-    if (!answered && ran < kShortPass && back_off() && ran == 0) {
+    if (ran < kShortPass && back_off() && ran == 0) {
       std::this_thread::yield();
     }
   }

@@ -13,36 +13,43 @@
 // queue again. A worker that took each report as it landed would pull
 // the queue's head_ line and the next slots' lines off the producer's
 // core on nearly every push, and the producer would pay those misses
-// per report. The wait reads only the lane's request counters and
-// stop_, and ends at once on a flush, a writer job or stop(), so none
-// of them waits longer. stop_, which every worker reads on every pass,
-// has a cache line of its own: beside the stats the producer writes on
-// every submit, it would cost each worker a miss per submit, and the
-// producer a miss per worker pass.
+// per report. The wait reads only the lane's request counter and ends
+// at once when a request is posted, so no request waits longer.
+//
+// Each lane answers one request at a time. A poster takes the lane's
+// post_mu, writes an optional job and an exit bit, raises `requested`
+// and waits for `done`. The worker re-drains, flushes the shard, runs
+// the job if there is one, acks, and returns if the exit bit was set.
+// With no worker (inline, or after stop()) the poster flushes and runs
+// the job itself, still under post_mu. flush_shard() is a request with
+// no job, flush() one per lane in turn, run_writer_job() a request
+// with a job, and stop() each lane's last request: it joins the worker
+// under post_mu, so a post finds either a live worker or none.
 //
 // Workers can optionally be pinned to cores (pin_workers +
 // worker_cores): shard workers otherwise float across cores, losing
 // cache locality with their shard's store memory. Pinning is applied
 // from the constructor via the native thread handle, so no stat is
 // written from worker threads, and before the constructor returns, so
-// no report, flush or writer job reaches a worker before its pinning.
-// That also places the store memory: the pinned worker is the first
-// writer of its shard's regions, so each page faults in on the
-// worker's NUMA node.
+// no report or request reaches a worker before its pinning. That also
+// places the store memory: the pinned worker is the first writer of
+// its shard's regions, so each page faults in on the worker's NUMA
+// node.
 //
 // Threading contract: submit()/flush()/stop() must be called from one
-// thread. Shard stores must only be read behind a barrier:
+// thread, the control thread. Shard stores must only be read behind a
+// request:
 //   * flush()/flush_shard() — queue drained, translator aggregation
-//     state written back, and the release/acquire handshake on the
-//     flush counters publishes the worker's store writes to the caller;
+//     state written back, and the ack's release publishes the worker's
+//     store writes to the caller;
 //   * run_writer_job() — the form the snapshot tier uses while the
 //     producer keeps submitting: the shard's writer (its worker, or the
-//     caller when inline or stopped) drains, flushes and runs the job
+//     poster when inline or stopped) drains, flushes and runs the job
 //     between two drain passes, so the job reads store memory on the
-//     core that wrote it and no batch races it. Jobs on one shard must
-//     be serialized by the caller (SnapshotCache's per-shard mutex does
-//     this); jobs on different shards may overlap, and may be posted
-//     from any thread.
+//     core that wrote it and no batch races it. Jobs may be posted from
+//     any thread; posters on one lane take turns at its post_mu.
+// After stop(), submit() ingests on the control thread under the
+// lane's post_mu, so it never races a job another thread posts.
 #pragma once
 
 #include <atomic>
@@ -54,6 +61,7 @@
 #include "collector/shard.h"
 #include "common/lifetime_annotations.h"
 #include "common/spsc_queue.h"
+#include "common/thread_annotations.h"
 #include "dta/wire.h"
 
 namespace dta::collector {
@@ -111,13 +119,13 @@ class IngestPipeline {
   // the caller. Either way the job sees every report submitted before
   // the call and nothing else writes the shard while it runs. Posting
   // allocates nothing (the worker calls back through a pointer to
-  // `job`); the job must not throw. Callers serialize jobs per shard;
-  // see the threading contract above. stop() may race a post: the job
-  // still runs exactly once.
+  // `job`); the job must not throw. Any thread may post; posters on one
+  // shard take turns, and stop() may race a post: each job runs exactly
+  // once.
   template <typename Job>
   void run_writer_job(std::uint32_t shard, Job& job) {
-    post_job(shard, [](void* arg) noexcept { (*static_cast<Job*>(arg))(); },
-             &job);
+    post(shard, [](void* arg) noexcept { (*static_cast<Job*>(arg))(); }, &job,
+         /*exit=*/false);
   }
 
   // Count of reports ever submitted to shard `shard` (readable from any
@@ -130,8 +138,8 @@ class IngestPipeline {
   // have run a job.
   std::uint64_t quiesces(std::uint32_t shard) const;
 
-  // Drains, flushes and joins the workers. Idempotent; the destructor
-  // calls it.
+  // Drains, flushes and joins the workers, one lane at a time.
+  // Idempotent; the destructor calls it.
   void stop();
 
   bool threaded() const { return threaded_; }
@@ -143,43 +151,37 @@ class IngestPipeline {
   struct ShardLane {
     explicit ShardLane(std::uint32_t capacity) : queue(capacity) {}
     common::SpscQueue<proto::ParsedDta> queue;
-    std::thread worker;
     // The producer, its one writer, bumps `submitted` on every push,
-    // while a waiting worker polls the request counters below in a
-    // loop: on one cache line the two would trade it back and forth on
-    // every report.
+    // while a waiting worker polls `requested` below in a loop: on one
+    // cache line the two would trade it back and forth on every report.
     alignas(64) std::atomic<std::uint64_t> submitted{0};
-    alignas(64) std::atomic<std::uint64_t> flushes_requested{0};
-    std::atomic<std::uint64_t> flushes_done{0};
-    // Writer-job handshake: the poster stores the job, bumps
-    // jobs_requested (counting every job, in every mode) and waits for
-    // jobs_done; the worker runs the job after its drain + flush and
-    // acks. The job fields are published by the request's release.
+    // One request at a time: a poster holds post_mu from writing the
+    // request to reading its ack. The request fields are published to
+    // the worker by `requested`'s release, and the worker's reads of
+    // them end before its ack.
+    alignas(64) Mutex post_mu;
     void (*job_fn)(void*) noexcept = nullptr;
     void* job_arg = nullptr;
-    std::atomic<std::uint64_t> jobs_requested{0};
-    std::atomic<std::uint64_t> jobs_done{0};
-    // Set by the worker right before it returns (it can never write
-    // store memory again): the poster's escape hatch when stop() races
-    // a job the worker exited without seeing.
-    std::atomic<bool> worker_done{false};
+    bool exit = false;
+    std::atomic<std::uint64_t> requested{0};
+    std::atomic<std::uint64_t> done{0};
+    std::atomic<std::uint64_t> quiesces{0};  // writer jobs, any mode
+    // Joined by stop() under post_mu; never started when inline.
+    std::thread worker DTA_GUARDED_BY(post_mu);
   };
 
   void worker_loop(std::uint32_t shard);
-  void post_job(std::uint32_t shard, void (*fn)(void*) noexcept, void* arg);
-  std::uint64_t request_flush(std::uint32_t shard);
-  void await_flush(std::uint32_t shard, std::uint64_t target);
+  // The one request path: flush, writer job (fn != nullptr) and stop
+  // (exit) all post here.
+  void post(std::uint32_t shard, void (*fn)(void*) noexcept, void* arg,
+            bool exit);
 
   std::vector<CollectorShard*> shards_;
   std::vector<std::unique_ptr<ShardLane>> lanes_;
-  // Alone on its line: read by every worker on every pass, and next to
-  // stats_ it would move between cores on every submit.
-  alignas(64) std::atomic<bool> stop_{false};
+  // Read by submit() on every report, beside the stats it writes; off
+  // the line posters read lanes_ from.
   alignas(64) bool threaded_ = false;
-  // Flipped only after the workers are joined, so cross-thread readers
-  // (the snapshot path) that observe it can safely touch shard state
-  // from the calling thread.
-  std::atomic<bool> stopped_{false};
+  bool stopped_ = false;  // control thread only
   IngestPipelineStats stats_;
 };
 

@@ -134,8 +134,8 @@ void CollectorShard::deliver_batch() {
   }
   // The batch is in store memory; stamp a new generation. Release pairs
   // with the acquire in generation() so a reader that observes the new
-  // stamp also observes the batch's writes (the flush and writer-job
-  // handshakes are what actually publish them to snapshot takers).
+  // stamp also observes the batch's writes (the ingest pipeline's
+  // request ack is what actually publishes them to snapshot takers).
   generation_.fetch_add(1, std::memory_order_release);
 }
 

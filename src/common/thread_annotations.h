@@ -3,7 +3,7 @@
 // annotations attach to.
 //
 // The snapshot cache's unpublish-then-patch refresh, the ingest
-// pipeline's flush and writer-job barriers, the index publisher's
+// pipeline's one-request-per-lane handshake, the index publisher's
 // defer-publish catch-up and the tenant registry's admission buckets
 // all carry locking invariants that TSan can only check on the
 // interleavings a test happens to hit.

@@ -234,15 +234,6 @@ using internal::merge_path;
 using internal::range_precheck;
 using internal::resolve_range;
 
-// The *_async reads resolve on the caller, through the synchronous
-// call, and hand back a future that is already ready.
-template <typename T>
-std::future<T> ready(T value) {
-  std::promise<T> promise;
-  promise.set_value(std::move(value));
-  return promise.get_future();
-}
-
 }  // namespace
 
 proto::TelemetryKey flow_key(const net::FiveTuple& flow) {
@@ -577,11 +568,6 @@ Expected<std::uint32_t> KeyWriteTable::get_u32(const proto::TelemetryKey& key,
   return common::load_u32(value->data());
 }
 
-std::future<Expected<common::Bytes>> KeyWriteTable::get_async(
-    const proto::TelemetryKey& key, const QueryOptions& opts) const {
-  return ready(get(key, opts));
-}
-
 Expected<std::vector<std::optional<common::Bytes>>> KeyWriteTable::get_many(
     const std::vector<proto::TelemetryKey>& keys,
     const QueryOptions& opts) const {
@@ -606,12 +592,6 @@ Expected<std::vector<std::optional<ByteView>>> KeyWriteTable::get_many_views(
   return merge_keywrite_many(*batch, keys, opts);
 }
 
-std::future<Expected<std::vector<std::optional<common::Bytes>>>>
-KeyWriteTable::get_many_async(std::vector<proto::TelemetryKey> keys,
-                              const QueryOptions& opts) const {
-  return ready(get_many(keys, opts));
-}
-
 // --- CounterTable ------------------------------------------------------------
 
 Status CounterTable::add(const proto::TelemetryKey& key, std::uint64_t delta,
@@ -628,11 +608,6 @@ Expected<std::uint64_t> CounterTable::get(const proto::TelemetryKey& key,
   auto snaps = backend_->key_snapshots(key, opts);
   if (!snaps.ok()) return snaps.status();
   return merge_counter(*snaps, key, opts);
-}
-
-std::future<Expected<std::uint64_t>> CounterTable::get_async(
-    const proto::TelemetryKey& key, const QueryOptions& opts) const {
-  return ready(get(key, opts));
 }
 
 // --- AppendList --------------------------------------------------------------

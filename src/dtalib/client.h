@@ -35,13 +35,10 @@
 //
 // Threading contract: report()/flush()/stop() are serialized behind a
 // backend mutex, so multiple tenants may submit from concurrent
-// threads. Queries may run from any thread; *_async variants resolve
-// on the calling thread, through the synchronous call, and return a
-// ready future, so results are stable against later ingest.
+// threads. Queries may run from any thread and resolve on it.
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -182,8 +179,6 @@ class KeyWriteTable {
                               const QueryOptions& opts = {}) const;
   Expected<std::uint32_t> get_u32(const proto::TelemetryKey& key,
                                   const QueryOptions& opts = {}) const;
-  std::future<Expected<common::Bytes>> get_async(
-      const proto::TelemetryKey& key, const QueryOptions& opts = {}) const;
 
   // Batch get under one generation pin; per-key misses are nullopt
   // (structural failures surface on the outer Expected). Keys resolve
@@ -198,9 +193,6 @@ class KeyWriteTable {
   Expected<std::vector<std::optional<ByteView>>> get_many_views(
       const std::vector<proto::TelemetryKey>& keys,
       const QueryOptions& opts = {}) const;
-  std::future<Expected<std::vector<std::optional<common::Bytes>>>>
-  get_many_async(std::vector<proto::TelemetryKey> keys,
-                 const QueryOptions& opts = {}) const;
 
  private:
   Backend* backend_;
@@ -218,8 +210,6 @@ class CounterTable {
   // reports, so the max never undercounts a survivor).
   Expected<std::uint64_t> get(const proto::TelemetryKey& key,
                               const QueryOptions& opts = {}) const;
-  std::future<Expected<std::uint64_t>> get_async(
-      const proto::TelemetryKey& key, const QueryOptions& opts = {}) const;
 
  private:
   Backend* backend_;

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -199,29 +198,6 @@ TEST_P(BackendConformanceTest, RedundancyBeyondEngineCountRejected) {
   EXPECT_EQ(*got, 1u);
 }
 
-TEST_P(BackendConformanceTest, AsyncGetsResolve) {
-  Client client = make_client(GetParam());
-  auto table = client.keywrite();
-  for (std::uint32_t id = 0; id < 50; ++id) {
-    ASSERT_TRUE(table.put_u32(reports::mixed_key(id), id + 5).ok());
-  }
-  ASSERT_TRUE(client.flush().ok());
-  std::vector<std::future<Expected<common::Bytes>>> pending;
-  for (std::uint32_t id = 0; id < 50; ++id) {
-    pending.push_back(table.get_async(reports::mixed_key(id)));
-  }
-  int hits = 0;
-  for (auto& future : pending) {
-    if (future.get().ok()) ++hits;
-  }
-  EXPECT_GE(hits, 49);
-
-  auto batch = table.get_many_async({reports::mixed_key(1)}).get();
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), 1u);
-  EXPECT_TRUE((*batch)[0].has_value());
-}
-
 // ------------------------------------------ batch gets (differential)
 
 // Every batch read of `keys` equals per-key get, entry for entry: the
@@ -231,13 +207,10 @@ void expect_batch_gets_equal_gets(Client& client,
   auto table = client.keywrite();
   const auto many = table.get_many(keys);
   const auto views = table.get_many_views(keys);
-  const auto async = table.get_many_async(keys).get();
   ASSERT_TRUE(many.ok()) << many.status().to_string();
   ASSERT_TRUE(views.ok()) << views.status().to_string();
-  ASSERT_TRUE(async.ok()) << async.status().to_string();
   ASSERT_EQ(many->size(), keys.size());
   ASSERT_EQ(views->size(), keys.size());
-  ASSERT_EQ(async->size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const auto one = table.get(keys[i]);
     std::optional<Bytes> want;
@@ -246,7 +219,6 @@ void expect_batch_gets_equal_gets(Client& client,
     if ((*views)[i]) viewed = (*views)[i]->to_bytes();
     EXPECT_TRUE((*many)[i] == want) << "get_many entry " << i;
     EXPECT_TRUE(viewed == want) << "get_many_views entry " << i;
-    EXPECT_TRUE((*async)[i] == want) << "get_many_async entry " << i;
   }
 }
 
@@ -588,7 +560,7 @@ TEST_P(BackendConformanceTest, StalenessBudgetServesStaleAndFloorOverrides) {
 TEST_P(BackendConformanceTest, QueriesRunConcurrentlyWithIngest) {
   Client client = make_client(GetParam(), collector::ThreadMode::kThreaded);
   auto table = client.keywrite();
-  std::vector<std::future<Expected<common::Bytes>>> pending;
+  std::vector<Expected<common::Bytes>> results;
   std::uint32_t next_id = 0;
   for (std::uint32_t round = 0; round < 20; ++round) {
     for (std::uint32_t i = 0; i < 50; ++i, ++next_id) {
@@ -597,15 +569,15 @@ TEST_P(BackendConformanceTest, QueriesRunConcurrentlyWithIngest) {
     }
     if (round > 0) {
       const std::uint32_t probe = (round - 1) * 50;
-      pending.push_back(table.get_async(reports::mixed_key(probe)));
-      pending.push_back(table.get_async(reports::mixed_key(probe + 49)));
+      results.push_back(table.get(reports::mixed_key(probe)));
+      results.push_back(table.get(reports::mixed_key(probe + 49)));
     }
   }
   int hits = 0;
-  for (auto& future : pending) {
-    if (future.get().ok()) ++hits;
+  for (const auto& result : results) {
+    if (result.ok()) ++hits;
   }
-  EXPECT_EQ(hits, static_cast<int>(pending.size()));
+  EXPECT_EQ(hits, static_cast<int>(results.size()));
   client.stop();
   EXPECT_EQ(client.stats().ingest.reports_in,
             ingest_copies(GetParam()) * 1000u);

@@ -226,30 +226,6 @@ TEST_P(ClientApiTest, RedundancyBeyondEngineCountRejected) {
   EXPECT_EQ(*got, 1u);
 }
 
-TEST_P(ClientApiTest, AsyncGetsResolve) {
-  Client client = make_client(GetParam());
-  auto table = client.keywrite();
-  for (std::uint32_t id = 0; id < 50; ++id) {
-    ASSERT_TRUE(table.put_u32(reports::mixed_key(id), id + 5).ok());
-  }
-  ASSERT_TRUE(client.flush().ok());
-  std::vector<std::future<Expected<common::Bytes>>> pending;
-  for (std::uint32_t id = 0; id < 50; ++id) {
-    pending.push_back(table.get_async(reports::mixed_key(id)));
-  }
-  int hits = 0;
-  for (auto& future : pending) {
-    const auto value = future.get();
-    if (value.ok()) ++hits;
-  }
-  EXPECT_GE(hits, 49);
-
-  auto batch = table.get_many_async({reports::mixed_key(1)}).get();
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), 1u);
-  EXPECT_TRUE((*batch)[0].has_value());
-}
-
 // --------------------------------------------------- Key-Increment
 
 TEST_P(ClientApiTest, CounterRoundTrip) {
@@ -266,9 +242,9 @@ TEST_P(ClientApiTest, CounterRoundTrip) {
     ASSERT_TRUE(estimate.ok()) << estimate.status().to_string();
     EXPECT_GE(*estimate, 3u * (id + 1));  // CMS never underestimates
   }
-  const auto async_estimate = counters.get_async(reports::u32_key(1)).get();
-  ASSERT_TRUE(async_estimate.ok());
-  EXPECT_GE(*async_estimate, 6u);
+  const auto repeat_estimate = counters.get(reports::u32_key(1));
+  ASSERT_TRUE(repeat_estimate.ok());
+  EXPECT_GE(*repeat_estimate, 6u);
 }
 
 // ---------------------------------------------------------- Append
@@ -598,7 +574,7 @@ TEST_P(ClientApiTest, StalenessBudgetServesStaleAndFloorOverrides) {
 TEST_P(ClientApiTest, QueriesRunConcurrentlyWithThreadedIngest) {
   Client client = make_client(GetParam(), collector::ThreadMode::kThreaded);
   auto table = client.keywrite();
-  std::vector<std::future<Expected<common::Bytes>>> pending;
+  std::vector<Expected<common::Bytes>> results;
   std::uint32_t next_id = 0;
   for (std::uint32_t round = 0; round < 20; ++round) {
     for (std::uint32_t i = 0; i < 50; ++i, ++next_id) {
@@ -606,15 +582,15 @@ TEST_P(ClientApiTest, QueriesRunConcurrentlyWithThreadedIngest) {
     }
     if (round > 0) {
       const std::uint32_t probe = (round - 1) * 50;
-      pending.push_back(table.get_async(reports::mixed_key(probe)));
-      pending.push_back(table.get_async(reports::mixed_key(probe + 49)));
+      results.push_back(table.get(reports::mixed_key(probe)));
+      results.push_back(table.get(reports::mixed_key(probe + 49)));
     }
   }
   int hits = 0;
-  for (auto& future : pending) {
-    if (future.get().ok()) ++hits;
+  for (const auto& result : results) {
+    if (result.ok()) ++hits;
   }
-  EXPECT_EQ(hits, static_cast<int>(pending.size()));
+  EXPECT_EQ(hits, static_cast<int>(results.size()));
   client.stop();
   const auto stats = client.stats();
   const std::uint64_t copies =

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <thread>
 
 #include "dta/report_builders.h"
@@ -403,7 +402,7 @@ TEST(ClusterRuntime, RangeQueryPinsOneSnapshotPerShard) {
   }
 }
 
-// ------------------------------------------------------- async queries
+// ------------------------------------------------------------- queries
 
 TEST(ClusterRuntime, RangeQueryResolvesBatchInInputOrder) {
   Client client = Client::cluster(cluster_config(2, 2));
@@ -416,7 +415,7 @@ TEST(ClusterRuntime, RangeQueryResolvesBatchInInputOrder) {
   std::vector<TelemetryKey> keys;
   for (std::uint64_t id = 0; id < 300; id += 3) keys.push_back(key_of(id));
   keys.push_back(key_of(999999));  // never written
-  const auto results = client.keywrite().get_many_async(keys).get();
+  const auto results = client.keywrite().get_many(keys);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), keys.size());
   int hits = 0;
@@ -430,7 +429,7 @@ TEST(ClusterRuntime, RangeQueryResolvesBatchInInputOrder) {
   EXPECT_FALSE(results->back().has_value());
 }
 
-TEST(ClusterRuntime, CounterAndEventFuturesResolve) {
+TEST(ClusterRuntime, CounterAndEventReadsResolve) {
   Client client = Client::cluster(cluster_config(2, 2));
   net::FiveTuple flow{0x0A000001, 0x0B000001, 1234, 443, 6};
   for (int i = 0; i < 3; ++i) {
@@ -440,7 +439,7 @@ TEST(ClusterRuntime, CounterAndEventFuturesResolve) {
     ASSERT_TRUE(client.list(5).append_u32(i).ok());
   }
   ASSERT_TRUE(client.flush().ok());
-  const auto counter = client.counters().get_async(flow_key(flow)).get();
+  const auto counter = client.counters().get(flow_key(flow));
   ASSERT_TRUE(counter.ok());
   EXPECT_GE(*counter, 12u);  // CMS: >= truth
   const auto events = client.events(5).max(6).run();
@@ -451,15 +450,15 @@ TEST(ClusterRuntime, CounterAndEventFuturesResolve) {
 }
 
 TEST(ClusterRuntime, QueriesRunConcurrentlyWithThreadedIngest) {
-  // The TSan acceptance test: point/range queries resolve from
-  // per-shard snapshots on their own threads while the threaded ingest
-  // pipelines keep writing store memory. Any cross-thread read of live
+  // The TSan acceptance test: point queries resolve from per-shard
+  // snapshots while the threaded ingest pipelines keep writing store
+  // memory. Any cross-thread read of live
   // store state would be a data race; snapshots make it race-free.
   Client client = Client::cluster(cluster_config(
       2, 2, translator::PartitionPolicy::kReplicate,
       collector::ThreadMode::kThreaded));
 
-  std::vector<std::future<Expected<common::Bytes>>> pending;
+  std::vector<Expected<common::Bytes>> results;
   std::uint64_t next_id = 0;
   for (std::uint32_t round = 0; round < 20; ++round) {
     for (std::uint32_t i = 0; i < 50; ++i, ++next_id) {
@@ -472,17 +471,17 @@ TEST(ClusterRuntime, QueriesRunConcurrentlyWithThreadedIngest) {
     // reports are still in flight through the SPSC queues.
     if (round > 0) {
       const std::uint64_t probe = (round - 1) * 50;
-      pending.push_back(client.keywrite().get_async(key_of(probe)));
-      pending.push_back(client.keywrite().get_async(key_of(probe + 49)));
+      results.push_back(client.keywrite().get(key_of(probe)));
+      results.push_back(client.keywrite().get(key_of(probe + 49)));
     }
   }
   int hits = 0;
-  for (auto& future : pending) {
-    if (future.get().ok()) ++hits;
+  for (const auto& result : results) {
+    if (result.ok()) ++hits;
   }
   // Every probed key was flushed by its snapshot barrier before the
   // query resolved.
-  EXPECT_EQ(hits, static_cast<int>(pending.size()));
+  EXPECT_EQ(hits, static_cast<int>(results.size()));
   client.stop();
   EXPECT_EQ(client.stats().ingest.reports_in, 2u * 1000u);  // both replicas
 }

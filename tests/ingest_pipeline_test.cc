@@ -2,8 +2,10 @@
 // worker after every report submitted before its post; inline and
 // stopped pipelines run it on the caller; a stop() racing a post never
 // hangs and runs the job exactly once; jobs on two shards interleave
-// with a producer that keeps submitting and flushing. Run under TSan,
-// these check the post/ack handshake's ordering as well as its result.
+// with a producer that keeps submitting and flushing; two posters on
+// one shard take turns; post-stop jobs and post-stop submits never
+// overlap. Run under TSan, these check the request/ack handshake's
+// ordering as well as its result.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -110,9 +112,10 @@ TEST(IngestPipeline, InlineAndStoppedJobsRunOnCaller) {
 }
 
 TEST(IngestPipeline, StopRacingPostRunsJobExactlyOnce) {
-  // The poster either sees the worker's ack or its worker_done flag;
-  // in both cases the job must have run once, never zero times (a
-  // hang) or twice (the worker ran it and the fallback ran it again).
+  // The poster takes the lane lock either before stop(), and the
+  // worker runs the job ahead of its exit request, or after stop() has
+  // joined the worker, and runs the job itself. Either way the job must
+  // run once, never zero times (a hang) or twice.
   for (int iteration = 0; iteration < 200; ++iteration) {
     Lanes lanes(ThreadMode::kThreaded, 1);
     for (std::uint64_t id = 0; id < 8; ++id) lanes.submit(0, id);
@@ -166,6 +169,84 @@ TEST(IngestPipeline, JobsOnTwoShardsBesideSubmitsAndFlushes) {
   EXPECT_EQ(lanes.pipeline->quiesces(0), std::uint64_t{kJobs});
   EXPECT_EQ(lanes.pipeline->quiesces(1), std::uint64_t{kJobs});
   lanes.pipeline->stop();
+}
+
+TEST(IngestPipeline, TwoPostersOnOneShardTakeTurns) {
+  // Two posters share one lane with no lock of their own, beside a
+  // producer that submits and flushes: each job must run once, after
+  // every report counted before its post.
+  static constexpr int kJobs = 2000;
+  Lanes lanes(ThreadMode::kThreaded, 1);
+  std::atomic<bool> done{false};
+  std::thread producer([&lanes, &done] {
+    std::uint64_t id = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      lanes.submit(0, id);
+      if (++id % 64 == 0) lanes.pipeline->flush();
+    }
+  });
+  std::vector<std::vector<int>> runs(2, std::vector<int>(kJobs, 0));
+  std::vector<int> stale(2, 0);
+  std::vector<std::thread> posters;
+  for (int p = 0; p < 2; ++p) {
+    posters.emplace_back([&lanes, &runs, &stale, p] {
+      for (int j = 0; j < kJobs; ++j) {
+        const std::uint64_t floor = lanes.pipeline->submitted(0);
+        std::uint64_t seen = 0;
+        auto job = [&]() noexcept {
+          ++runs[p][j];
+          seen = lanes.shards[0]->stats().reports_in;
+        };
+        lanes.pipeline->run_writer_job(0, job);
+        if (seen < floor) ++stale[p];
+      }
+    });
+  }
+  for (auto& poster : posters) poster.join();
+  done.store(true, std::memory_order_release);
+  producer.join();
+  int not_once = 0;
+  for (const auto& poster_runs : runs) {
+    for (int count : poster_runs) not_once += count != 1 ? 1 : 0;
+  }
+  EXPECT_EQ(not_once, 0) << "jobs that did not run exactly once";
+  EXPECT_EQ(stale[0] + stale[1], 0) << "jobs that missed an earlier submit";
+  EXPECT_EQ(lanes.pipeline->quiesces(0), std::uint64_t{2 * kJobs});
+  lanes.pipeline->stop();
+}
+
+TEST(IngestPipeline, PostStopJobsBesidePostStopSubmits) {
+  // After stop(), submit() ingests on the control thread and a job runs
+  // on its poster's thread; the lane lock must keep the two apart.
+  // Under TSan, an overlap shows as a race in CollectorShard::ingest.
+  static constexpr int kJobs = 200;
+  static constexpr std::uint64_t kReports = 20000;
+  Lanes lanes(ThreadMode::kThreaded, 1);
+  lanes.pipeline->stop();
+  std::atomic<bool> submitting{false};
+  std::atomic<int> runs{0};
+  std::thread poster([&lanes, &submitting, &runs] {
+    while (!submitting.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    for (int j = 0; j < kJobs; ++j) {
+      const std::uint64_t floor = lanes.pipeline->submitted(0);
+      std::uint64_t seen = 0;
+      auto job = [&]() noexcept {
+        runs.fetch_add(1, std::memory_order_relaxed);
+        seen = lanes.shards[0]->stats().reports_in;
+      };
+      lanes.pipeline->run_writer_job(0, job);
+      EXPECT_GE(seen, floor) << "job " << j;
+    }
+  });
+  submitting.store(true, std::memory_order_release);
+  for (std::uint64_t id = 0; id < kReports; ++id) lanes.submit(0, id);
+  poster.join();
+  EXPECT_EQ(runs.load(), kJobs);
+  EXPECT_EQ(lanes.pipeline->quiesces(0), std::uint64_t{kJobs});
+  lanes.pipeline->flush();
+  EXPECT_EQ(lanes.shards[0]->stats().reports_in, kReports);
 }
 
 }  // namespace
