@@ -52,9 +52,7 @@ struct Rig {
       proto::AppendReport r;
       r.list_id = list;
       r.entry_size = 4;
-      common::Bytes e;
-      common::put_u32(e, static_cast<std::uint32_t>(i));
-      r.entries.push_back(std::move(e));
+      common::put_u32(r.entries.emplace_back(), static_cast<std::uint32_t>(i));
       std::vector<translator::RdmaOp> ops;
       engine->ingest(r, false, ops);
       for (auto& op : ops) service.nic().ingest(crafter->craft(op));

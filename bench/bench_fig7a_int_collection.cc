@@ -96,9 +96,7 @@ int main() {
       proto::AppendReport r;
       r.list_id = i % 4;
       r.entry_size = 4;
-      common::Bytes e;
-      common::put_u32(e, i);
-      r.entries.push_back(std::move(e));
+      common::put_u32(r.entries.emplace_back(), i);
       fabric.report_direct(reports::wrap(r));
     }
     const auto& st = fabric.translator().engines().append()->stats();

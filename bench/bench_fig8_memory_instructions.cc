@@ -74,9 +74,7 @@ double append_mem_ops() {
     proto::AppendReport r;
     r.list_id = 0;
     r.entry_size = 4;
-    common::Bytes e;
-    common::put_u32(e, i);
-    r.entries.push_back(std::move(e));
+    common::put_u32(r.entries.emplace_back(), i);
     fabric.report_direct(reports::wrap(r));
   }
   return static_cast<double>(fabric.verbs_executed()) / kEntries;

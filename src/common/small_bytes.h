@@ -5,8 +5,9 @@
 // a Key-Write slot, a postcard chunk) cross from producer to shard
 // worker and into store memory with no allocation. It offers the subset
 // of common::Bytes the tree uses: data/size, iteration, indexing,
-// push_back, resize, assign, insert at the end and equality; a Span
-// views it like any contiguous container.
+// push_back, resize, assign, insert at the end and equality (with
+// another SmallBytes or any byte span); a Span views it like any
+// contiguous container.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +18,8 @@
 #include <iterator>
 #include <limits>
 #include <stdexcept>
+
+#include "common/bytes.h"
 
 namespace dta::common {
 
@@ -114,7 +117,10 @@ class SmallBytes {
   }
 
   friend bool operator==(const SmallBytes& a, const SmallBytes& b) {
-    return a.size_ == b.size_ &&
+    return a == ByteSpan(b);
+  }
+  friend bool operator==(const SmallBytes& a, ByteSpan b) {
+    return a.size_ == b.size() &&
            (a.size_ == 0 || std::memcmp(a.data(), b.data(), a.size_) == 0);
   }
 

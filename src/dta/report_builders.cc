@@ -60,14 +60,14 @@ proto::ParsedDta append(std::uint32_t list, common::ByteSpan entry) {
   proto::AppendReport r;
   r.list_id = list;
   r.entry_size = static_cast<std::uint8_t>(entry.size());
-  r.entries.emplace_back(entry.begin(), entry.end());
+  r.entries.emplace_back().assign(entry.begin(), entry.end());
   return wrap(std::move(r));
 }
 
 proto::ParsedDta append_u32(std::uint32_t list, std::uint32_t value) {
-  common::Bytes entry;
-  common::put_u32(entry, value);
-  return append(list, common::ByteSpan(entry));
+  std::uint8_t entry[4];
+  common::store_u32(entry, value);
+  return append(list, common::ByteSpan(entry, sizeof entry));
 }
 
 proto::ParsedDta postcard(const proto::TelemetryKey& key, std::uint8_t hop,

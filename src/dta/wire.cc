@@ -133,10 +133,11 @@ void AppendReport::encode(Bytes& out) const {
   common::put_u8(out, entry_size);
   common::put_u8(out, static_cast<std::uint8_t>(entries.size()));
   for (const auto& e : entries) {
-    // Entries are fixed-size; short entries are zero-padded on the wire.
-    Bytes padded = e;
-    padded.resize(entry_size, 0);
-    common::put_bytes(out, ByteSpan(padded));
+    // Entries are fixed-size: a short entry is zero-padded on the wire,
+    // a long one cut.
+    const std::size_t kept = std::min<std::size_t>(e.size(), entry_size);
+    common::put_bytes(out, ByteSpan(e.data(), kept));
+    out.resize(out.size() + (entry_size - kept), 0);
   }
 }
 
@@ -146,10 +147,11 @@ std::optional<AppendReport> AppendReport::decode(Cursor& cur) {
   r.entry_size = cur.u8();
   const std::uint8_t count = cur.u8();
   if (!cur.ok() || r.entry_size == 0 || count == 0) return std::nullopt;
+  r.entries.reserve(count);
   for (std::uint8_t i = 0; i < count; ++i) {
     ByteSpan e = cur.bytes(r.entry_size);
     if (!cur.ok()) return std::nullopt;
-    r.entries.emplace_back(e.begin(), e.end());
+    r.entries.emplace_back().assign(e.begin(), e.end());
   }
   return r;
 }

@@ -15,10 +15,10 @@
 #include <cstdint>
 #include <optional>
 #include <variant>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/small_bytes.h"
+#include "common/small_vector.h"
 #include "dta/tenant.h"
 
 namespace dta::proto {
@@ -116,11 +116,20 @@ struct PostcardReport {
 // --- Append: (list, entries...) ----------------------------------------------
 // A single Append packet may carry several fixed-size entries (report
 // packing; the traffic generator in §6.7 relies on this to exceed
-// ingress pps limits).
+// ingress pps limits). Each entry keeps its own size: validation checks
+// it against entry_size, and the wire pads a short one with zeros. A
+// report holds its first entry in place, and an entry holds up to
+// kAppendInPlaceEntryBytes in place, so a one-entry report of the
+// paper's 4-byte events reaches store memory without a heap block. A
+// longer entry takes one block of its own; a second entry moves the
+// entries into one block.
+inline constexpr std::size_t kAppendInPlaceEntryBytes = 16;
+using AppendEntry = common::SmallBytes<kAppendInPlaceEntryBytes>;
+
 struct AppendReport {
   std::uint32_t list_id = 0;
   std::uint8_t entry_size = 4;
-  std::vector<common::Bytes> entries;
+  common::SmallVector<AppendEntry, 1> entries;
 
   void encode(common::Bytes& out) const;
   static std::optional<AppendReport> decode(common::Cursor& cur);
@@ -148,7 +157,7 @@ struct ParsedDta {
   Report report;
 };
 // Every ingest queue slot and bench ring entry is one ParsedDta: a
-// larger in-place Key-Write value would grow them all.
+// larger in-place Key-Write value or Append entry would grow them all.
 static_assert(sizeof(ParsedDta) == 64, "ParsedDta must stay 64 bytes");
 
 // Full-packet helpers: build/parse the DTA UDP payload.

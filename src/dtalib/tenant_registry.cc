@@ -63,6 +63,10 @@ void TenantRegistry::set_quota(Direction& direction, TenantId tenant,
   } else {
     account.bucket.reset();
   }
+  if (tenant == kDefaultTenant) {
+    direction.default_has_bucket.store(account.bucket.has_value(),
+                                       std::memory_order_relaxed);
+  }
 }
 
 void TenantRegistry::register_tenant(TenantId tenant, TenantConfig config) {
@@ -77,17 +81,29 @@ void TenantRegistry::register_tenant(TenantId tenant, TenantConfig config) {
 }
 
 Status TenantRegistry::admit(Direction& direction, TenantId tenant,
-                             common::VirtualNs now, std::uint32_t ops) {
+                             std::optional<common::VirtualNs> at,
+                             std::uint32_t ops) {
+  // The default tenant with no bucket is counted without the lock. A
+  // zero-op admission takes the lock: the account it makes is the
+  // tenant's row.
+  if (tenant == kDefaultTenant && ops != 0 &&
+      !direction.default_has_bucket.load(std::memory_order_relaxed)) {
+    direction.default_admitted.fetch_add(ops, std::memory_order_relaxed);
+    return Status::Ok();
+  }
   MutexLock lock(direction.mu);
   Account& account = direction.accounts[tenant];
   // No bucket (an unregistered tenant or an unlimited quota): counted,
   // never shed.
-  if (account.bucket && !account.bucket->admit(now, ops)) {
-    account.shed += ops;
-    return Status::ResourceExhausted(
-        "tenant " + std::to_string(tenant) + " " + direction.verb +
-            " quota exhausted",
-        account.bucket->retry_after_ns(now, ops));
+  if (account.bucket) {
+    const common::VirtualNs now = at ? *at : now_ns();
+    if (!account.bucket->admit(now, ops)) {
+      account.shed += ops;
+      return Status::ResourceExhausted(
+          "tenant " + std::to_string(tenant) + " " + direction.verb +
+              " quota exhausted",
+          account.bucket->retry_after_ns(now, ops));
+    }
   }
   account.admitted += ops;
   return Status::Ok();
@@ -104,11 +120,11 @@ Status TenantRegistry::admit_query_at(TenantId tenant, common::VirtualNs now,
 }
 
 Status TenantRegistry::admit_submit(TenantId tenant, std::uint32_t ops) {
-  return admit_submit_at(tenant, now_ns(), ops);
+  return admit(submit_, tenant, std::nullopt, ops);
 }
 
 Status TenantRegistry::admit_query(TenantId tenant, std::uint32_t ops) {
-  return admit_query_at(tenant, now_ns(), ops);
+  return admit(query_, tenant, std::nullopt, ops);
 }
 
 QueryOptions TenantRegistry::query_defaults(TenantId tenant) const {
@@ -123,12 +139,18 @@ QueryOptions TenantRegistry::query_defaults(TenantId tenant) const {
 TenantCounters TenantRegistry::merge(TenantId tenant, const Direction& submit,
                                      const Direction& query) {
   TenantCounters out;
+  if (tenant == kDefaultTenant) {
+    out.submits_admitted =
+        submit.default_admitted.load(std::memory_order_relaxed);
+    out.queries_admitted =
+        query.default_admitted.load(std::memory_order_relaxed);
+  }
   if (auto it = submit.accounts.find(tenant); it != submit.accounts.end()) {
-    out.submits_admitted = it->second.admitted;
+    out.submits_admitted += it->second.admitted;
     out.submits_shed = it->second.shed;
   }
   if (auto it = query.accounts.find(tenant); it != query.accounts.end()) {
-    out.queries_admitted = it->second.admitted;
+    out.queries_admitted += it->second.admitted;
     out.queries_shed = it->second.shed;
   }
   return out;
@@ -138,9 +160,15 @@ std::vector<TenantStatsRow> TenantRegistry::stats() const {
   MutexLock submit_lock(submit_.mu);
   MutexLock query_lock(query_.mu);
   std::vector<TenantId> tenants;
-  tenants.reserve(submit_.accounts.size() + query_.accounts.size());
+  tenants.reserve(submit_.accounts.size() + query_.accounts.size() + 1);
   for (const auto& entry : submit_.accounts) tenants.push_back(entry.first);
   for (const auto& entry : query_.accounts) tenants.push_back(entry.first);
+  // The default tenant has a row once it was admitted an op, with an
+  // account or without.
+  if (submit_.default_admitted.load(std::memory_order_relaxed) != 0 ||
+      query_.default_admitted.load(std::memory_order_relaxed) != 0) {
+    tenants.push_back(kDefaultTenant);
+  }
   std::sort(tenants.begin(), tenants.end());
   tenants.erase(std::unique(tenants.begin(), tenants.end()), tenants.end());
   std::vector<TenantStatsRow> rows;

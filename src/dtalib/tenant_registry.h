@@ -13,11 +13,17 @@
 // (tenant 0, kDefaultTenant, included) and a quota rate of 0
 // (unlimited) are only counted, each in its own row.
 //
-// Thread-safe: each admission direction (submit, query) has its own
-// mutex on its own cache line, so a submitting thread and a querying
-// thread never wait on each other; registration and stats take both.
+// Thread-safe. While the default tenant has no bucket in a direction,
+// its admission there is one relaxed load (the direction's "has a
+// bucket" bit) and one relaxed add to its tally: no clock read and no
+// lock. Every other admission takes its direction's mutex, each on its
+// own cache line, so a submitting thread and a querying thread never
+// wait on each other, and reads the clock only for an account with a
+// bucket. Registration and stats take both mutexes; stats fold the
+// default tenant's lock-free tallies into its row.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -118,18 +124,28 @@ class TenantRegistry {
   };
 
   // One admission direction: its tenants' accounts, behind a lock of
-  // its own on a cache line of its own.
+  // its own on a cache line of its own, and the default tenant's
+  // lock-free path on another.
   struct alignas(64) Direction {
     explicit Direction(const char* verb_name) : verb(verb_name) {}
 
     mutable Mutex mu;
     std::unordered_map<TenantId, Account> accounts DTA_GUARDED_BY(mu);
     const char* verb;  // for shed messages; set once
+
+    // Set, under mu, while the default tenant's account has a bucket.
+    alignas(64) std::atomic<bool> default_has_bucket{false};
+    // Ops the default tenant was admitted while it had no bucket; its
+    // account holds the rest of its tallies.
+    std::atomic<std::uint64_t> default_admitted{0};
   };
 
   common::VirtualNs now_ns() const;
-  Status admit(Direction& direction, TenantId tenant, common::VirtualNs now,
-               std::uint32_t ops) DTA_EXCLUDES(direction.mu);
+  // Admits at `at`, or at the wall clock, read only for an account
+  // with a bucket.
+  Status admit(Direction& direction, TenantId tenant,
+               std::optional<common::VirtualNs> at, std::uint32_t ops)
+      DTA_EXCLUDES(direction.mu);
   // Installs (full) or drops `tenant`'s bucket on one direction (rate
   // 0 = unlimited), keeping the account's tallies.
   static void set_quota(Direction& direction, TenantId tenant, double rate,

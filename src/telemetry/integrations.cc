@@ -47,11 +47,10 @@ proto::AppendReport SonataRawTuple::to_dta(
   proto::AppendReport r;
   r.list_id = query_id * lists_per_query;
   r.entry_size = 17;  // 13B tuple + 4B feature
-  common::Bytes e;
+  proto::AppendEntry& e = r.entries.emplace_back();
   const auto kb = flow.to_bytes();
   common::put_bytes(e, common::ByteSpan(kb.data(), kb.size()));
   common::put_u32(e, feature);
-  r.entries.push_back(std::move(e));
   return r;
 }
 
@@ -71,13 +70,12 @@ proto::AppendReport DSharkSummary::to_dta(std::uint32_t num_groupers) const {
   proto::AppendReport r;
   r.list_id = grouper_of(num_groupers);
   r.entry_size = kEntryBytes;
-  common::Bytes e;
+  proto::AppendEntry& e = r.entries.emplace_back();
   const auto kb = flow.to_bytes();
   common::put_bytes(e, common::ByteSpan(kb.data(), kb.size()));
   common::put_u32(e, ip_id);
   common::put_u32(e, tcp_seq);
   common::put_u8(e, observer);
-  r.entries.push_back(std::move(e));
   return r;
 }
 
@@ -108,12 +106,11 @@ proto::AppendReport PacketScopePipelineLoss::to_dta(
   proto::AppendReport r;
   r.list_id = list_id;
   r.entry_size = kEntryBytes;
-  common::Bytes e;
+  proto::AppendEntry& e = r.entries.emplace_back();
   common::put_u32(e, switch_id);
   common::put_u8(e, pipeline_stage);
   common::put_u8(e, drop_table);
   common::put_u64(e, flow_digest);
-  r.entries.push_back(std::move(e));
   return r;
 }
 

@@ -36,11 +36,10 @@ proto::AppendReport MarpleFlowlet::to_dta(std::uint32_t list_id) const {
   proto::AppendReport r;
   r.list_id = list_id;
   r.entry_size = 17;  // 13B flow + 4B packet count
-  common::Bytes e;
+  proto::AppendEntry& e = r.entries.emplace_back();
   const auto kb = flow.to_bytes();
   common::put_bytes(e, common::ByteSpan(kb.data(), kb.size()));
   common::put_u32(e, packets);
-  r.entries.push_back(std::move(e));
   return r;
 }
 
@@ -63,10 +62,9 @@ proto::AppendReport MarpleLossyFlow::to_dta(std::uint32_t base_list,
   if (range >= num_ranges) range = num_ranges - 1;
   r.list_id = base_list + range;
   r.entry_size = 13;  // 13B flow 5-tuple
-  common::Bytes e;
+  proto::AppendEntry& e = r.entries.emplace_back();
   const auto kb = flow.to_bytes();
   common::put_bytes(e, common::ByteSpan(kb.data(), kb.size()));
-  r.entries.push_back(std::move(e));
   return r;
 }
 
@@ -83,12 +81,11 @@ proto::AppendReport NetSeerLossEvent::to_dta(std::uint32_t list_id) const {
   proto::AppendReport r;
   r.list_id = list_id;
   r.entry_size = 18;  // 13B flow + 4B seq + 1B reason
-  common::Bytes e;
+  proto::AppendEntry& e = r.entries.emplace_back();
   const auto kb = flow.to_bytes();
   common::put_bytes(e, common::ByteSpan(kb.data(), kb.size()));
   common::put_u32(e, packet_seq);
   common::put_u8(e, reason);
-  r.entries.push_back(std::move(e));
   return r;
 }
 

@@ -1,5 +1,6 @@
 #include "translator/append_engine.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace dta::translator {
@@ -57,7 +58,11 @@ void AppendEngine::ingest(const proto::AppendReport& report, bool immediate,
 
   for (const auto& entry : report.entries) {
     ++stats_.entries_in;
-    st.batch.insert(st.batch.end(), entry.begin(), entry.end());
+    // Entries are fixed-size in the ring: a short entry is zero-padded,
+    // a long one cut.
+    const std::size_t kept =
+        std::min<std::size_t>(entry.size(), geometry_.entry_bytes);
+    st.batch.insert(st.batch.end(), entry.begin(), entry.begin() + kept);
     st.batch.resize((st.batched + 1) * geometry_.entry_bytes, 0);
     ++st.batched;
     // Also emit at the ring end: after a flush emitted a short batch the

@@ -52,12 +52,11 @@ std::optional<proto::AppendReport> HeavyHitterEngine::update(
       ++stats_.hitters_exported;
       proto::AppendReport out;
       out.list_id = config_.export_list;
-      common::Bytes entry;
+      proto::AppendEntry& entry = out.entries.emplace_back();
       common::put_bytes(entry, report.key.span());
       entry.resize(16, 0);
       common::put_u64(entry, after);
       out.entry_size = static_cast<std::uint8_t>(entry.size());
-      out.entries.push_back(std::move(entry));
       return out;
     }
   }

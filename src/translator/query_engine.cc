@@ -5,8 +5,7 @@ namespace dta::translator {
 proto::AppendReport QueryMatch::to_append(const ThresholdQuery& query) const {
   proto::AppendReport r;
   r.list_id = query.export_list;
-  common::Bytes entry;
-  entry.reserve(24 + per_hop.size() * 4);
+  proto::AppendEntry& entry = r.entries.emplace_back();
   // Fixed-width 16B key field (zero padded) + 8B sum.
   common::put_bytes(entry, flow.span());
   entry.resize(16, 0);
@@ -15,7 +14,6 @@ proto::AppendReport QueryMatch::to_append(const ThresholdQuery& query) const {
     for (std::uint32_t v : per_hop) common::put_u32(entry, v);
   }
   r.entry_size = static_cast<std::uint8_t>(entry.size());
-  r.entries.push_back(std::move(entry));
   return r;
 }
 

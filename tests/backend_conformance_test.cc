@@ -407,7 +407,7 @@ TEST_P(BackendConformanceTest, ErrorModelDistinctCodes) {
   // entries must be rejected, not wrapped to 0 on the Fabric.
   proto::AppendReport packed;
   packed.list_id = 0;
-  packed.entries.assign(256, Bytes(4, 3));
+  for (int i = 0; i < 256; ++i) packed.entries.emplace_back().resize(4, 3);
   EXPECT_EQ(client.report(packed).code(), StatusCode::kOutOfRange);
 
   // The event query's kOutOfRange is a cursor past the head.

@@ -578,7 +578,8 @@ TEST_P(ClientApiTest, QueriesRunConcurrentlyWithThreadedIngest) {
   std::uint32_t next_id = 0;
   for (std::uint32_t round = 0; round < 20; ++round) {
     for (std::uint32_t i = 0; i < 50; ++i, ++next_id) {
-      ASSERT_TRUE(table.put_u32(reports::mixed_key(next_id), next_id * 7 + 1).ok());
+      ASSERT_TRUE(
+          table.put_u32(reports::mixed_key(next_id), next_id * 7 + 1).ok());
     }
     if (round > 0) {
       const std::uint32_t probe = (round - 1) * 50;
@@ -978,6 +979,93 @@ TEST(TenantRegistry, SubmitAndQueryAdmissionRunConcurrently) {
   EXPECT_EQ(rows[0].counters.submits_shed, counters.submits_shed);
   EXPECT_EQ(rows[0].counters.queries_admitted, counters.queries_admitted);
   EXPECT_EQ(rows[0].counters.queries_shed, counters.queries_shed);
+}
+
+// The default tenant, with no bucket, is admitted without the lock
+// (TSan target): four threads admit it in both directions while a
+// fifth reads the merged counters and rows. No admission is lost, and
+// a reader never sees a tally fall or pass the total.
+TEST(TenantRegistry, DefaultTenantTalliesAreExactUnderConcurrentAdmission) {
+  TenantRegistry registry;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kAttempts = 100'000;
+  constexpr std::uint64_t kTotal = kThreads * kAttempts;
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    TenantCounters last;
+    while (!done.load(std::memory_order_relaxed)) {
+      const TenantCounters c = registry.counters(kDefaultTenant);
+      EXPECT_GE(c.submits_admitted, last.submits_admitted);
+      EXPECT_GE(c.queries_admitted, last.queries_admitted);
+      EXPECT_LE(c.submits_admitted, kTotal);
+      EXPECT_LE(c.queries_admitted, kTotal);
+      last = c;
+      EXPECT_LE(registry.stats().size(), 1u);
+    }
+  });
+  std::vector<std::thread> admitters;
+  for (int t = 0; t < kThreads; ++t) {
+    admitters.emplace_back([&registry] {
+      for (std::uint64_t i = 0; i < kAttempts; ++i) {
+        EXPECT_TRUE(registry.admit_submit(kDefaultTenant).ok());
+        EXPECT_TRUE(registry.admit_query(kDefaultTenant).ok());
+      }
+    });
+  }
+  for (auto& admitter : admitters) admitter.join();
+  done.store(true);
+  reader.join();
+
+  const TenantCounters counters = registry.counters(kDefaultTenant);
+  EXPECT_EQ(counters.submits_admitted, kTotal);
+  EXPECT_EQ(counters.queries_admitted, kTotal);
+  EXPECT_EQ(counters.submits_shed + counters.queries_shed, 0u);
+  const auto rows = registry.stats();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].tenant, kDefaultTenant);
+  EXPECT_EQ(rows[0].counters.submits_admitted, kTotal);
+  EXPECT_EQ(rows[0].counters.queries_admitted, kTotal);
+}
+
+// Registering the default tenant gives it a bucket: from then on its
+// wall-clock admissions are metered and shed once the burst is spent,
+// and what it was admitted unmetered stays in its tallies.
+TEST(TenantRegistry, DefaultTenantKeepsItsTalliesWhenItGetsABucket) {
+  TenantRegistry registry;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(registry.admit_submit(kDefaultTenant).ok());
+  }
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(registry.admit_query(kDefaultTenant, 2).ok());
+  }
+
+  registry.register_tenant(kDefaultTenant, quota_config(1.0, 8));  // 1/s
+  EXPECT_TRUE(registry.admit_submit(kDefaultTenant, 8).ok());
+  const Status submit = registry.admit_submit(kDefaultTenant);
+  EXPECT_EQ(submit.code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(submit.retry_after_ns(), 0u);
+  EXPECT_TRUE(registry.admit_query(kDefaultTenant, 8).ok());
+  EXPECT_EQ(registry.admit_query(kDefaultTenant).code(),
+            StatusCode::kResourceExhausted);
+
+  const TenantCounters c = registry.counters(kDefaultTenant);
+  EXPECT_EQ(c.submits_admitted, 100u + 8u);
+  EXPECT_EQ(c.submits_shed, 1u);
+  EXPECT_EQ(c.queries_admitted, 100u + 8u);
+  EXPECT_EQ(c.queries_shed, 1u);
+  const auto rows = registry.stats();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].tenant, kDefaultTenant);
+  EXPECT_EQ(rows[0].counters.submits_admitted, c.submits_admitted);
+  EXPECT_EQ(rows[0].counters.queries_admitted, c.queries_admitted);
+
+  // An unlimited re-registration drops the bucket again: unmetered, and
+  // the tallies still add up.
+  registry.register_tenant(kDefaultTenant, TenantConfig{});
+  EXPECT_TRUE(registry.admit_submit(kDefaultTenant, 1000).ok());
+  EXPECT_EQ(registry.counters(kDefaultTenant).submits_admitted,
+            100u + 8u + 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ClientApiTest,

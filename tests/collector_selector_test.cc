@@ -43,9 +43,7 @@ proto::Report append(std::uint32_t list) {
   proto::AppendReport r;
   r.list_id = list;
   r.entry_size = 4;
-  Bytes e;
-  common::put_u32(e, list);
-  r.entries.push_back(std::move(e));
+  common::put_u32(r.entries.emplace_back(), list);
   return r;
 }
 

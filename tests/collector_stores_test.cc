@@ -275,9 +275,7 @@ class AppendStoreTest : public ::testing::Test {
     proto::AppendReport r;
     r.list_id = list;
     r.entry_size = 4;
-    Bytes e;
-    common::put_u32(e, value);
-    r.entries.push_back(std::move(e));
+    common::put_u32(r.entries.emplace_back(), value);
     std::vector<RdmaOp> ops;
     engine_->ingest(r, false, ops);
     rig_.deliver(ops);

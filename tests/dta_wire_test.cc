@@ -106,7 +106,7 @@ TEST(Append, MultiEntryPacking) {
   r.list_id = 7;
   r.entry_size = 18;
   for (int i = 0; i < 5; ++i) {
-    r.entries.push_back(Bytes(18, static_cast<std::uint8_t>(i)));
+    r.entries.emplace_back().resize(18, static_cast<std::uint8_t>(i));
   }
   const Bytes payload = encode_dta_payload(DtaHeader{}, r);
   auto parsed = decode_dta_payload(ByteSpan(payload));
@@ -223,8 +223,8 @@ TEST_P(WireFuzzTest, RandomReportsRoundTrip) {
         r.entry_size = static_cast<std::uint8_t>(1 + rng.next_below(32));
         const auto n = 1 + rng.next_below(8);
         for (std::uint64_t i = 0; i < n; ++i) {
-          r.entries.push_back(
-              Bytes(r.entry_size, static_cast<std::uint8_t>(i)));
+          r.entries.emplace_back().resize(r.entry_size,
+                                          static_cast<std::uint8_t>(i));
         }
         report = r;
         break;

@@ -87,9 +87,7 @@ TEST(FabricE2E, AppendThroughFullStack) {
     proto::AppendReport r;
     r.list_id = 3;
     r.entry_size = 4;
-    Bytes e;
-    common::put_u32(e, i);
-    r.entries.push_back(std::move(e));
+    common::put_u32(r.entries.emplace_back(), i);
     fabric.report(r);
   }
   auto* store = fabric.service().append();
@@ -128,9 +126,7 @@ TEST(FabricE2E, MixedPrimitivesInterleaved) {
     proto::AppendReport ap;
     ap.list_id = 0;
     ap.entry_size = 4;
-    Bytes e;
-    common::put_u32(e, i);
-    ap.entries.push_back(std::move(e));
+    common::put_u32(ap.entries.emplace_back(), i);
     fabric.report(ap);
   }
   int kw_hits = 0;
@@ -290,7 +286,7 @@ TEST(FabricE2E, FlushDrainsAggregators) {
   proto::AppendReport ap;
   ap.list_id = 0;
   ap.entry_size = 4;
-  ap.entries.push_back(Bytes{1, 2, 3, 4});
+  ap.entries.push_back({1, 2, 3, 4});
   fabric.report(ap);
 
   const auto before = fabric.verbs_executed();

@@ -3,19 +3,22 @@
 //
 // Once warm (keys indexed, batch and window buffers grown, tenant rows
 // made), a Key-Write report whose value fits in place, a Key-Increment
-// report and a Postcard report take no block between submit and store
-// memory, inline and with shard workers. The one block the span may
-// take is the index's: each publish makes one ShardIndexVersion, and a
-// window that only rewrites indexed keys makes nothing else. A value
-// one byte past the in-place capacity takes exactly one block, and a
-// wire Key-Write report whose value fits in place decodes without one.
-// A Client::flush takes no block either.
+// report, a Postcard report and a one-entry Append report whose entry
+// fits in place take no block between submit and store memory, inline
+// and with shard workers. The one block the span may take is the
+// index's: each publish makes one ShardIndexVersion, and a window that
+// only rewrites indexed keys makes nothing else. A Key-Write value or
+// an Append entry one byte past its in-place capacity takes exactly one
+// block, and a wire Key-Write or Append report whose value or entry
+// fits in place decodes without one. A Client::flush takes no block
+// either.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "collector/runtime.h"
@@ -60,9 +63,11 @@ namespace {
 // the window has grown to the most keys a fold ever holds.
 constexpr std::uint32_t kKeys = 512;
 constexpr int kWarmPasses = 8;
+constexpr std::uint32_t kLists = 64;
 
 collector::CollectorRuntimeConfig config(collector::ThreadMode mode,
-                                         std::uint32_t value_bytes) {
+                                         std::uint32_t value_bytes,
+                                         std::uint32_t entry_bytes = 4) {
   collector::CollectorRuntimeConfig config;
   config.num_shards = 2;
   config.thread_mode = mode;
@@ -78,6 +83,11 @@ collector::CollectorRuntimeConfig config(collector::ThreadMode mode,
   pc.hops = 5;
   for (std::uint32_t v = 0; v < 64; ++v) pc.value_space.push_back(v);
   config.postcarding = pc;
+  collector::AppendSetup ap;
+  ap.num_lists = kLists;
+  ap.entries_per_list = 1 << 10;
+  ap.entry_bytes = entry_bytes;
+  config.append = ap;
   return config;
 }
 
@@ -97,7 +107,12 @@ class IngestAllocTest
   // submit until every shard has drained, flushed and delivered.
   template <typename Pass>
   Counted measure(std::uint32_t value_bytes, Pass&& pass) {
-    Client client = Client::local(config(GetParam(), value_bytes));
+    return measure(config(GetParam(), value_bytes), std::forward<Pass>(pass));
+  }
+  template <typename Pass>
+  Counted measure(const collector::CollectorRuntimeConfig& host,
+                  Pass&& pass) {
+    Client client = Client::local(host);
     collector::CollectorRuntime& runtime = *client.local_runtime();
     Counted out;
     for (int warm = 0; warm < kWarmPasses; ++warm) {
@@ -186,10 +201,46 @@ TEST_P(IngestAllocTest, PostcardReportsTakeNoBlockBeyondIndexPublishes) {
   EXPECT_LE(counted.allocations, counted.publishes);
 }
 
+// kKeys one-entry Append reports a pass, round-robin over the lists.
+// They carry no key, so nothing is indexed and the bound is no block.
+TEST_P(IngestAllocTest, AppendReportsTakeNoBlockBeyondIndexPublishes) {
+  const Counted counted = measure(4, [](Client& client) -> std::uint64_t {
+    for (std::uint32_t i = 0; i < kKeys; ++i) {
+      if (!client.list(i % kLists).append_u32(i).ok()) return 0;
+    }
+    return kKeys;
+  });
+  ASSERT_TRUE(counted.all_ok);
+  EXPECT_EQ(counted.reports, kKeys);
+  EXPECT_LE(counted.allocations, counted.publishes);
+}
+
 TEST_P(IngestAllocTest, ValueOnePastInPlaceTakesExactlyOneBlock) {
   const common::Bytes value(proto::kKeyWriteInPlaceBytes + 1, 0x5A);
   const Counted counted = measure(32, keywrite_pass(keys_, value));
   ASSERT_TRUE(counted.all_ok);
+  EXPECT_EQ(counted.allocations - counted.publishes, counted.reports);
+}
+
+// The entry's own block, taken when the report is built; the report
+// then moves to store memory without another.
+TEST_P(IngestAllocTest, AppendEntryOnePastInPlaceTakesExactlyOneBlock) {
+  const common::Bytes entry(proto::kAppendInPlaceEntryBytes + 1, 0x5A);
+  collector::CollectorRuntimeConfig host =
+      config(GetParam(), 4, static_cast<std::uint32_t>(entry.size()));
+  // One entry per WRITE, so each verb body stays in place.
+  host.append_batch_size = 1;
+  const Counted counted =
+      measure(host, [&entry](Client& client) -> std::uint64_t {
+        for (std::uint32_t i = 0; i < kKeys; ++i) {
+          if (!client.list(i % kLists).append(common::ByteSpan(entry)).ok()) {
+            return 0;
+          }
+        }
+        return kKeys;
+      });
+  ASSERT_TRUE(counted.all_ok);
+  EXPECT_EQ(counted.reports, kKeys);
   EXPECT_EQ(counted.allocations - counted.publishes, counted.reports);
 }
 
@@ -234,6 +285,27 @@ TEST(IngestAlloc, DecodingAnInPlaceKeyWriteValueTakesNoBlock) {
   const auto* decoded = std::get_if<proto::KeyWriteReport>(&parsed->report);
   ASSERT_NE(decoded, nullptr);
   EXPECT_TRUE(decoded->data == report.data);
+}
+
+TEST(IngestAlloc, DecodingAShortAppendReportTakesNoBlock) {
+  proto::AppendReport report;
+  report.list_id = 7;
+  report.entry_size = proto::kAppendInPlaceEntryBytes;
+  report.entries.emplace_back().resize(proto::kAppendInPlaceEntryBytes, 0x3C);
+  const common::Bytes wire =
+      proto::encode_dta_payload(proto::DtaHeader{}, report);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const auto parsed = proto::decode_dta_payload(common::ByteSpan(wire));
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(allocations, 0u);
+  const auto* decoded = std::get_if<proto::AppendReport>(&parsed->report);
+  ASSERT_NE(decoded, nullptr);
+  ASSERT_EQ(decoded->entries.size(), 1u);
+  EXPECT_TRUE(decoded->entries[0] == report.entries[0]);
 }
 
 }  // namespace

@@ -236,9 +236,7 @@ TEST_P(AppendWrapSweep, OrderPreservedAcrossWraps) {
     proto::AppendReport r;
     r.list_id = 1;
     r.entry_size = 4;
-    Bytes e;
-    common::put_u32(e, static_cast<std::uint32_t>(i));
-    r.entries.push_back(std::move(e));
+    common::put_u32(r.entries.emplace_back(), static_cast<std::uint32_t>(i));
     std::vector<RdmaOp> ops;
     engine.ingest(r, false, ops);
     for (auto& op : ops) service.nic().ingest(crafter.craft(op));
@@ -500,9 +498,8 @@ void run_incremental_sweep(unsigned seed, std::uint32_t chunk_bytes) {
         r.entry_size = 4;
         const auto entries = 1 + rng.next_below(8);
         for (std::uint64_t i = 0; i < entries; ++i) {
-          Bytes entry;
-          common::put_u32(entry, static_cast<std::uint32_t>(next_id++));
-          r.entries.push_back(std::move(entry));
+          common::put_u32(r.entries.emplace_back(),
+                          static_cast<std::uint32_t>(next_id++));
         }
         runtime.submit(reports::wrap(std::move(r)));
         break;

@@ -454,9 +454,7 @@ class AppendEngineTest : public ::testing::Test {
     proto::AppendReport r;
     r.list_id = list;
     r.entry_size = 4;
-    Bytes e;
-    common::put_u32(e, value);
-    r.entries.push_back(std::move(e));
+    common::put_u32(r.entries.emplace_back(), value);
     return r;
   }
 
@@ -517,9 +515,7 @@ TEST_F(AppendEngineTest, MultiEntryPacketsBatchCorrectly) {
   r.list_id = 2;
   r.entry_size = 4;
   for (std::uint32_t i = 0; i < 8; ++i) {
-    Bytes e;
-    common::put_u32(e, i);
-    r.entries.push_back(std::move(e));
+    common::put_u32(r.entries.emplace_back(), i);
   }
   std::vector<RdmaOp> ops;
   engine.ingest(r, false, ops);
@@ -540,7 +536,7 @@ TEST_F(AppendEngineTest, WrongEntrySizeDropped) {
   proto::AppendReport r;
   r.list_id = 0;
   r.entry_size = 8;  // store expects 4
-  r.entries.push_back(Bytes(8, 0));
+  r.entries.emplace_back().resize(8, 0);
   std::vector<RdmaOp> ops;
   engine.ingest(r, false, ops);
   EXPECT_EQ(engine.stats().dropped_bad_list, 1u);
